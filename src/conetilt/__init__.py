@@ -24,10 +24,6 @@ from .linalg import (
     PresentedMap,
     ShapeMismatch,
     Subquotient,
-    cokernel,
-    compose,
-    kernel,
-    rank,
 )
 from .objects import (
     AtomObject,

@@ -17,138 +17,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
-from .cone import cone_cohomology_dim, make_space, section_cohomology_dim
+from .cone import cone_cohomology_dim, make_space, regime_notes, section_cohomology_dim
 from .linalg import EngineError
-from .objects import as_object, hom_objects_detailed, kernel_bundle, SumObject
-from .report import BUILTIN_INSTANCES, InstanceConfig, build_report, get_instance
-from .rules import OX, OZ
+from .objects import hom_objects_detailed
+from .report import (  # parse_config is re-exported for callers of this module
+    ConfigError,
+    InstanceConfig,
+    build_report,
+    get_instance,
+    load_config,
+    parse_config,
+    parse_object_expr,
+)
 from .tilting import check_sod
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
-
-
-class ConfigError(Exception):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# config files
-# ---------------------------------------------------------------------------
-
-_ATOM_RE = re.compile(r"^(O|OZ|ker)\((-?\d+)\)$")
-
-
-def _parse_term(term, space, objects):
-    term = term.strip()
-    mult = 1
-    if "*" in term:
-        head, _, term = term.partition("*")
-        try:
-            mult = int(head.strip())
-        except ValueError:
-            raise ConfigError("bad multiplicity in %r" % term)
-        if mult < 1:
-            raise ConfigError("multiplicity must be positive in %r" % term)
-        term = term.strip()
-    m = _ATOM_RE.match(term)
-    if m:
-        kind, arg = m.group(1), int(m.group(2))
-        if kind == "O":
-            obj = as_object(OX(arg))
-        elif kind == "OZ":
-            obj = as_object(OZ(arg))
-        else:
-            try:
-                obj = kernel_bundle(space, arg)
-            except ValueError as exc:
-                raise ConfigError(str(exc))
-        return obj, mult
-    if term in objects:
-        return objects[term], mult
-    raise ConfigError("unknown object term %r" % term)
-
-
-def parse_object_expr(expr, space, objects):
-    """An object expression: terms joined by '+', each 'k*base' or 'base'."""
-    parts = []
-    for term in expr.split("+"):
-        obj, mult = _parse_term(term, space, objects)
-        parts.append((obj, mult))
-    if len(parts) == 1 and parts[0][1] == 1:
-        return parts[0][0]
-    return SumObject(tuple(parts))
-
-
-def parse_config(text, name="config"):
-    """Parse the plain hierarchical instance format.
-
-    Keys: ``space: n,m`` and the indented blocks ``objects:`` and
-    ``collections:`` with ``name = expression`` lines.
-    """
-    space = None
-    objects = {}
-    collections = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        stripped = line.strip()
-        if stripped.startswith("space:"):
-            val = stripped[len("space:"):].strip()
-            try:
-                n, m = (int(x) for x in val.split(","))
-                space = make_space(n, m)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError("line %d: bad space %r (%s)" % (lineno, val, exc))
-            section = None
-            continue
-        if stripped == "objects:":
-            section = "objects"
-            continue
-        if stripped == "collections:":
-            section = "collections"
-            continue
-        if "=" not in stripped or section is None:
-            raise ConfigError("line %d: cannot parse %r" % (lineno, stripped))
-        if space is None:
-            raise ConfigError("line %d: space must be declared first" % lineno)
-        key, _, expr = stripped.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError("line %d: empty name" % lineno)
-        if section == "objects":
-            if key in objects:
-                raise ConfigError("line %d: duplicate object %r" % (lineno, key))
-            objects[key] = parse_object_expr(expr, space, objects)
-        else:
-            if key in collections:
-                raise ConfigError("line %d: duplicate collection %r" % (lineno, key))
-            names = [t.strip() for t in expr.split(",") if t.strip()]
-            for n_ in names:
-                if n_ not in objects:
-                    raise ConfigError(
-                        "line %d: collection %r references unknown object %r"
-                        % (lineno, key, n_)
-                    )
-            collections[key] = names
-    if space is None:
-        raise ConfigError("config declares no space")
-    return InstanceConfig(name, space, objects, collections)
-
-
-def load_config(path):
-    try:
-        with open(path) as fh:
-            return parse_config(fh.read(), name=path)
-    except OSError as exc:
-        raise ConfigError("cannot read %s: %s" % (path, exc))
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +63,6 @@ def render_table(headers, rows, fmt):
 
 def emit_json(payload):
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _regime_notes(space):
-    if space.n > 3:
-        return ["dimension %d is an untested regime for this engine" % space.n]
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +104,7 @@ def cmd_cohomology(args):
         "sheaf": args.sheaf,
         "degrees": degrees,
         "rows": payload_rows,
-        "notes": _regime_notes(space),
+        "notes": regime_notes(space),
     }
     if args.format == "json":
         print(emit_json(payload))
@@ -238,10 +120,7 @@ def _resolve_pair(args):
     if args.config:
         cfg = load_config(args.config)
     elif args.instance:
-        try:
-            cfg = get_instance(args.instance)
-        except KeyError as exc:
-            raise ConfigError(str(exc))
+        cfg = get_instance(args.instance)
     elif args.space:
         cfg = InstanceConfig("inline", _parse_space_flag(args.space), {}, {})
     else:
@@ -265,7 +144,7 @@ def cmd_hom(args):
         "target": args.B,
         "dims": list(comp.dims),
         "provenance": list(comp.notes),
-        "notes": _regime_notes(cfg.space),
+        "notes": regime_notes(cfg.space),
     }
     if args.format == "json":
         print(emit_json(payload))
@@ -324,10 +203,7 @@ def cmd_verify_sod(args):
     if args.config:
         cfg = load_config(args.config)
     else:
-        try:
-            cfg = get_instance(args.instance)
-        except KeyError as exc:
-            raise ConfigError(str(exc))
+        cfg = get_instance(args.instance)
     name = args.collection or (
         sorted(cfg.collections)[0] if cfg.collections else None
     )
@@ -362,13 +238,6 @@ def cmd_verify_sod(args):
 
 
 def cmd_paper_report(args):
-    if args.instance not in BUILTIN_INSTANCES:
-        print(
-            "unknown instance %r (available: %s)"
-            % (args.instance, ", ".join(sorted(BUILTIN_INSTANCES))),
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     report = build_report(args.instance)
     if args.format == "json":
         print(emit_json(report.to_jsonable()))

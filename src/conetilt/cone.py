@@ -67,6 +67,13 @@ def make_space(n, m):
     return ConeSpace(n, m)
 
 
+def regime_notes(space):
+    """Report notes for spaces outside the tested range n = 2, 3."""
+    if space.n > 3:
+        return ["dimension %d is an untested regime for this engine" % space.n]
+    return []
+
+
 @dataclass(frozen=True, order=True)
 class Monomial:
     """A (Laurent) monomial, stored as its exponent vector.

@@ -185,11 +185,6 @@ def nullspace(M):
     return basis
 
 
-def span_rank(cols):
-    """Rank of the span of the given columns."""
-    return mat_rank(cols)
-
-
 def span_contains(big, small):
     """True iff every column of `small` lies in the column span of `big`."""
     _, cs = mat_shape(small)
@@ -306,11 +301,6 @@ def zero_space(name=""):
     return DirectSpace((), name)
 
 
-def quotient_by(ambient, boundaries, name=""):
-    """The quotient of a direct space by the span of the given columns."""
-    return Subquotient(ambient, None, boundaries, name)
-
-
 # ---------------------------------------------------------------------------
 # presented maps
 # ---------------------------------------------------------------------------
@@ -397,44 +387,6 @@ class PresentedMap:
 
     def __repr__(self):
         return "PresentedMap(%s: %r -> %r)" % (self.name or "?", self.source, self.target)
-
-
-def rank(pmap):
-    return pmap.rank()
-
-
-def kernel(pmap):
-    return pmap.kernel()
-
-
-def cokernel(pmap):
-    return pmap.cokernel()
-
-
-def compose(f, g):
-    """The composite f o g (first g, then f), as an exact matrix product."""
-    if f.source.ambient != g.target.ambient or f.source.dim != g.target.dim:
-        raise ShapeMismatch(
-            "cannot compose %r with %r: middle spaces differ" % (f.name, g.name)
-        )
-    return PresentedMap(
-        g.source,
-        f.target,
-        mat_mul(f.matrix, g.matrix),
-        name="%s.%s" % (f.name or "f", g.name or "g"),
-        check=False,
-    )
-
-
-def identity_map(space, name="id"):
-    return PresentedMap(space, space, identity(space.ambient.dim), name=name, check=False)
-
-
-def zero_map(source, target, name="0"):
-    return PresentedMap(
-        source, target, zeros(target.ambient.dim, source.ambient.dim), name=name,
-        check=False,
-    )
 
 
 def map_from_entries(source, target, entries, name="", check=True):

@@ -17,15 +17,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cone import (
-    Monomial,
-    laurent_top_basis,
-    section_laurent_basis,
-    section_monomials,
-)
+from .cone import laurent_top_basis, section_laurent_basis, section_monomials
 from .linalg import (
     DirectSpace,
     EngineError,
+    PresentedMap,
     hstack,
     map_from_entries,
     mat_mul,
@@ -44,6 +40,7 @@ from .rules import (
     hom_atoms,
     laurent_class,
     pairing_partner,
+    postcompose_sections_map,
     restrict_monomial,
 )
 
@@ -187,14 +184,14 @@ def _atom_list(B):
 @dataclass
 class LESTerm:
     name: str
-    dim: int
+    dim: int  # None until solve_les pins it
     space: object = None
 
 
 @dataclass
 class LESMap:
     name: str
-    rank: int
+    rank: int  # None until solve_les pins it
     how: str  # "matrix" | "cone-presentation" | "exactness" | "zero" | ...
     matrix: object = None
 
@@ -228,6 +225,39 @@ class LongExactSequence:
         return tuple(t.dim for t in self.terms[offset::stride])
 
 
+def solve_les(origin, terms, maps):
+    """Complete a long exact sequence by exactness and check it.
+
+    Map j runs from terms[j] to terms[j+1].  A term with dim None or a
+    map with rank None is unknown.  Each unknown rank is pinned, in map
+    order, at an adjacent term of known dimension whose other map is
+    known (the maps beyond either end are zero); each unknown dimension
+    is then the sum of its two adjacent ranks.  A rank that cannot be
+    pinned raises IndeterminateRank naming the sequence and the map.
+    """
+
+    def rank(j):
+        return maps[j].rank if 0 <= j < len(maps) else 0
+
+    for j, m in enumerate(maps):
+        if m.rank is not None:
+            continue
+        if terms[j].dim is not None and rank(j - 1) is not None:
+            m.rank = terms[j].dim - rank(j - 1)
+        elif terms[j + 1].dim is not None and rank(j + 1) is not None:
+            m.rank = terms[j + 1].dim - rank(j + 1)
+        else:
+            raise IndeterminateRank(
+                "%s: exactness does not pin the rank of %s" % (origin, m.name)
+            )
+    for j, t in enumerate(terms):
+        if t.dim is None:
+            t.dim = rank(j - 1) + rank(j)
+    les = LongExactSequence(origin, terms, maps)
+    les.check_exactness()
+    return les
+
+
 def _term_space_section_source(space, e, B_atoms, i, name):
     """Hom^i(OZ(e), sum B): labels (component, rule label)."""
     labels = []
@@ -245,10 +275,6 @@ def _term_space_free_source(space, h, B_atoms, i, name):
         for j in range(h):
             labels += [(c, j, lbl) for lbl in gh[i].labels]
     return DirectSpace(tuple(labels), name)
-
-
-def _formal_space(name, dim):
-    return DirectSpace(tuple((name, k) for k in range(dim)), name)
 
 
 def _contra_alpha(space, K, B_atoms, i, qspace, pspace):
@@ -317,8 +343,7 @@ def _les_hom_contra_cached(space, K, B_atoms):
     n = space.n
     bname = "+".join(str(a) for a in B_atoms)
     kname = "F[%d]" % K.e
-
-    qspaces, pspaces, alphas = [], [], []
+    terms, maps = [], []
     for i in range(n + 1):
         qs = _term_space_section_source(
             space, K.e, B_atoms, i, "Hom^%d(OZ(%d), %s)" % (i, K.e, bname)
@@ -326,40 +351,19 @@ def _les_hom_contra_cached(space, K, B_atoms):
         ps = _term_space_free_source(
             space, K.h, B_atoms, i, "Hom^%d(O^%d, %s)" % (i, K.h, bname)
         )
-        qspaces.append(qs)
-        pspaces.append(ps)
-        alphas.append(_contra_alpha(space, K, B_atoms, i, qs, ps))
-
-    dimQ = [qs.dim for qs in qspaces] + [0]
-    dimP = [ps.dim for ps in pspaces]
-    arank = [a.rank for a in alphas] + [0]
-
-    dims_K = [
-        (dimP[i] - arank[i]) + (dimQ[i + 1] - arank[i + 1]) for i in range(n + 1)
-    ]
-
-    terms, maps = [], []
-    for i in range(n + 1):
-        terms.append(LESTerm(qspaces[i].name, dimQ[i], qspaces[i]))
-        terms.append(LESTerm(pspaces[i].name, dimP[i], pspaces[i]))
-        kterm = "Hom^%d(%s, %s)" % (i, kname, bname)
-        terms.append(LESTerm(kterm, dims_K[i], _formal_space(kterm, dims_K[i])))
-        maps.append(alphas[i])
-        maps.append(
-            LESMap("res_%d" % i, dimP[i] - arank[i], "exactness")
-        )
+        terms.append(LESTerm(qs.name, qs.dim, qs))
+        terms.append(LESTerm(ps.name, ps.dim, ps))
+        terms.append(LESTerm("Hom^%d(%s, %s)" % (i, kname, bname), None))
+        maps.append(_contra_alpha(space, K, B_atoms, i, qs, ps))
+        maps.append(LESMap("res_%d" % i, None, "exactness"))
         if i < n:
-            maps.append(
-                LESMap("delta_%d" % i, dimQ[i + 1] - arank[i + 1], "exactness")
-            )
-    les = LongExactSequence(
+            maps.append(LESMap("delta_%d" % i, None, "exactness"))
+    return solve_les(
         "Hom(-, %s) along 0 -> %s -> O^%d -> OZ(%d) -> 0"
         % (bname, kname, K.h, K.e),
         terms,
         maps,
     )
-    les.check_exactness()
-    return les
 
 
 def _cov_beta(space, A, Kp, i, pspace, qspace):
@@ -373,17 +377,12 @@ def _cov_beta(space, A, Kp, i, pspace, qspace):
     n = space.n
     comps = Kp.component_terms(space)
     if A.kind == CONE:
-        entries = {}
+        matrix = []  # for 0 < i < n the source vanishes; in top degree the target does
         if i == 0:
-            for (j, u) in pspace.labels:
-                ubar = restrict_monomial(u)
-                if ubar is None:
-                    continue
-                for mu, coeff in comps[j]:
-                    key = (ubar * mu, (j, u))
-                    entries[key] = entries.get(key, 0) + coeff
-        # for 0 < i < n the source vanishes; in top degree the target does
-        pmap = map_from_entries(pspace, qspace, entries, name="beta_%d" % i)
+            matrix = postcompose_sections_map(
+                space, A.twist, (OX(0),) * Kp.h, comps, OZ(Kp.e)
+            ).matrix
+        pmap = PresentedMap(pspace, qspace, matrix, name="beta_%d" % i)
         return LESMap("beta_%d" % i, pmap.rank(), "matrix", pmap)
     # section-twist source
     e = A.twist
@@ -399,7 +398,7 @@ def _cov_beta(space, A, Kp, i, pspace, qspace):
     if i == n:
         entries = {}
         for v in section_laurent_basis(space, Kp.e - e + space.m):
-            u = Monomial(tuple(-1 - t for t in v.exps))
+            u = pairing_partner(v)
             for j, terms in enumerate(comps):
                 for mu, coeff in terms:
                     w = u * mu
@@ -436,44 +435,26 @@ def _les_hom_cov_cached(space, A, Kp):
     ghP = hom_atoms(space, A, OX(0))  # OutOfValidity for non-invertible twists
     ghQ = hom_atoms(space, A, OZ(Kp.e))
 
-    pspaces, qspaces, betas = [], [], []
+    terms, maps = [], []
     for i in range(n + 1):
         labels = [(j, lbl) for j in range(Kp.h) for lbl in ghP[i].labels]
         ps = DirectSpace(tuple(labels), "Hom^%d(%s, O^%d)" % (i, A, Kp.h))
         qs = DirectSpace(
             tuple(ghQ[i].labels), "Hom^%d(%s, OZ(%d))" % (i, A, Kp.e)
         )
-        pspaces.append(ps)
-        qspaces.append(qs)
-        betas.append(_cov_beta(space, A, Kp, i, ps, qs))
-
-    dimP = [ps.dim for ps in pspaces]
-    dimQ = [qs.dim for qs in qspaces]
-    brank = [b.rank for b in betas]
-
-    dims_K = [
-        (dimQ[i - 1] - brank[i - 1] if i > 0 else 0) + (dimP[i] - brank[i])
-        for i in range(n + 1)
-    ]
-
-    terms, maps = [], []
-    for i in range(n + 1):
-        kterm = "Hom^%d(%s, %s)" % (i, A, kname)
-        terms.append(LESTerm(kterm, dims_K[i], _formal_space(kterm, dims_K[i])))
-        terms.append(LESTerm(pspaces[i].name, dimP[i], pspaces[i]))
-        terms.append(LESTerm(qspaces[i].name, dimQ[i], qspaces[i]))
-        maps.append(LESMap("inc_%d" % i, dimP[i] - brank[i], "exactness"))
-        maps.append(betas[i])
+        terms.append(LESTerm("Hom^%d(%s, %s)" % (i, A, kname), None))
+        terms.append(LESTerm(ps.name, ps.dim, ps))
+        terms.append(LESTerm(qs.name, qs.dim, qs))
+        maps.append(LESMap("inc_%d" % i, None, "exactness"))
+        maps.append(_cov_beta(space, A, Kp, i, ps, qs))
         if i < n:
-            maps.append(LESMap("delta_%d" % i, dimQ[i] - brank[i], "exactness"))
-    les = LongExactSequence(
+            maps.append(LESMap("delta_%d" % i, None, "exactness"))
+    return solve_les(
         "Hom(%s, -) along 0 -> %s -> O^%d -> OZ(%d) -> 0"
         % (A, kname, Kp.h, Kp.e),
         terms,
         maps,
     )
-    les.check_exactness()
-    return les
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +559,6 @@ class HomComputation:
     sequences: list = field(default_factory=list)
 
 
-def _add_dims(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 @lru_cache(maxsize=None)
 def _hom_kernel_kernel(space, K, Kp):
     """Hom^*(K, K') for two kernel bundles, via the covariant outer chase."""
@@ -614,45 +591,34 @@ def _hom_kernel_kernel(space, K, Kp):
 
     dimsP = top.solved_dims(2)  # Hom^i(K, O^h')
     dimsQ = bottom.solved_dims(2)  # Hom^i(K, OZ(e'))
-    gamma = [ladder.rank] + [0] * n
+    kname, kpname = "F[%d]" % K.e, "F[%d]" % Kp.e
     for i in range(1, n + 1):
-        if dimsP[i] == 0 or dimsQ[i] == 0:
-            gamma[i] = 0
-        else:
+        if dimsP[i] and dimsQ[i]:
             raise IndeterminateRank(
                 "rank of Hom^%d(%s, O^%d) -> Hom^%d(%s, OZ(%d)) is not "
                 "determined by the available diagrams"
-                % (i, "F[%d]" % K.e, Kp.h, i, "F[%d]" % K.e, Kp.e)
+                % (i, kname, Kp.h, i, kname, Kp.e)
             )
 
-    dims = tuple(
-        (dimsQ[i - 1] - gamma[i - 1] if i > 0 else 0) + (dimsP[i] - gamma[i])
-        for i in range(n + 1)
-    )
-
-    kname, kpname = "F[%d]" % K.e, "F[%d]" % Kp.e
     terms, maps = [], []
     for i in range(n + 1):
-        terms.append(LESTerm("Hom^%d(%s,%s)" % (i, kname, kpname), dims[i]))
+        terms.append(LESTerm("Hom^%d(%s,%s)" % (i, kname, kpname), None))
         terms.append(LESTerm("Hom^%d(%s,O^%d)" % (i, kname, Kp.h), dimsP[i]))
         terms.append(LESTerm("Hom^%d(%s,OZ(%d))" % (i, kname, Kp.e), dimsQ[i]))
-        maps.append(LESMap("inc_%d" % i, dimsP[i] - gamma[i], "exactness"))
-        maps.append(
-            LESMap(
-                "gamma_%d" % i,
-                gamma[i],
-                "ladder" if i == 0 else "zero-side",
-            )
-        )
+        maps.append(LESMap("inc_%d" % i, None, "exactness"))
+        if i == 0:
+            maps.append(LESMap("gamma_0", ladder.rank, "ladder"))
+        else:
+            maps.append(LESMap("gamma_%d" % i, 0, "zero-side"))
         if i < n:
-            maps.append(LESMap("delta_%d" % i, dimsQ[i] - gamma[i], "exactness"))
-    outer = LongExactSequence(
+            maps.append(LESMap("delta_%d" % i, None, "exactness"))
+    outer = solve_les(
         "Hom(%s, -) along 0 -> %s -> O^%d -> OZ(%d) -> 0"
         % (kname, kpname, Kp.h, Kp.e),
         terms,
         maps,
     )
-    outer.check_exactness()
+    dims = outer.solved_dims(0)
 
     comp = HomComputation(dims)
     comp.notes.append(
@@ -670,22 +636,15 @@ def hom_objects_detailed(space, A, B):
     B = as_object(B)
     n = space.n
 
-    if isinstance(A, SumObject):
+    if isinstance(A, SumObject) or isinstance(B, SumObject):
+        if isinstance(A, SumObject):
+            summands = [(o, B, k) for o, k in A.parts]
+        else:
+            summands = [(A, o, k) for o, k in B.parts]
         total = HomComputation((0,) * (n + 1))
-        for o, k in A.parts:
-            part = hom_objects_detailed(space, o, B)
-            for _ in range(k):
-                total.dims = _add_dims(total.dims, part.dims)
-            total.notes.extend(part.notes)
-            total.ladders.extend(part.ladders)
-            total.sequences.extend(part.sequences)
-        return total
-    if isinstance(B, SumObject):
-        total = HomComputation((0,) * (n + 1))
-        for o, k in B.parts:
-            part = hom_objects_detailed(space, A, o)
-            for _ in range(k):
-                total.dims = _add_dims(total.dims, part.dims)
+        for a, b, k in summands:
+            part = hom_objects_detailed(space, a, b)
+            total.dims = tuple(x + k * y for x, y in zip(total.dims, part.dims))
             total.notes.extend(part.notes)
             total.ladders.extend(part.ladders)
             total.sequences.extend(part.sequences)

@@ -10,10 +10,11 @@ rank-identity verdicts.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .cone import make_space
-from .objects import as_object, direct_sum, hom_objects, kernel_bundle
+from .objects import SumObject, as_object, hom_objects, kernel_bundle
 from .rules import OX, OZ
 from .tilting import (
     check_sod,
@@ -43,48 +44,169 @@ class InstanceConfig:
         return [(n, self.objects[n]) for n in self.collections[name]]
 
 
-def instance_p1113():
-    """The threefold cone P(1,1,1,3) with its tilting summands."""
-    X = make_space(3, 3)
-    F = kernel_bundle(X, 1)
-    G = kernel_bundle(X, 2)
-    objects = {
-        "F": F,
-        "G": G,
-        "FG": direct_sum(F, G),
-        "O": as_object(OX(0)),
-        "O3": as_object(OX(3)),
-        "OZ1": as_object(OZ(1)),
-        "OZ2": as_object(OZ(2)),
-    }
-    return InstanceConfig(
-        "P1113", X, objects, {"main": ["FG", "O", "O3"]}
-    )
+class ConfigError(Exception):
+    pass
 
 
-def instance_p112():
-    """The surface cone P(1,1,2) with its rank-2 tilting bundle."""
-    S = make_space(2, 2)
-    FS = kernel_bundle(S, 1)
-    objects = {
-        "FS": FS,
-        "O": as_object(OX(0)),
-        "Om2": as_object(OX(-2)),
-        "OC1": as_object(OZ(1)),
-    }
-    return InstanceConfig("P112", S, objects, {"main": ["Om2", "FS", "O"]})
+# ---------------------------------------------------------------------------
+# config files
+# ---------------------------------------------------------------------------
+
+_ATOM_RE = re.compile(r"^(O|OZ|ker)\((-?\d+)\)$")
 
 
-BUILTIN_INSTANCES = {"P1113": instance_p1113, "P112": instance_p112}
+def _parse_term(term, space, objects):
+    term = term.strip()
+    base, mult = term, 1
+    if "*" in term:
+        head, _, base = term.partition("*")
+        try:
+            mult = int(head.strip())
+        except ValueError:
+            raise ConfigError("bad multiplicity in %r" % term)
+        if mult < 1:
+            raise ConfigError("multiplicity must be positive in %r" % term)
+        base = base.strip()
+    m = _ATOM_RE.match(base)
+    if m:
+        kind, arg = m.group(1), int(m.group(2))
+        if kind == "O":
+            obj = as_object(OX(arg))
+        elif kind == "OZ":
+            obj = as_object(OZ(arg))
+        else:
+            try:
+                obj = kernel_bundle(space, arg)
+            except ValueError as exc:
+                raise ConfigError(str(exc))
+        return obj, mult
+    if base in objects:
+        return objects[base], mult
+    raise ConfigError("unknown object term %r" % base)
+
+
+def parse_object_expr(expr, space, objects):
+    """An object expression: terms joined by '+', each 'k*base' or 'base'."""
+    parts = []
+    for term in expr.split("+"):
+        obj, mult = _parse_term(term, space, objects)
+        parts.append((obj, mult))
+    if len(parts) == 1 and parts[0][1] == 1:
+        return parts[0][0]
+    return SumObject(tuple(parts))
+
+
+def parse_config(text, name="config"):
+    """Parse the plain hierarchical instance format.
+
+    Keys: ``space: n,m`` and the indented blocks ``objects:`` and
+    ``collections:`` with ``name = expression`` lines.
+    """
+    space = None
+    objects = {}
+    collections = {}
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        stripped = line.strip()
+        if stripped.startswith("space:"):
+            val = stripped[len("space:"):].strip()
+            try:
+                n, m = (int(x) for x in val.split(","))
+                space = make_space(n, m)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError("line %d: bad space %r (%s)" % (lineno, val, exc))
+            section = None
+            continue
+        if stripped == "objects:":
+            section = "objects"
+            continue
+        if stripped == "collections:":
+            section = "collections"
+            continue
+        if "=" not in stripped or section is None:
+            raise ConfigError("line %d: cannot parse %r" % (lineno, stripped))
+        if space is None:
+            raise ConfigError("line %d: space must be declared first" % lineno)
+        key, _, expr = stripped.partition("=")
+        key = key.strip()
+        if not key:
+            raise ConfigError("line %d: empty name" % lineno)
+        if section == "objects":
+            if key in objects:
+                raise ConfigError("line %d: duplicate object %r" % (lineno, key))
+            objects[key] = parse_object_expr(expr, space, objects)
+        else:
+            if key in collections:
+                raise ConfigError("line %d: duplicate collection %r" % (lineno, key))
+            names = [t.strip() for t in expr.split(",") if t.strip()]
+            if not names:
+                raise ConfigError("line %d: collection %r is empty" % (lineno, key))
+            for n_ in names:
+                if n_ not in objects:
+                    raise ConfigError(
+                        "line %d: collection %r references unknown object %r"
+                        % (lineno, key, n_)
+                    )
+            collections[key] = names
+    if space is None:
+        raise ConfigError("config declares no space")
+    return InstanceConfig(name, space, objects, collections)
+
+
+def load_config(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc))
+    return parse_config(text, name=path)
+
+
+# the built-in instances, in the config file format
+P1113 = """\
+# the threefold cone P(1,1,1,3) with its tilting summands
+space: 3,3
+
+objects:
+  F   = ker(1)
+  G   = ker(2)
+  FG  = F + G
+  O   = O(0)
+  O3  = O(3)
+  OZ1 = OZ(1)
+  OZ2 = OZ(2)
+
+collections:
+  main = FG, O, O3
+"""
+
+P112 = """\
+# the surface cone P(1,1,2) with its rank-2 tilting bundle
+space: 2,2
+
+objects:
+  FS  = ker(1)
+  O   = O(0)
+  Om2 = O(-2)
+  OC1 = OZ(1)
+
+collections:
+  main = Om2, FS, O
+"""
+
+BUILTIN_INSTANCES = {"P1113": P1113, "P112": P112}
 
 
 def get_instance(name):
     if name not in BUILTIN_INSTANCES:
-        raise KeyError(
+        raise ConfigError(
             "unknown instance %r (available: %s)"
             % (name, ", ".join(sorted(BUILTIN_INSTANCES)))
         )
-    return BUILTIN_INSTANCES[name]()
+    return parse_config(BUILTIN_INSTANCES[name], name=name)
 
 
 @dataclass

@@ -209,10 +209,6 @@ def hom_atoms(space, A, B):
     return GradedHom(A, B, spaces, ("R4",) * (n + 1))
 
 
-def hom_dims(space, A, B):
-    return hom_atoms(space, A, B).dims
-
-
 # ---------------------------------------------------------------------------
 # degree-0 Hom spaces between sums, and monomial arithmetic
 # ---------------------------------------------------------------------------
@@ -280,6 +276,11 @@ def connecting_map(space, d):
     return map_from_entries(src, tgt, entries, name="connect(d=%d)" % d)
 
 
+def pairing_partner(mon):
+    """The unique monomial pairing with mon to the class of (x0...xn)^-1."""
+    return Monomial(tuple(-1 - e for e in mon.exps))
+
+
 def serre_pairing(space, d):
     """The duality pairing H^0(O(d)) x H^n(O(-d-(n+m))) -> k as a map.
 
@@ -295,14 +296,8 @@ def serre_pairing(space, d):
     )
     entries = {}
     for u in src.labels:
-        v = Monomial(tuple(-1 - e for e in u.exps))
-        entries[(Dual(v), u)] = 1
+        entries[(Dual(pairing_partner(u)), u)] = 1
     return map_from_entries(src, tgt, entries, name="pairing(d=%d)" % d)
-
-
-def pairing_partner(mon):
-    """The unique monomial pairing with mon to the class of (x0...xn)^-1."""
-    return Monomial(tuple(-1 - e for e in mon.exps))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cone import cone_cohomology_dim
+from .cone import cone_cohomology_dim, regime_notes
 from .linalg import EngineError
 from .objects import as_object, hom_objects, rank_of, SumObject
 
@@ -150,7 +150,7 @@ def check_sod(space, named_objects, generation_assumed=True):
         if generation_assumed
         else "generation not asserted"
     )
-    report = SODReport(
+    return SODReport(
         space=space,
         names=names,
         objects=objects,
@@ -162,12 +162,8 @@ def check_sod(space, named_objects, generation_assumed=True):
         ok=first is None,
         first_violation=first,
         generation_note=note,
+        notes=regime_notes(space),
     )
-    if space.n > 3:
-        report.notes.append(
-            "dimension %d is an untested regime for this engine" % space.n
-        )
-    return report
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """The command line interface: exit codes, config files, stable output."""
 
+import hashlib
 import json
 
 import pytest
@@ -47,6 +48,12 @@ def test_parse_config_errors():
         parse_config("space: 3,3\nobjects:\n  F = nope(1)\n")
     with pytest.raises(ConfigError):
         parse_config("space: 3,3\ncollections:\n  c = missing\n")
+    with pytest.raises(ConfigError, match=r"bad multiplicity in 'x\*O\(1\)'"):
+        parse_config("space: 3,3\nobjects:\n  D = x*O(1)\n")
+    with pytest.raises(ConfigError, match=r"must be positive in '0\*O\(1\)'"):
+        parse_config("space: 3,3\nobjects:\n  D = 0*O(1)\n")
+    with pytest.raises(ConfigError, match="line 3: collection 'main' is empty"):
+        parse_config("space: 3,3\ncollections:\n  main =\n")
 
 
 def test_cohomology_command(capsys):
@@ -156,6 +163,14 @@ def test_verify_sod_config_fail(tmp_path, capsys):
     assert code == EXIT_FAIL
 
 
+def test_verify_sod_non_utf8_config(tmp_path, capsys):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"\xff\xfe")
+    code = main(["verify-sod", "--config", str(path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_verify_sod_needs_source(capsys):
     assert main(["verify-sod", "main"]) == EXIT_USAGE
 
@@ -174,6 +189,19 @@ def test_paper_report_instances(capsys):
 
 def test_paper_report_unknown_instance(capsys):
     assert main(["paper-report", "NOPE"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "instance,digest",
+    [
+        ("P1113", "b275a7bec6478011d11384c207886b667aab7adb7e8fa6de757effe04435df34"),
+        ("P112", "74e9ab3b0a00b00ebd117626ff040c4a5ce5afea52eacaf5950bf292caa3bc1c"),
+    ],
+)
+def test_paper_report_json_bytes_are_pinned(capsys, instance, digest):
+    assert main(["paper-report", instance, "--format", "json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_paper_report_row_count(capsys):

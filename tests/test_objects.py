@@ -29,6 +29,7 @@ from conetilt.objects import (
     les_hom_contra,
     les_hom_cov,
     rank_of,
+    solve_les,
 )
 from conetilt.rules import OX, OZ, OutOfValidity, hom_atoms
 
@@ -215,6 +216,36 @@ def _mini_les(dims, ranks, mats=None):
     les = LongExactSequence("synthetic", terms, maps)
     les.check_exactness()
     return les
+
+
+def test_solve_les_completes_a_synthetic_sequence():
+    # 0 -> k -> k^3 -> ? -> k^2 -> 0 with only the first map known
+    t0, t1, t3 = _mini_space(1, "a"), _mini_space(3, "b"), _mini_space(2, "d")
+    m0 = PresentedMap(t0, t1, [[1], [0], [0]])
+    les = solve_les(
+        "synthetic",
+        [LESTerm("a", 1, t0), LESTerm("b", 3, t1), LESTerm("c", None), LESTerm("d", 2, t3)],
+        [
+            LESMap("m0", m0.rank(), "matrix", m0),
+            LESMap("m1", None, "exactness"),
+            LESMap("m2", None, "exactness"),
+        ],
+    )
+    assert [t.dim for t in les.terms] == [1, 3, 4, 2]
+    assert [m.rank for m in les.maps] == [1, 2, 2]
+    assert [m.how for m in les.maps] == ["matrix", "exactness", "exactness"]
+
+
+def test_solve_les_refuses_adjacent_unknown_maps():
+    terms = [LESTerm("t%d" % i, d) for i, d in enumerate([1, None, 2, None, 1])]
+    maps = [
+        LESMap("m0", 1, "matrix"),
+        LESMap("m1", None, "exactness"),
+        LESMap("m2", None, "exactness"),
+        LESMap("m3", 1, "matrix"),
+    ]
+    with pytest.raises(IndeterminateRank, match="synthetic: .* rank of m1$"):
+        solve_les("synthetic", terms, maps)
 
 
 def test_ladder_both_outer_verticals_zero():
