@@ -1,11 +1,31 @@
-"""Exact rational linear algebra over labelled bases.
+"""Exact rational linear algebra over labelled bases, on sparse columns.
 
+Representation.  A matrix is a list of sparse columns, one per source
+basis vector: column j is a dict {row index: coefficient} that holds
+only the nonzero entries, each an int or a Fraction.  The maps of the
+engine are monomial maps with a handful of nonzeros per column, so
+nothing of size rows x columns is ever built on the engine path.
 Vector spaces are presented either directly (a finite tuple of basis
-labels) or as subquotients span(cycles)/span(boundaries) inside a direct
-space.  Maps are exact rational matrices on ambient bases; ranks,
-kernels and cokernels of the induced maps on subquotients are computed
-exactly with fractions.  Pivoting is deterministic (first nonzero
-pivot), so every derived rank and basis is reproducible.
+labels) or as subquotients span(cycles)/span(boundaries) inside a
+direct space; cycles=None means the whole ambient and is never
+expanded into an identity matrix.
+
+Elimination.  One routine, `_Echelon`, reduces columns one at a time
+against the pivots found so far.  The pivot of a reduced column is its
+smallest row index, so the result depends only on the input order and
+every rank and basis is reproducible.  The reduction is fraction-free:
+a column with denominators is first scaled by their lcm, each step
+replaces v by a*v - b*p with integers a, b, and a scaled column is
+divided by the gcd of its entries.  Each column can carry the
+combination of input columns it equals; a column that reduces to zero
+then hands back that combination as a kernel vector, so one pass gives
+both the rank and a kernel basis.
+
+Dense adapters.  `mat_rank`, `mat_mul`, `nullspace`, `zeros`,
+`identity`, `PresentedMap.matrix`, `cycle_columns()` and
+`boundary_columns()` take or return lists of rows.  A list of rows
+becomes sparse columns at a single point, `_columns`, which raises
+ShapeMismatch on rows of unequal length.
 
 There are no floats and no tolerances anywhere in this module.
 """
@@ -13,7 +33,7 @@ There are no floats and no tolerances anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class EngineError(Exception):
@@ -29,7 +49,147 @@ class ShapeMismatch(EngineError):
 
 
 # ---------------------------------------------------------------------------
-# matrices: lists of rows, entries int or Fraction, column-vector convention
+# sparse columns and the elimination routine
+# ---------------------------------------------------------------------------
+
+def _columns(rows):
+    """(row count, sparse columns) of a list of rows of equal length."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise ShapeMismatch(
+                "ragged matrix: row %d has %d entries, row 0 has %d"
+                % (i, len(row), ncols)
+            )
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x if type(x) is int else Fraction(x)
+    return nrows, cols
+
+
+def _dense(nrows, cols):
+    """The list of rows of `nrows` x len(cols) sparse columns."""
+    return [[col.get(i, 0) for col in cols] for i in range(nrows)]
+
+
+def _apply(cols, x):
+    """The sparse column cols . x, for x a sparse vector over column indices."""
+    out = {}
+    for j, c in x.items():
+        for r, a in cols[j].items():
+            s = out.get(r, 0) + c * a
+            if s:
+                out[r] = s
+            else:
+                del out[r]
+    return out
+
+
+def _axpy(v, f, p):
+    """v -= f * p in place, dropping entries that cancel."""
+    for r, a in p.items():
+        s = v.get(r, 0) - f * a
+        if s:
+            v[r] = s
+        else:
+            del v[r]
+
+
+def _integral(col):
+    """A fresh integer copy of `col`, and the factor it was scaled by."""
+    den = 1
+    for x in col.values():
+        if type(x) is not int:
+            den = lcm(den, x.denominator)
+    if den == 1:
+        return {r: int(x) for r, x in col.items()}, 1
+    return {r: int(x * den) for r, x in col.items()}, den
+
+
+def _primitive(v, combo):
+    """v and combo divided by the gcd of all their entries."""
+    g = 0
+    for x in v.values():
+        g = gcd(g, x)
+    for x in (combo or {}).values():
+        g = gcd(g, x)
+    if g <= 1:
+        return v, combo
+    v = {i: x // g for i, x in v.items()}
+    if combo is not None:
+        combo = {k: x // g for k, x in combo.items()}
+    return v, combo
+
+
+class _Echelon:
+    """Column echelon form of the columns added so far.
+
+    `pivots` maps a row to the reduced column whose smallest row index
+    it is, paired with that column's combination of keyed input columns
+    (None when untracked).  A `base` echelon is read, never changed: its
+    pivots reduce the new columns, and `rank` counts only the pivots
+    added here, i.e. the rank modulo the span of the base.
+    """
+
+    __slots__ = ("pivots", "_base")
+
+    def __init__(self, columns=(), base=None):
+        self.pivots = {}
+        self._base = base.pivots if base is not None else {}
+        for col in columns:
+            self.add(col)
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def add(self, col, key=None):
+        """Reduce `col`; keep it as a new pivot unless it reduces to zero.
+
+        Returns None for a new pivot.  Otherwise returns the combination
+        {key: coeff} of the input columns added with a key that the
+        reduction found to lie in the span of the base (a kernel vector
+        when the base is empty); it is {} when `key` is None.
+        """
+        v, scale = _integral(col)
+        combo = None if key is None else {key: scale}
+        pivots, base = self.pivots, self._base
+        while v:
+            r = min(v)
+            hit = pivots.get(r) or base.get(r)
+            if hit is None:
+                pivots[r] = (v, combo)
+                return None
+            p, pc = hit
+            a, b = p[r], v[r]
+            scaled = b % a != 0
+            if scaled:
+                # v <- a*v - b*p with a, b divided by their gcd
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                v = {i: a * x for i, x in v.items()}
+                if combo is not None:
+                    combo = {k: a * x for k, x in combo.items()}
+                f = b
+            else:
+                f = b // a
+            _axpy(v, f, p)
+            if combo is not None and pc:
+                _axpy(combo, f, pc)
+            if scaled:
+                v, combo = _primitive(v, combo)
+        return {} if combo is None else combo
+
+    def spans(self, cols):
+        """True iff every column lies in the span of these pivots."""
+        probe = _Echelon(base=self)
+        return all(probe.add(col) is not None for col in cols)
+
+
+# ---------------------------------------------------------------------------
+# dense adapters: lists of rows, entries int or Fraction, column vectors
 # ---------------------------------------------------------------------------
 
 def zeros(rows, cols):
@@ -43,164 +203,77 @@ def identity(n):
     return M
 
 
-def mat_shape(M):
-    return (len(M), len(M[0]) if M else 0)
-
-
 def mat_mul(A, B):
-    ra, ca = mat_shape(A)
-    rb, cb = mat_shape(B)
+    ra, a_cols = _columns(A)
+    rb, b_cols = _columns(B)
     if ra == 0:
         return []
-    if cb == 0:
+    if not b_cols:
         return zeros(ra, 0)
-    if ca != rb:
-        raise ShapeMismatch("cannot multiply %dx%d by %dx%d" % (ra, ca, rb, cb))
-    C = zeros(ra, cb)
-    for i in range(ra):
-        Ai = A[i]
-        for k in range(ca):
-            a = Ai[k]
-            if a:
-                Bk = B[k]
-                Ci = C[i]
-                for j in range(cb):
-                    if Bk[j]:
-                        Ci[j] += a * Bk[j]
-    return C
-
-
-def hstack(A, B):
-    """Concatenate columns.  Either argument may have zero columns."""
-    ra, ca = mat_shape(A)
-    rb, cb = mat_shape(B)
-    if ca == 0:
-        return [list(row) for row in B]
-    if cb == 0:
-        return [list(row) for row in A]
-    if ra != rb:
-        raise ShapeMismatch("row mismatch in hstack: %d vs %d" % (ra, rb))
-    return [list(A[i]) + list(B[i]) for i in range(ra)]
-
-
-def rref(M):
-    """Reduced row echelon form; returns (pivot column indices, new matrix).
-
-    The pivot in each step is the first row with a nonzero entry in the
-    current column, which makes the reduction deterministic.
-    """
-    R = [[Fraction(x) for x in row] for row in M]
-    nrows, ncols = mat_shape(R)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = None
-        for i in range(r, nrows):
-            if R[i][c] != 0:
-                p = i
-                break
-        if p is None:
-            continue
-        R[r], R[p] = R[p], R[r]
-        inv = Fraction(1) / R[r][c]
-        R[r] = [v * inv for v in R[r]]
-        for i in range(nrows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-    return pivots, R
+    if len(a_cols) != rb:
+        raise ShapeMismatch(
+            "cannot multiply %dx%d by %dx%d" % (ra, len(a_cols), rb, len(b_cols))
+        )
+    return _dense(ra, [_apply(a_cols, col) for col in b_cols])
 
 
 def mat_rank(M):
-    """Exact rank, by fraction-free integer elimination.
-
-    Rows are cleared of denominators (rank preserving) and reduced by
-    their gcd after each elimination step to keep the integers small;
-    the result is exact, never approximate.
-    """
-    if not M or not M[0]:
-        return 0
-    rows = []
-    for r in M:
-        den = 1
-        for x in r:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                den = den * x.denominator // gcd(den, x.denominator)
-        if den == 1:
-            row = [x.numerator if isinstance(x, Fraction) else x for x in r]
-        else:
-            row = [int(x * den) for x in r]
-        if any(row):
-            rows.append(row)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            ri = rows[i]
-            if ri[c]:
-                g = gcd(pr[c], ri[c])
-                fa, fb = ri[c] // g, pr[c] // g
-                new = [fb * x - fa * y for x, y in zip(ri, pr)]
-                g2 = 0
-                for x in new:
-                    g2 = gcd(g2, x)
-                    if g2 == 1:
-                        break
-                if g2 > 1:
-                    new = [x // g2 for x in new]
-                rows[i] = new
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Exact rank of a list of rows."""
+    return _Echelon(_columns(M)[1]).rank
 
 
 def nullspace(M):
-    """Columns spanning the kernel of M (as a matrix, may have 0 columns)."""
-    nrows, ncols = mat_shape(M)
-    if ncols == 0:
-        return [[] for _ in range(0)]
-    pivots, R = rref(M)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = zeros(ncols, len(free))
-    for j, fc in enumerate(free):
-        basis[fc][j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            basis[pc][j] = -R[r][fc]
+    """Columns spanning the kernel of M (as a matrix, may have 0 columns).
+
+    Column j of the basis belongs to the j-th column of M that depends
+    on the earlier ones: it has coefficient 1 there, 0 at the other
+    dependent columns, and expresses that column through the
+    independent ones, as in the reduced row echelon form.
+    """
+    _, cols = _columns(M)
+    if not cols:
+        return []
+    ech = _Echelon()
+    kernel = []
+    for j, col in enumerate(cols):
+        combo = ech.add(col, j)
+        if combo is not None:
+            kernel.append({k: Fraction(x, combo[j]) for k, x in combo.items()})
+    basis = zeros(len(cols), len(kernel))
+    for j, vec in enumerate(kernel):
+        for k, x in vec.items():
+            basis[k][j] = x
     return basis
-
-
-def span_contains(big, small):
-    """True iff every column of `small` lies in the column span of `big`."""
-    _, cs = mat_shape(small)
-    if cs == 0:
-        return True
-    return mat_rank(hstack(big, small)) == mat_rank(big)
 
 
 # ---------------------------------------------------------------------------
 # presented spaces
 # ---------------------------------------------------------------------------
 
+def _as_columns(M, nrows, what):
+    """Sparse columns over `nrows` rows, from sparse columns or a list of rows."""
+    if not M:
+        return []
+    if isinstance(M[0], dict):
+        cols = list(M)
+        if any(not 0 <= r < nrows for col in cols for r in col):
+            raise ShapeMismatch(
+                "%s: a row index lies outside 0..%d" % (what, nrows - 1)
+            )
+        return cols
+    rows_in, cols = _columns(M)
+    if rows_in != nrows:
+        raise ShapeMismatch("%s: %d rows, the ambient has %d" % (what, rows_in, nrows))
+    return cols
+
+
 class DirectSpace:
     """A vector space with an explicit ordered basis of labels."""
 
     is_direct = True
+    full_cycles = True
+    cycles = None
+    boundaries = ()
 
     def __init__(self, labels, name=""):
         self.labels = tuple(labels)
@@ -216,6 +289,10 @@ class DirectSpace:
     @property
     def ambient(self):
         return self
+
+    @property
+    def _boundary_echelon(self):
+        return _Echelon()
 
     def index(self, label):
         return self._index[label]
@@ -239,8 +316,10 @@ class DirectSpace:
 class Subquotient:
     """span(cycles)/span(boundaries) inside the ambient direct space.
 
-    Passing ``cycles=None`` means the full ambient span (the common
-    quotient case), which avoids materializing identity matrices.
+    `cycles` and `boundaries` are sparse columns or lists of rows;
+    ``cycles=None`` means the full ambient span (the common quotient
+    case), which is never materialized.  The echelon form of the
+    boundaries is kept, so every map into this space reuses it.
     """
 
     is_direct = False
@@ -250,36 +329,25 @@ class Subquotient:
             raise EngineError("ambient of a subquotient must be a direct space")
         self._ambient = ambient
         self.full_cycles = cycles is None
-        self.cycles = None if cycles is None else [list(r) for r in cycles]
-        self.boundaries = (
-            [list(r) for r in boundaries]
-            if boundaries is not None
-            else zeros(ambient.dim, 0)
+        self.cycles = (
+            None if cycles is None else _as_columns(cycles, ambient.dim, "cycles")
         )
+        self.boundaries = _as_columns(boundaries, ambient.dim, "boundaries")
         self.name = name
-        if (
-            self.cycles is not None
-            and mat_shape(self.cycles)[0] != ambient.dim
-            and mat_shape(self.cycles)[1] > 0
-        ):
-            raise ShapeMismatch("cycle columns live in the wrong ambient")
-        if (
-            mat_shape(self.boundaries)[0] != ambient.dim
-            and mat_shape(self.boundaries)[1] > 0
-        ):
-            raise ShapeMismatch("boundary columns live in the wrong ambient")
-        self._rank_cycles = (
-            ambient.dim if self.full_cycles else mat_rank(self.cycles)
-        )
-        self._rank_boundaries = mat_rank(self.boundaries)
-        if not self.full_cycles and not span_contains(self.cycles, self.boundaries):
-            raise EngineError(
-                "boundaries do not lie in the cycle span of %r" % (name,)
-            )
+        self._boundary_echelon = _Echelon(self.boundaries)
+        if self.full_cycles:
+            self._rank_cycles = ambient.dim
+        else:
+            cyc = _Echelon(self.cycles)
+            self._rank_cycles = cyc.rank
+            if not cyc.spans(self.boundaries):
+                raise EngineError(
+                    "boundaries do not lie in the cycle span of %r" % (name,)
+                )
 
     @property
     def dim(self):
-        return self._rank_cycles - self._rank_boundaries
+        return self._rank_cycles - self._boundary_echelon.rank
 
     @property
     def ambient(self):
@@ -288,10 +356,10 @@ class Subquotient:
     def cycle_columns(self):
         if self.full_cycles:
             return identity(self._ambient.dim)
-        return [list(r) for r in self.cycles]
+        return _dense(self._ambient.dim, self.cycles)
 
     def boundary_columns(self):
-        return [list(r) for r in self.boundaries]
+        return _dense(self._ambient.dim, self.boundaries)
 
     def __repr__(self):
         return "Subquotient(%s, dim=%d)" % (self.name or "?", self.dim)
@@ -306,82 +374,90 @@ def zero_space(name=""):
 # ---------------------------------------------------------------------------
 
 class PresentedMap:
-    """A linear map between presented spaces, as an exact matrix on ambients."""
+    """A linear map between presented spaces, as exact columns on ambients.
+
+    `matrix` is a list of sparse columns (one dict per source ambient
+    basis vector) or a list of rows; an empty matrix is the zero map.
+    """
 
     def __init__(self, source, target, matrix, name="", check=True):
         self.source = source
         self.target = target
-        rows, cols = mat_shape(matrix)
-        if matrix and (rows != target.ambient.dim or cols != source.ambient.dim):
-            raise ShapeMismatch(
-                "map %r: matrix is %dx%d, ambients are %d and %d"
-                % (name, rows, cols, target.ambient.dim, source.ambient.dim)
-            )
-        if not matrix:
-            matrix = zeros(target.ambient.dim, source.ambient.dim)
-        self.matrix = [list(r) for r in matrix]
         self.name = name
+        cols = source.ambient.dim
+        if not matrix:
+            self.columns = [{} for _ in range(cols)]
+        else:
+            self.columns = _as_columns(matrix, target.ambient.dim, "map %r" % name)
+            if len(self.columns) != cols:
+                raise ShapeMismatch(
+                    "map %r: %d columns, the source ambient has %d"
+                    % (name, len(self.columns), cols)
+                )
         if check and not (source.is_direct and target.is_direct):
-            if not (target.is_direct or getattr(target, "full_cycles", False)):
-                img_cycles = self._source_image()
-                if not span_contains(target.cycle_columns(), img_cycles):
+            if not target.full_cycles:
+                if not _Echelon(target.cycles).spans(self._source_image()):
                     raise IllDefinedMap(
                         "map %r does not carry cycles to cycles" % name
                     )
-            img_bnd = mat_mul(self.matrix, source.boundary_columns())
-            if not span_contains(target.boundary_columns(), img_bnd):
+            img_bnd = [_apply(self.columns, b) for b in source.boundaries]
+            if not target._boundary_echelon.spans(img_bnd):
                 raise IllDefinedMap(
                     "map %r does not carry boundaries to boundaries" % name
                 )
 
+    @property
+    def matrix(self):
+        """The matrix as a list of rows (a dense copy, built on request)."""
+        return _dense(self.target.ambient.dim, self.columns)
+
     def _source_image(self):
-        """Columns spanning the image of the source cycles, without copies
-        when the source is the full ambient."""
-        src = self.source
-        if src.is_direct or getattr(src, "full_cycles", False):
-            return self.matrix
-        return mat_mul(self.matrix, src.cycle_columns())
+        """Columns spanning the image of the source cycles; the columns
+        themselves when the source is the full ambient."""
+        if self.source.full_cycles:
+            return self.columns
+        return [_apply(self.columns, c) for c in self.source.cycles]
+
+    def compose(self, inner, name=""):
+        """self after `inner`, as a map inner.source -> self.target."""
+        if inner.target.ambient.dim != self.source.ambient.dim:
+            raise ShapeMismatch(
+                "cannot compose %r after %r" % (self.name, inner.name)
+            )
+        cols = [_apply(self.columns, c) for c in inner.columns]
+        return PresentedMap(inner.source, self.target, cols, name=name, check=False)
 
     def rank(self):
         """Rank of the induced map on subquotients, exactly."""
-        img = self._source_image()
-        tb = self.target.boundary_columns()
-        return mat_rank(hstack(img, tb)) - mat_rank(tb)
+        return _Echelon(
+            self._source_image(), base=self.target._boundary_echelon
+        ).rank
 
     def kernel(self):
         """Kernel of the induced map, as a subquotient of the source ambient."""
-        full_src = self.source.is_direct or getattr(self.source, "full_cycles", False)
-        C = None if full_src else self.source.cycle_columns()
-        MC = self.matrix if full_src else mat_mul(self.matrix, C)
-        TB = self.target.boundary_columns()
-        stacked = hstack(MC, TB)
-        k = self.source.ambient.dim if full_src else mat_shape(C)[1]
-        if mat_shape(stacked)[1] == 0:
-            ker_cols = identity(self.source.ambient.dim) if full_src else C
+        src = self.source
+        ech = _Echelon(base=self.target._boundary_echelon)
+        ker = []
+        for j, col in enumerate(self._source_image()):
+            combo = ech.add(col, j)
+            if combo is not None:
+                ker.append(combo)
+        if src.full_cycles:
+            # a map that kills the whole ambient keeps its kernel unmaterialized
+            cycles = None if len(ker) == src.ambient.dim else ker
         else:
-            N = nullspace(stacked)
-            Ntop = [row[:] for row in N[:k]] if k else zeros(0, mat_shape(N)[1])
-            if k == 0:
-                ker_cols = zeros(self.source.ambient.dim, 0)
-            elif full_src:
-                ker_cols = Ntop
-            else:
-                ker_cols = mat_mul(C, Ntop)
+            cycles = [_apply(src.cycles, x) for x in ker]
         return Subquotient(
-            self.source.ambient,
-            ker_cols,
-            self.source.boundary_columns(),
-            name="ker(%s)" % self.name,
+            src.ambient, cycles, src.boundaries, name="ker(%s)" % self.name
         )
 
     def cokernel(self):
         """Cokernel of the induced map, as a subquotient of the target ambient."""
-        img = self._source_image()
-        full_tgt = self.target.is_direct or getattr(self.target, "full_cycles", False)
+        tgt = self.target
         return Subquotient(
-            self.target.ambient,
-            None if full_tgt else self.target.cycle_columns(),
-            hstack(img, self.target.boundary_columns()),
+            tgt.ambient,
+            tgt.cycles,
+            self._source_image() + list(tgt.boundaries),
             name="coker(%s)" % self.name,
         )
 
@@ -391,9 +467,14 @@ class PresentedMap:
 
 def map_from_entries(source, target, entries, name="", check=True):
     """Build a map from a sparse {(target_label, source_label): coeff} dict."""
-    M = zeros(target.ambient.dim, source.ambient.dim)
+    cols = [{} for _ in range(source.ambient.dim)]
+    row_index, col_index = target.ambient.index, source.ambient.index
     for (row_lbl, col_lbl), coeff in entries.items():
-        M[target.ambient.index(row_lbl)][source.ambient.index(col_lbl)] += Fraction(
-            coeff
-        )
-    return PresentedMap(source, target, M, name=name, check=check)
+        if type(coeff) is not int:
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
+            if coeff.denominator == 1:
+                coeff = coeff.numerator
+        if coeff:
+            cols[col_index(col_lbl)][row_index(row_lbl)] = coeff
+    return PresentedMap(source, target, cols, name=name, check=check)

@@ -22,11 +22,8 @@ from .linalg import (
     DirectSpace,
     EngineError,
     PresentedMap,
-    hstack,
     map_from_entries,
-    mat_mul,
     mat_rank,
-    zeros,
 )
 from .rules import (
     CONE,
@@ -381,7 +378,7 @@ def _cov_beta(space, A, Kp, i, pspace, qspace):
         if i == 0:
             matrix = postcompose_sections_map(
                 space, A.twist, (OX(0),) * Kp.h, comps, OZ(Kp.e)
-            ).matrix
+            ).columns
         pmap = PresentedMap(pspace, qspace, matrix, name="beta_%d" % i)
         return LESMap("beta_%d" % i, pmap.rank(), "matrix", pmap)
     # section-twist source
@@ -496,19 +493,18 @@ def ladder_propagate(top, bottom, verticals, middle=2):
     r_kb = bottom_first.rank
     top_first = top.maps[middle - 1]
 
-    # kernel of B1 -> B2 is the image of the previous bottom map
+    # r_c: rank of v1 into the cokernel of the previous bottom map, whose
+    # image is the kernel of B1 -> B2
     if middle - 1 == 0 or bottom.maps[middle - 2].rank == 0:
-        ker_cols = zeros(v1.target.ambient.dim, 0)
+        b1_mod_ker = v1.target
     else:
         prev = bottom.maps[middle - 2]
         if prev.matrix is None:
             raise IndeterminateRank(
                 "ladder: kernel of %s has no explicit span" % bottom_first.name
             )
-        ker_cols = mat_mul(prev.matrix.matrix, prev.matrix.source.cycle_columns())
-
-    v1_img = mat_mul(v1.matrix, v1.source.cycle_columns())
-    r_c = mat_rank(hstack(v1_img, ker_cols)) - mat_rank(ker_cols)
+        b1_mod_ker = prev.matrix.cokernel()
+    r_c = PresentedMap(v1.source, b1_mod_ker, v1.columns, name=v1.name).rank()
 
     # the middle vertical restricted to the image of T1 -> T2 is forced
     if top_first.rank == t2.dim:
@@ -528,10 +524,9 @@ def ladder_propagate(top, bottom, verticals, middle=2):
     if nxt is None or nxt.rank == 0:
         r_v3 = v3.rank()
     elif nxt.matrix is not None:
+        # r_v3: rank of v3 on the kernel of T3 -> T4
         ker = nxt.matrix.kernel()
-        restricted = mat_mul(v3.matrix, ker.cycle_columns())
-        tgt_bnd = v3.target.boundary_columns()
-        r_v3 = mat_rank(hstack(restricted, tgt_bnd)) - mat_rank(tgt_bnd)
+        r_v3 = PresentedMap(ker, v3.target, v3.columns, name=v3.name).rank()
     else:
         raise IndeterminateRank(
             "ladder: outgoing map of %s has no explicit kernel" % top.terms[

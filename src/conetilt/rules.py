@@ -43,9 +43,7 @@ from .linalg import (
     EngineError,
     PresentedMap,
     Subquotient,
-    identity,
     map_from_entries,
-    mat_mul,
     zero_space,
 )
 
@@ -321,7 +319,6 @@ class ConePresentation:
     relation_source: DirectSpace
     xn_map: PresentedMap
     quotient: Subquotient
-    quotient_map: PresentedMap
 
     @property
     def dim(self):
@@ -358,7 +355,7 @@ def cone_presentation(space, e, targets):
     quotient = Subquotient(
         xmap.target,
         None,  # full ambient span
-        xmap.matrix if xmap.source.dim else None,
+        xmap.columns,
         name="Ext^1(OZ(%d),T)" % e,
     )
     expected = sum(hom_atoms(space, OZ(e), t).dims[1] for t in targets)
@@ -367,14 +364,7 @@ def cone_presentation(space, e, targets):
             "Ext^1(OZ(%d), %s): presentation gives %d, rules give %d"
             % (e, "+".join(str(t) for t in targets), quotient.dim, expected)
         )
-    qmap = PresentedMap(
-        xmap.target,
-        quotient,
-        identity(xmap.target.dim),
-        name="quotient",
-        check=False,
-    )
-    return ConePresentation(e, targets, xmap.source, xmap.target, xmap, quotient, qmap)
+    return ConePresentation(e, targets, xmap.source, xmap.target, xmap, quotient)
 
 
 def postcompose_sections_map(space, a, src_targets, components, tgt_atom, name=""):
@@ -411,7 +401,8 @@ def ext1_postcompose_map(space, e, pres_src, pres_tgt, components, name=""):
 
     `components` describes the map T -> T' on the summands, as in
     postcompose_sections_map.  The square against the two x_n
-    multiplication maps is verified by an exact matrix identity.
+    multiplication maps is verified by an exact equality of the sparse
+    columns of the two composites.
     """
     amb_map = postcompose_sections_map(
         space,
@@ -430,10 +421,10 @@ def ext1_postcompose_map(space, e, pres_src, pres_tgt, components, name=""):
         name=name + ".pairs",
     )
     # the square with x_n multiplication must commute on the nose
-    left = mat_mul(amb_map.matrix, pres_src.xn_map.matrix)
-    right = mat_mul(pres_tgt.xn_map.matrix, top_map.matrix)
-    if left != right:
+    left = amb_map.compose(pres_src.xn_map)
+    right = pres_tgt.xn_map.compose(top_map)
+    if left.columns != right.columns:
         raise EngineError("cone presentation square does not commute for %s" % name)
     return PresentedMap(
-        pres_src.quotient, pres_tgt.quotient, amb_map.matrix, name=name
+        pres_src.quotient, pres_tgt.quotient, amb_map.columns, name=name
     )

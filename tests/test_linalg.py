@@ -25,6 +25,39 @@ def space(*labels):
     return DirectSpace(labels)
 
 
+def rref(M):
+    """Reduced row echelon form; returns (pivot column indices, new matrix).
+
+    The independent dense Fraction oracle for the engine's elimination.
+    The pivot in each step is the first row with a nonzero entry in the
+    current column, which makes the reduction deterministic.
+    """
+    R = [[Fraction(x) for x in row] for row in M]
+    nrows, ncols = len(R), len(R[0]) if R else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = None
+        for i in range(r, nrows):
+            if R[i][c] != 0:
+                p = i
+                break
+        if p is None:
+            continue
+        R[r], R[p] = R[p], R[r]
+        inv = Fraction(1) / R[r][c]
+        R[r] = [v * inv for v in R[r]]
+        for i in range(nrows):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, R
+
+
 def test_identity_rank():
     V = space("a", "b")
     assert PresentedMap(V, V, identity(2)).rank() == 2
@@ -142,8 +175,6 @@ def test_mat_rank_matches_fraction_rref():
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         M = [[Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(c)]
              for _ in range(r)]
-        from conetilt.linalg import rref
-
         assert mat_rank(M) == len(rref(M)[0])
 
 
@@ -175,3 +206,33 @@ def test_map_from_entries_roundtrip():
     f = map_from_entries(V, W, {("x", "a"): 1, ("y", "b"): Fraction(1, 2)})
     assert f.matrix[0][0] == 1 and f.matrix[1][1] == Fraction(1, 2)
     assert f.rank() == 2
+
+
+def test_ragged_rank_input_is_refused():
+    with pytest.raises(ShapeMismatch):
+        mat_rank([[1], [3, 4]])
+
+
+def test_ragged_product_input_is_refused():
+    with pytest.raises(ShapeMismatch):
+        mat_mul(identity(2), [[1], [2, 3]])
+
+
+def test_ragged_map_matrix_is_refused():
+    V = space("a", "b")
+    W = space("x", "y")
+    with pytest.raises(ShapeMismatch):
+        PresentedMap(V, W, [[1, 0], [1]])
+
+
+def test_sparse_and_dense_matrices_give_the_same_map():
+    V = space("a", "b", "c")
+    W = space("x", "y")
+    dense = PresentedMap(V, W, [[1, 0, Fraction(1, 2)], [0, 0, 3]])
+    sparse = PresentedMap(V, W, [{0: 1}, {}, {0: Fraction(1, 2), 1: 3}])
+    assert dense.columns == sparse.columns
+    assert dense.matrix == sparse.matrix == [[1, 0, Fraction(1, 2)], [0, 0, 3]]
+    assert dense.rank() == sparse.rank() == 2
+    assert dense.kernel().cycles == sparse.kernel().cycles
+    with pytest.raises(ShapeMismatch):
+        PresentedMap(V, W, [{2: 1}, {}, {}])

@@ -1,0 +1,92 @@
+"""Property tests of the sparse exact elimination against a dense oracle.
+
+Random rational matrices, sparse and dense, with int and Fraction
+entries and forced zero rows and columns, are checked against the
+Fraction row reduction `rref` of tests/test_linalg.py.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from conetilt.linalg import DirectSpace, PresentedMap, mat_rank, nullspace  # noqa: E402
+from test_linalg import rref  # noqa: E402
+
+VALUES = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """A list of rows: 1-7 rows, 0-7 columns, sparse or dense entries."""
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), VALUES)
+    if draw(st.booleans()):
+        entry = VALUES
+    M = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    zero_row = draw(st.none() | st.integers(0, nrows - 1))
+    if zero_row is not None:
+        M[zero_row] = [0] * ncols
+    if ncols:
+        zero_col = draw(st.none() | st.integers(0, ncols - 1))
+        if zero_col is not None:
+            for row in M:
+                row[zero_col] = 0
+    return M
+
+
+def product(M, N):
+    """M . N with plain Fraction sums, independent of the engine."""
+    return [
+        [sum((Fraction(M[i][k]) * N[k][j] for k in range(len(N))), Fraction(0))
+         for j in range(len(N[0]))]
+        for i in range(len(M))
+    ]
+
+
+def rref_kernel(M, ncols):
+    """The kernel basis read off the reduced row echelon form, by column."""
+    pivots, R = rref(M)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -R[r][fc]
+        basis.append(vec)
+    return basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_sparse_elimination_matches_the_fraction_oracle(M):
+    ncols = len(M[0])
+    rank = mat_rank(M)
+    assert rank == len(rref(M)[0])
+
+    N = nullspace(M)
+    nullity = len(N[0]) if N else 0
+    assert rank + nullity == ncols
+    if nullity:
+        assert all(x == 0 for row in product(M, N) for x in row)
+    # the basis is the one the reduced row echelon form gives
+    assert [[row[j] for row in N] for j in range(nullity)] == rref_kernel(M, ncols)
+    # determinism: the same input gives the same basis
+    assert nullspace([list(row) for row in M]) == N
+
+    V = DirectSpace(range(ncols))
+    W = DirectSpace(range(len(M)))
+    f = PresentedMap(V, W, M)
+    ker = f.kernel()
+    assert f.rank() == rank
+    assert ker.dim == nullity and f.cokernel().dim == len(M) - rank
+    if nullity:
+        assert all(x == 0 for row in product(M, ker.cycle_columns()) for x in row)
+    assert PresentedMap(V, W, M).kernel().cycles == ker.cycles

@@ -7,6 +7,8 @@ for every assembled sequence, and duality/Euler cross-checks.
 """
 
 import random
+import sys
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -199,6 +201,88 @@ def test_ladder_determined_ranks():
     assert "middle rank 18" in comp.ladders[0].certificate
     comp = hom_objects_detailed(X, G, F)
     assert "middle rank 24" in comp.ladders[0].certificate
+
+
+def test_ladder_rung_f8_on_p1113_9():
+    # the ladder matrix v1 is 2025 x 2160; dense elimination took seconds
+    X9 = make_space(3, 9)
+    F8 = kernel_bundle(X9, 8)
+    comp = hom_objects_detailed(X9, F8, F8)
+    assert comp.dims == (81, 0, 0, 0)
+    assert comp.ladders[0].rank == 2079
+
+
+def test_ladder_rung_f4_on_p11115():
+    Y = make_space(4, 5)
+    F4 = kernel_bundle(Y, 4)
+    assert hom_objects(Y, F4, F4) == (85, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("e, expected", [(2, (22, 0, 0, 0)), (3, (16, 0, 0, 0))])
+def test_fraction_evaluation_through_the_ladder(e, expected):
+    """A Fraction change of basis of the evaluation gives the same Hom spaces.
+
+    The columns of the custom bundle are an invertible transform of the
+    identity with Fraction entries, so every ladder map carries
+    denominators and the elimination scales them away exactly.
+    """
+    X4 = make_space(3, 4)
+    Fe = kernel_bundle(X4, e)
+    h = Fe.h
+    cols = []
+    for j in range(h):
+        col = [Fraction(0)] * h
+        col[j] = Fraction(j + 2, j + 1)
+        if j + 1 < h:
+            col[j + 1] = Fraction(-1, 3)
+        if j > 0:
+            col[0] = Fraction(1, 2)
+        cols.append(col)
+    Ge = kernel_bundle_custom(X4, e, cols)
+    assert not Ge.canonical and Ge.h == h
+    assert hom_objects(X4, Fe, Fe) == expected
+    assert hom_objects(X4, Ge, Ge) == expected
+    assert hom_objects(X4, Fe, Ge) == expected
+    assert hom_objects(X4, Ge, Fe) == expected
+
+
+GRID_P1115 = {
+    (1, 1): 25, (1, 2): 65, (1, 3): 120, (1, 4): 190,
+    (2, 1): 15, (2, 2): 40, (2, 3): 75, (2, 4): 120,
+    (3, 1): 8, (3, 2): 21, (3, 3): 40, (3, 4): 65,
+    (4, 1): 3, (4, 2): 8, (4, 3): 15, (4, 4): 25,
+}
+
+
+def test_engine_path_builds_no_dense_matrix(monkeypatch):
+    """Every dense adapter raises, yet the P(1^3, 5) kernel grid answers."""
+    import conetilt.linalg as linalg
+
+    dense = ("zeros", "identity", "mat_mul", "mat_rank", "nullspace", "_dense")
+    originals = {id(getattr(linalg, name)) for name in dense}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix built on the engine path")
+
+    for modname, mod in list(sys.modules.items()):
+        if modname == "conetilt" or modname.startswith("conetilt."):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in originals:
+                    monkeypatch.setattr(mod, attr, refuse)
+    for modname in ("conetilt.cone", "conetilt.rules", "conetilt.objects"):
+        for value in vars(sys.modules[modname]).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    X5 = make_space(3, 5)
+    bundles = {e: kernel_bundle(X5, e) for e in range(1, 5)}
+    grid = {
+        (e, f): hom_objects(X5, bundles[e], bundles[f])
+        for e in range(1, 5)
+        for f in range(1, 5)
+    }
+    assert {k: d[0] for k, d in grid.items()} == GRID_P1115
+    assert grid[4, 1] == (3, 0, 1, 0)
+    assert all(d[1:] == (0, 0, 0) for k, d in grid.items() if k != (4, 1))
 
 
 def _mini_space(dim, tag):
