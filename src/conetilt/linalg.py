@@ -4,7 +4,12 @@ Representation.  A matrix is a list of sparse columns, one per source
 basis vector: column j is a dict {row index: coefficient} that holds
 only the nonzero entries, each an int or a Fraction.  The maps of the
 engine are monomial maps with a handful of nonzeros per column, so
-nothing of size rows x columns is ever built on the engine path.
+nothing of size rows x columns is ever built on the engine path.  Their
+coefficients come from the evaluations of the kernel bundles; a
+canonical bundle implies its identity evaluation without storing it,
+so its maps hold ints only and no Fraction arithmetic runs on them.
+`map_from_entries` keeps an int an int and turns an integral Fraction
+into one.
 Vector spaces are presented either directly (a finite tuple of basis
 labels) or as subquotients span(cycles)/span(boundaries) inside a
 direct space; cycles=None means the whole ambient and is never

@@ -22,6 +22,7 @@ from .linalg import (
     DirectSpace,
     EngineError,
     PresentedMap,
+    ShapeMismatch,
     map_from_entries,
     mat_rank,
 )
@@ -72,16 +73,22 @@ class SumObject:
 class KernelBundle:
     """ker(O_X^h -> OZ(e)) for an evaluation spanning H^0(Z, O(e)).
 
-    `columns[j]` holds the j-th evaluation component as exact
-    coefficients over the monomial basis of H^0(Z, O(e)).  The
-    canonical bundle of the complete linear system has the identity
-    columns; anything else is accepted but flagged non-canonical.
+    The canonical bundle F_e of the complete linear system evaluates
+    copy j to the j-th basis monomial of H^0(Z, O(e)).  That identity
+    evaluation is implied by `columns=None` and never stored, so the
+    canonical bundle hashes and compares in O(1).  Any other evaluation
+    is flagged non-canonical and stored: `columns[j]` holds the j-th
+    component as exact coefficients over the monomial basis of
+    H^0(Z, O(e)).
     """
 
     e: int
     h: int
-    columns: tuple
-    canonical: bool = True
+    columns: tuple = None
+
+    @property
+    def canonical(self):
+        return self.columns is None
 
     def __str__(self):
         return "ker(O^%d->OZ(%d))%s" % (
@@ -91,11 +98,35 @@ class KernelBundle:
         )
 
     def component_terms(self, space):
-        """For each copy j, the list of (monomial, coefficient) pairs."""
-        basis = section_monomials(space, self.e)
-        return [
-            [(mu, c) for mu, c in zip(basis, col) if c != 0] for col in self.columns
-        ]
+        """For each copy j, the (monomial, coefficient) pairs of its evaluation.
+
+        Computed once per (space, bundle).  The canonical terms are
+        ((mu_j, 1),) with int coefficients; a stored evaluation keeps
+        its Fractions.  Raises ShapeMismatch when the bundle does not
+        live on `space`.
+        """
+        return _component_terms(space, self)
+
+
+@lru_cache(maxsize=None)
+def _component_terms(space, K):
+    if not 0 < K.e < space.m:
+        raise ShapeMismatch(
+            "%s does not live on %s: its twist needs 0 < %d < m = %d"
+            % (K, space, K.e, space.m)
+        )
+    basis = section_monomials(space, K.e)
+    length = K.h if K.canonical else len(K.columns[0])
+    if length != len(basis):
+        raise ShapeMismatch(
+            "%s does not live on %s: its evaluation has length %d, "
+            "H^0(Z, O(%d)) has dimension %d" % (K, space, length, K.e, len(basis))
+        )
+    if K.canonical:
+        return tuple(((mu, 1),) for mu in basis)
+    return tuple(
+        tuple((mu, c) for mu, c in zip(basis, col) if c) for col in K.columns
+    )
 
 
 def kernel_bundle(space, e):
@@ -104,12 +135,7 @@ def kernel_bundle(space, e):
         raise ValueError(
             "kernel bundle twist must satisfy 0 < e < m = %d, got %d" % (space.m, e)
         )
-    h = len(section_monomials(space, e))
-    cols = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for i in range(h))
-        for j in range(h)
-    )
-    return KernelBundle(e, h, cols, canonical=True)
+    return KernelBundle(e, len(section_monomials(space, e)))
 
 
 def kernel_bundle_custom(space, e, columns):
@@ -131,7 +157,7 @@ def kernel_bundle_custom(space, e, columns):
     rows = [[col[i] for col in cols] for i in range(full)]
     if mat_rank(rows) != full:
         raise ValueError("evaluation sections do not span H^0(Z, O(%d))" % e)
-    return KernelBundle(e, len(cols), cols, canonical=False)
+    return KernelBundle(e, len(cols), cols)
 
 
 def as_object(thing):
@@ -332,6 +358,7 @@ def les_hom_contra(space, K, B):
     K = as_object(K)
     if not isinstance(K, KernelBundle):
         raise TypeError("left argument must be a kernel bundle, got %s" % (K,))
+    K.component_terms(space)  # ShapeMismatch for a bundle of another cone
     return _les_hom_contra_cached(space, K, tuple(_atom_list(B)))
 
 
@@ -421,6 +448,7 @@ def les_hom_cov(space, A, Kp):
     Kp = as_object(Kp)
     if not isinstance(Kp, KernelBundle):
         raise TypeError("right argument must be a kernel bundle, got %s" % (Kp,))
+    Kp.component_terms(space)  # ShapeMismatch for a bundle of another cone
     return _les_hom_cov_cached(space, A, Kp)
 
 
@@ -558,9 +586,9 @@ class HomComputation:
 def _hom_kernel_kernel(space, K, Kp):
     """Hom^*(K, K') for two kernel bundles, via the covariant outer chase."""
     n = space.n
+    comps = Kp.component_terms(space)
     top = les_hom_contra(space, K, [OX(0)] * Kp.h)
     bottom = les_hom_contra(space, K, [OZ(Kp.e)])
-    comps = Kp.component_terms(space)
 
     # left vertical: postcomposition on Hom^0(O^h, -)
     entries = {}

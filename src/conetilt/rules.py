@@ -374,25 +374,27 @@ def postcompose_sections_map(space, a, src_targets, components, tgt_atom, name="
     section T_c -> tgt as a vector over the monomial basis of the
     relevant section space (tgt = OZ(f): basis of H^0(Z, f - b_c)).
     Cone-monomial inputs are restricted to the section before
-    multiplying.
+    multiplying; summands with equal twists share their source basis, so
+    each monomial is restricted once per call.  Integer coefficients
+    keep every entry an int.
     """
     src = hom0_space(space, a, src_targets)
     tgt = hom0_space(space, a, (tgt_atom,))
+    restricted = {}
     entries = {}
     for (c, mon) in src.labels:
-        comp = components[c]
+        base = mon
         if src_targets[c].kind == CONE:
-            base = restrict_monomial(mon)
-        else:
-            base = mon
-        if base is None:
-            continue
-        for mu, coeff in comp:
-            if coeff == 0:
+            if mon not in restricted:
+                restricted[mon] = restrict_monomial(mon)
+            base = restricted[mon]
+            if base is None:
                 continue
-            entries[((0, base * mu), (c, mon))] = (
-                entries.get(((0, base * mu), (c, mon)), 0) + coeff
-            )
+        col = (c, mon)
+        for mu, coeff in components[c]:
+            if coeff:
+                key = ((0, base * mu), col)
+                entries[key] = entries.get(key, 0) + coeff
     return map_from_entries(src, tgt, entries, name=name)
 
 

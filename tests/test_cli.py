@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -191,17 +194,33 @@ def test_paper_report_unknown_instance(capsys):
     assert main(["paper-report", "NOPE"]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize(
-    "instance,digest",
-    [
-        ("P1113", "b275a7bec6478011d11384c207886b667aab7adb7e8fa6de757effe04435df34"),
-        ("P112", "74e9ab3b0a00b00ebd117626ff040c4a5ce5afea52eacaf5950bf292caa3bc1c"),
-    ],
-)
+REPORT_SHA256 = {
+    "P1113": "b275a7bec6478011d11384c207886b667aab7adb7e8fa6de757effe04435df34",
+    "P112": "74e9ab3b0a00b00ebd117626ff040c4a5ce5afea52eacaf5950bf292caa3bc1c",
+}
+
+
+@pytest.mark.parametrize("instance,digest", sorted(REPORT_SHA256.items()))
 def test_paper_report_json_bytes_are_pinned(capsys, instance, digest):
     assert main(["paper-report", instance, "--format", "json"]) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_python_dash_m_runs_the_cli():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-m", "conetilt", "paper-report", "P112", "--format", "json"],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_SHA256["P112"]
 
 
 def test_paper_report_row_count(capsys):

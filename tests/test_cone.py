@@ -5,11 +5,13 @@ boxes; it shares no code with the enumeration under test.
 """
 
 import itertools
+import pickle
 from math import comb
 
 import pytest
 
 from conetilt.cone import (
+    Monomial,
     cone_cohomology_dim,
     laurent_top_basis,
     make_space,
@@ -161,3 +163,19 @@ def test_section_monomials_have_no_cone_variable():
     mons = section_monomials(X, 2)
     assert len(mons) == comb(2 + 2, 2)
     assert all(len(mm.exps) == 3 for mm in mons)
+
+
+# ---------------------------------------------------------------------------
+# Monomial semantics
+# ---------------------------------------------------------------------------
+
+def test_monomial_is_immutable_and_prints_as_before():
+    mon = Monomial((1, 0, 2))
+    with pytest.raises(AttributeError):
+        mon.exps = (0, 0, 0)
+    with pytest.raises(AttributeError):
+        del mon.exps
+    assert mon.exps == (1, 0, 2)
+    assert pickle.loads(pickle.dumps(mon)) == mon
+    assert str(mon) == "x0*x2^2" and repr(mon) == "Monomial(x0*x2^2)"
+    assert str(Monomial((0, 0))) == "1"

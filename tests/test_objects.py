@@ -13,10 +13,11 @@ from math import comb
 
 import pytest
 
-from conetilt.cone import make_space
-from conetilt.linalg import DirectSpace, PresentedMap, identity
+from conetilt.cone import make_space, section_monomials
+from conetilt.linalg import DirectSpace, PresentedMap, ShapeMismatch, identity
 from conetilt.objects import (
     IndeterminateRank,
+    KernelBundle,
     LESMap,
     LESTerm,
     LongExactSequence,
@@ -32,8 +33,9 @@ from conetilt.objects import (
     les_hom_cov,
     rank_of,
     solve_les,
+    _les_hom_contra_cached,
 )
-from conetilt.rules import OX, OZ, OutOfValidity, hom_atoms
+from conetilt.rules import OX, OZ, OutOfValidity, hom_atoms, postcompose_sections_map
 
 X = make_space(3, 3)
 S = make_space(2, 2)
@@ -74,6 +76,67 @@ def test_custom_kernel_bundle_hom_dims_shift_with_rank():
     # one extra free summand compared to the canonical bundle
     assert hom_objects(X, K, OX(0)) == (10, 0, 0, 0)
     assert hom_objects(X, OX(0), K) == (1, 0, 0, 0)
+
+
+def test_kernel_bundle_copies_are_equal_and_share_the_caches():
+    X5 = make_space(3, 5)
+    A, B = kernel_bundle(X5, 2), kernel_bundle(X5, 2)
+    assert A is not B and A == B and hash(A) == hash(B)
+    assert A != kernel_bundle(X5, 3)
+    first = les_hom_contra(X5, A, OZ(4))
+    hits = _les_hom_contra_cached.cache_info().hits
+    assert les_hom_contra(X5, B, OZ(4)) is first
+    assert _les_hom_contra_cached.cache_info().hits == hits + 1
+
+
+def test_canonical_kernel_bundle_stores_no_evaluation():
+    X5 = make_space(3, 5)
+    K = kernel_bundle(X5, 2)
+    basis = section_monomials(X5, 2)
+    assert K == KernelBundle(2, 6) and K.canonical and K.columns is None
+    # no attribute holds an h x h evaluation matrix
+    assert not any(isinstance(v, tuple) for v in vars(K).values())
+    terms = K.component_terms(X5)
+    assert [list(t) for t in terms] == [[(mu, 1)] for mu in basis]
+    assert all(type(c) is int for t in terms for _, c in t)
+    # postcomposition with the canonical evaluation stays in ints
+    post = postcompose_sections_map(X5, -1, (OX(0),) * K.h, terms, OZ(2))
+    entries = [c for col in post.columns for c in col.values()]
+    assert entries and all(type(c) is int for c in entries)
+
+
+def test_custom_identity_evaluation_is_not_the_canonical_bundle():
+    X5 = make_space(3, 5)
+    K = kernel_bundle(X5, 2)
+    eye = [[int(i == j) for i in range(K.h)] for j in range(K.h)]
+    C = kernel_bundle_custom(X5, 2, eye)
+    assert C != K and hash(C) == hash(kernel_bundle_custom(X5, 2, eye))
+    assert not C.canonical and len(C.columns) == K.h
+    assert C.component_terms(X5) == K.component_terms(X5)
+    assert hom_objects(X5, C, C) == hom_objects(X5, K, K) == (40, 0, 0, 0)
+    half = kernel_bundle_custom(X5, 2, [[Fraction(1, 2) * x for x in col] for col in eye])
+    assert all(c == Fraction(1, 2) for t in half.component_terms(X5) for _, c in t)
+
+
+def test_kernel_bundle_of_another_cone_is_refused():
+    """A bundle whose evaluation does not fit the queried cone is refused."""
+    F = kernel_bundle(make_space(3, 5), 2)  # h = 6
+    X4 = make_space(4, 5)  # H^0(Z, O(2)) has dimension 10 here
+    foreign = r"ker\(O\^6->OZ\(2\)\) does not live on P\(1,1,1,1,5\)"
+    for A, B in [(F, OX(0)), (OX(0), F), (F, F), (F, kernel_bundle(X4, 2))]:
+        with pytest.raises(ShapeMismatch, match=foreign):
+            hom_objects(X4, A, B)
+    with pytest.raises(ShapeMismatch, match=foreign):
+        les_hom_contra(X4, F, OZ(1))
+    with pytest.raises(ShapeMismatch, match=foreign):
+        les_hom_cov(X4, OZ(1), F)
+    with pytest.raises(ShapeMismatch, match=r"needs 0 < 2 < m = 2"):
+        hom_objects(make_space(3, 2), F, OX(0))
+    C = kernel_bundle_custom(X, 1, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    with pytest.raises(ShapeMismatch, match="evaluation has length 3"):
+        hom_objects(make_space(4, 3), C, OX(0))
+    # the same n and 0 < e < m: the evaluation fits, and the answer is F's there
+    assert hom_objects(make_space(3, 7), F, F) == (91, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
