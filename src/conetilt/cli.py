@@ -212,7 +212,7 @@ def cmd_verify_sod(args):
     try:
         collection = cfg.collection(name)
     except KeyError as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(exc.args[0])  # str(KeyError) would quote it
     report = check_sod(cfg.space, collection)
     payload = _sod_payload(report)
     if args.format == "json":

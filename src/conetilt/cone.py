@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import add
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -74,21 +76,29 @@ def regime_notes(space):
     return []
 
 
-@dataclass(frozen=True, order=True)
-class Monomial:
+_tuple_new = tuple.__new__
+
+
+class Monomial(NamedTuple):
     """A (Laurent) monomial, stored as its exponent vector.
 
     Length n+1 vectors live on the cone, length n vectors on the
     section Z.  H^0 bases have all exponents >= 0; top-cohomology bases
     have all exponents <= -1.
+
+    As a one-field named tuple it hashes, compares and orders in C, by
+    the lexicographic order of the exponent vectors.  As a tuple it is
+    (exps,), so it never equals its bare exponent vector.
     """
 
     exps: tuple
 
     def __mul__(self, other):
-        if len(self.exps) != len(other.exps):
+        a, b = self.exps, other.exps
+        if len(a) != len(b):
             raise ValueError("cannot multiply monomials of different lengths")
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        # tuple.__new__ skips the generated Python-level __new__
+        return _tuple_new(Monomial, (tuple(map(add, a, b)),))
 
     def __str__(self):
         parts = []

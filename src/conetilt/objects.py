@@ -283,21 +283,24 @@ def solve_les(origin, terms, maps):
 
 def _term_space_section_source(space, e, B_atoms, i, name):
     """Hom^i(OZ(e), sum B): labels (component, rule label)."""
-    labels = []
-    for c, atom in enumerate(B_atoms):
-        gh = hom_atoms(space, OZ(e), atom)
-        labels += [(c, lbl) for lbl in gh[i].labels]
-    return DirectSpace(tuple(labels), name)
+    basis = {a: hom_atoms(space, OZ(e), a)[i].labels for a in dict.fromkeys(B_atoms)}
+    return DirectSpace(
+        [(c, lbl) for c, atom in enumerate(B_atoms) for lbl in basis[atom]], name
+    )
 
 
 def _term_space_free_source(space, h, B_atoms, i, name):
     """Hom^i(O_X^h, sum B): labels (component, copy, rule label)."""
-    labels = []
-    for c, atom in enumerate(B_atoms):
-        gh = hom_atoms(space, OX(0), atom)
-        for j in range(h):
-            labels += [(c, j, lbl) for lbl in gh[i].labels]
-    return DirectSpace(tuple(labels), name)
+    basis = {a: hom_atoms(space, OX(0), a)[i].labels for a in dict.fromkeys(B_atoms)}
+    return DirectSpace(
+        [
+            (c, j, lbl)
+            for c, atom in enumerate(B_atoms)
+            for j in range(h)
+            for lbl in basis[atom]
+        ],
+        name,
+    )
 
 
 def _contra_alpha(space, K, B_atoms, i, qspace, pspace):
@@ -590,14 +593,20 @@ def _hom_kernel_kernel(space, K, Kp):
     top = les_hom_contra(space, K, [OX(0)] * Kp.h)
     bottom = les_hom_contra(space, K, [OZ(Kp.e)])
 
-    # left vertical: postcomposition on Hom^0(O^h, -)
+    # left vertical: postcomposition on Hom^0(O^h, -); the image of a
+    # label (c, j, u) depends only on the copy c of K' and on u, so it is
+    # restricted and multiplied once and reused for every copy j of K
+    images = {}
     entries = {}
     for (c, j, u) in top.terms[1].space.labels:
-        ubar = restrict_monomial(u)
-        if ubar is None:
-            continue
-        for mu, coeff in comps[c]:
-            key = ((0, j, ubar * mu), (c, j, u))
+        image = images.get((c, u))
+        if image is None:
+            ubar = restrict_monomial(u)
+            image = images[(c, u)] = (
+                () if ubar is None else [(ubar * mu, coeff) for mu, coeff in comps[c]]
+            )
+        for w, coeff in image:
+            key = ((0, j, w), (c, j, u))
             entries[key] = entries.get(key, 0) + coeff
     v1 = map_from_entries(
         top.terms[1].space, bottom.terms[1].space, entries, name="v1"

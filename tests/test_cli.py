@@ -181,6 +181,7 @@ def test_verify_sod_needs_source(capsys):
 def test_verify_sod_unknown_collection(capsys):
     code = main(["verify-sod", "--instance", "P1113", "nope"])
     assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "config error: unknown collection 'nope'\n"
 
 
 def test_paper_report_instances(capsys):

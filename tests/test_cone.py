@@ -16,9 +16,11 @@ from conetilt.cone import (
     laurent_top_basis,
     make_space,
     section_cohomology_dim,
+    section_laurent_basis,
     section_monomials,
     weighted_monomials,
 )
+from conetilt.rules import Dual
 
 
 def brute_monomial_count(n, m, d):
@@ -179,3 +181,28 @@ def test_monomial_is_immutable_and_prints_as_before():
     assert pickle.loads(pickle.dumps(mon)) == mon
     assert str(mon) == "x0*x2^2" and repr(mon) == "Monomial(x0*x2^2)"
     assert str(Monomial((0, 0))) == "1"
+
+
+def test_monomial_equals_neither_a_tuple_nor_a_dual():
+    mon = Monomial((1, 0, 2))
+    assert mon != (1, 0, 2) and (1, 0, 2) != mon
+    assert mon != Dual(mon) and Dual(mon) != mon
+    assert mon not in {(1, 0, 2): 0, Dual(mon): 1}
+    prod = mon * Monomial((0, 3, -1))
+    assert type(prod) is Monomial and prod == Monomial((1, 3, 1))
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 7), (3, 3), (3, 7), (4, 3)])
+def test_every_basis_is_sorted_by_exponent_vector(n, m):
+    X = make_space(n, m)
+    for basis in (
+        weighted_monomials,
+        laurent_top_basis,
+        section_monomials,
+        section_laurent_basis,
+    ):
+        for d in range(-2 * (n + m), 2 * (n + m) + 1):
+            mons = basis(X, d)
+            assert all(type(mm) is Monomial for mm in mons)
+            assert list(mons) == sorted(mons)
+            assert [mm.exps for mm in mons] == sorted(mm.exps for mm in mons)

@@ -1,4 +1,4 @@
-"""Property tests of `cone.Monomial`: order, hash, product and length checks.
+"""Property tests of `cone.Monomial`: order, hash, equality, product, lengths.
 
 Monomials are compared against their exponent tuples, which carry the
 intended order and equality.
@@ -11,6 +11,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from conetilt.cone import Monomial  # noqa: E402
+from conetilt.rules import Dual  # noqa: E402
 
 EXPONENTS = st.integers(-4, 4)
 
@@ -41,13 +42,17 @@ def test_equal_monomials_have_equal_hashes(v):
     a, b = Monomial(v), Monomial(tuple(list(v)))
     assert a is not b and a == b and hash(a) == hash(b)
     assert {a: 1}[b] == 1
-    assert a != v  # a monomial is not its exponent tuple
+    # a monomial is neither its exponent tuple nor its dual label
+    assert a != v and v != a
+    assert a != Dual(a) and Dual(a) != a
+    assert a not in {v: 0, Dual(a): 1}
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(*[exponent_vectors(n)] * 2)))
 def test_monomial_product_adds_exponents(pair):
     u, v = pair
+    assert type(Monomial(u) * Monomial(v)) is Monomial
     assert (Monomial(u) * Monomial(v)).exps == tuple(x + y for x, y in zip(u, v))
     assert Monomial(u) * Monomial(v) == Monomial(v) * Monomial(u)
 

@@ -35,7 +35,14 @@ from conetilt.objects import (
     solve_les,
     _les_hom_contra_cached,
 )
-from conetilt.rules import OX, OZ, OutOfValidity, hom_atoms, postcompose_sections_map
+from conetilt.rules import (
+    OX,
+    OZ,
+    OutOfValidity,
+    hom_atoms,
+    postcompose_sections_map,
+    restrict_monomial,
+)
 
 X = make_space(3, 3)
 S = make_space(2, 2)
@@ -346,6 +353,52 @@ def test_engine_path_builds_no_dense_matrix(monkeypatch):
     assert {k: d[0] for k, d in grid.items()} == GRID_P1115
     assert grid[4, 1] == (3, 0, 1, 0)
     assert all(d[1:] == (0, 0, 0) for k, d in grid.items() if k != (4, 1))
+
+
+# the P(1^3, 7) e, e' grid: dim Hom^0(F_e, F_e'), and the Hom^2 below the diagonal
+GRID_P1117 = {
+    (1, 1): 49, (1, 2): 126, (1, 3): 231, (1, 4): 364, (1, 5): 525, (1, 6): 714,
+    (2, 1): 35, (2, 2): 91, (2, 3): 168, (2, 4): 266, (2, 5): 385, (2, 6): 525,
+    (3, 1): 24, (3, 2): 62, (3, 3): 115, (3, 4): 183, (3, 5): 266, (3, 6): 364,
+    (4, 1): 15, (4, 2): 39, (4, 3): 72, (4, 4): 115, (4, 5): 168, (4, 6): 231,
+    (5, 1): 8, (5, 2): 21, (5, 3): 39, (5, 4): 62, (5, 5): 91, (5, 6): 126,
+    (6, 1): 3, (6, 2): 8, (6, 3): 15, (6, 4): 24, (6, 5): 35, (6, 6): 49,
+}
+EXT2_P1117 = {(4, 1): 1, (5, 1): 3, (5, 2): 1, (6, 1): 6, (6, 2): 3, (6, 3): 1}
+
+
+def test_kernel_grid_on_p1117():
+    X7 = make_space(3, 7)
+    bundles = {e: kernel_bundle(X7, e) for e in range(1, 7)}
+    grid = {(e, f): hom_objects(X7, bundles[e], bundles[f]) for e, f in GRID_P1117}
+    assert grid == {
+        k: (hom0, 0, EXT2_P1117.get(k, 0), 0) for k, hom0 in GRID_P1117.items()
+    }
+
+
+def test_left_vertical_restricts_once_per_copy_of_the_target(monkeypatch):
+    """v1 restricts each label once per copy of K', not per pair of copies.
+
+    The image of a label of Hom^0(O^h, O^h') does not depend on the copy
+    of K it comes from, so the h copies of K share it.
+    """
+    import conetilt.objects as objects
+
+    X7 = make_space(3, 7)
+    K, Kp = kernel_bundle(X7, 3), kernel_bundle(X7, 2)
+    expected = hom_objects(X7, K, Kp)  # fills the sequence caches first
+    calls = []
+
+    def counting(mon):
+        calls.append(mon)
+        return restrict_monomial(mon)
+
+    monkeypatch.setattr(objects, "restrict_monomial", counting)
+    objects._hom_kernel_kernel.cache_clear()
+    assert hom_objects(X7, K, Kp) == expected
+    labels_per_copy = hom_atoms(X7, OX(0), OX(0))[0].dim
+    assert (K.h, Kp.h, labels_per_copy) == (10, 6, 1)
+    assert len(calls) == Kp.h * labels_per_copy
 
 
 def _mini_space(dim, tag):
