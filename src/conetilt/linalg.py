@@ -8,8 +8,9 @@ nothing of size rows x columns is ever built on the engine path.  Their
 coefficients come from the evaluations of the kernel bundles; a
 canonical bundle implies its identity evaluation without storing it,
 so its maps hold ints only and no Fraction arithmetic runs on them.
-`map_from_entries` keeps an int an int and turns an integral Fraction
-into one.
+`map_from_images` builds a map from the images of the source basis, in
+order, so only target labels are looked up; it and `map_from_entries`
+keep an int an int and turn an integral Fraction into one.
 Vector spaces are presented either directly (a finite tuple of basis
 labels) or as subquotients span(cycles)/span(boundaries) inside a
 direct space; cycles=None means the whole ambient and is never
@@ -24,7 +25,10 @@ replaces v by a*v - b*p with integers a, b, and a scaled column is
 divided by the gcd of its entries.  Each column can carry the
 combination of input columns it equals; a column that reduces to zero
 then hands back that combination as a kernel vector, so one pass gives
-both the rank and a kernel basis.
+both the rank and a kernel basis.  A single-int column (most columns
+of a monomial map) becomes a pivot as it stands; one without a key
+reduces to zero at once against a single-entry pivot in its row.
+Pivots are never mutated, so they may alias the input columns.
 
 Dense adapters.  `mat_rank`, `mat_mul`, `nullspace`, `zeros`,
 `identity`, `PresentedMap.matrix`, `cycle_columns()` and
@@ -158,9 +162,20 @@ class _Echelon:
         reduction found to lie in the span of the base (a kernel vector
         when the base is empty); it is {} when `key` is None.
         """
+        pivots, base = self.pivots, self._base
+        if len(col) < 2:
+            if not col:
+                return {} if key is None else {key: 1}
+            ((r, x),) = col.items()
+            if type(x) is int:
+                hit = pivots.get(r) or base.get(r)
+                if hit is None:
+                    pivots[r] = (col, None if key is None else {key: 1})
+                    return None
+                if key is None and len(hit[0]) == 1:
+                    return {}
         v, scale = _integral(col)
         combo = None if key is None else {key: scale}
-        pivots, base = self.pivots, self._base
         while v:
             r = min(v)
             hit = pivots.get(r) or base.get(r)
@@ -283,7 +298,7 @@ class DirectSpace:
     def __init__(self, labels, name=""):
         self.labels = tuple(labels)
         self.name = name
-        self._index = {lbl: i for i, lbl in enumerate(self.labels)}
+        self._index = dict(zip(self.labels, range(len(self.labels))))
         if len(self._index) != len(self.labels):
             raise EngineError("duplicate basis labels in %r" % (name,))
 
@@ -298,9 +313,6 @@ class DirectSpace:
     @property
     def _boundary_echelon(self):
         return _Echelon()
-
-    def index(self, label):
-        return self._index[label]
 
     def cycle_columns(self):
         return identity(self.dim)
@@ -470,16 +482,29 @@ class PresentedMap:
         return "PresentedMap(%s: %r -> %r)" % (self.name or "?", self.source, self.target)
 
 
+def map_from_images(source, target, images, name="", check=True):
+    """Build a map from a list of {target_label: coeff} dicts, the images
+    of the source ambient labels in order; zero entries are dropped."""
+    row_index = target.ambient._index
+    cols = []
+    for image in images:
+        col = {}
+        for lbl, coeff in image.items():
+            if type(coeff) is not int:
+                if type(coeff) is not Fraction:
+                    coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
+            if coeff:
+                col[row_index[lbl]] = coeff
+        cols.append(col)
+    return PresentedMap(source, target, cols, name=name, check=check)
+
+
 def map_from_entries(source, target, entries, name="", check=True):
     """Build a map from a sparse {(target_label, source_label): coeff} dict."""
-    cols = [{} for _ in range(source.ambient.dim)]
-    row_index, col_index = target.ambient.index, source.ambient.index
+    images = [{} for _ in range(source.ambient.dim)]
+    col_index = source.ambient._index
     for (row_lbl, col_lbl), coeff in entries.items():
-        if type(coeff) is not int:
-            if type(coeff) is not Fraction:
-                coeff = Fraction(coeff)
-            if coeff.denominator == 1:
-                coeff = coeff.numerator
-        if coeff:
-            cols[col_index(col_lbl)][row_index(row_lbl)] = coeff
-    return PresentedMap(source, target, cols, name=name, check=check)
+        images[col_index[col_lbl]][row_lbl] = coeff
+    return map_from_images(source, target, images, name=name, check=check)

@@ -24,6 +24,7 @@ from .linalg import (
     PresentedMap,
     ShapeMismatch,
     map_from_entries,
+    map_from_images,
     mat_rank,
 )
 from .rules import (
@@ -365,32 +366,45 @@ def les_hom_contra(space, K, B):
     return _les_hom_contra_cached(space, K, tuple(_atom_list(B)))
 
 
+def _contra_names(space, K, B_atoms):
+    """The origin and the term names of Hom(-, B) along K's sequence."""
+    bname = "+".join(str(a) for a in B_atoms)
+    src = ("OZ(%d)" % K.e, "O^%d" % K.h, "F[%d]" % K.e)
+    names = ["Hom^%d(%s, %s)" % (i, s, bname) for i in range(space.n + 1) for s in src]
+    return "Hom(-, %s) along 0 -> %s -> %s -> %s -> 0" % ((bname,) + src[::-1]), names
+
+
 @lru_cache(maxsize=None)
 def _les_hom_contra_cached(space, K, B_atoms):
-    n = space.n
-    bname = "+".join(str(a) for a in B_atoms)
-    kname = "F[%d]" % K.e
+    origin, names = _contra_names(space, K, B_atoms)
     terms, maps = [], []
-    for i in range(n + 1):
-        qs = _term_space_section_source(
-            space, K.e, B_atoms, i, "Hom^%d(OZ(%d), %s)" % (i, K.e, bname)
-        )
-        ps = _term_space_free_source(
-            space, K.h, B_atoms, i, "Hom^%d(O^%d, %s)" % (i, K.h, bname)
-        )
+    for i in range(space.n + 1):
+        qs = _term_space_section_source(space, K.e, B_atoms, i, names[3 * i])
+        ps = _term_space_free_source(space, K.h, B_atoms, i, names[3 * i + 1])
         terms.append(LESTerm(qs.name, qs.dim, qs))
         terms.append(LESTerm(ps.name, ps.dim, ps))
-        terms.append(LESTerm("Hom^%d(%s, %s)" % (i, kname, bname), None))
+        terms.append(LESTerm(names[3 * i + 2], None))
         maps.append(_contra_alpha(space, K, B_atoms, i, qs, ps))
         maps.append(LESMap("res_%d" % i, None, "exactness"))
-        if i < n:
+        if i < space.n:
             maps.append(LESMap("delta_%d" % i, None, "exactness"))
-    return solve_les(
-        "Hom(-, %s) along 0 -> %s -> O^%d -> OZ(%d) -> 0"
-        % (bname, kname, K.h, K.e),
-        terms,
-        maps,
+    return solve_les(origin, terms, maps)
+
+
+
+def _free_row(space, K, hp):
+    """les_hom_contra(space, K, [OX(0)] * hp), scaled from the one-copy row."""
+    one = les_hom_contra(space, K, [OX(0)])
+    free = (OX(0),) * hp
+    origin, names = _contra_names(space, K, free)
+    row = LongExactSequence(
+        origin,
+        [LESTerm(name, hp * t.dim) for name, t in zip(names, one.terms)],
+        [LESMap(m.name, hp * m.rank, m.how) for m in one.maps],
     )
+    row.terms[1].space = _term_space_free_source(space, K.h, free, 0, names[1])
+    row.check_exactness()
+    return row
 
 
 def _cov_beta(space, A, Kp, i, pspace, qspace):
@@ -587,17 +601,26 @@ class HomComputation:
 
 @lru_cache(maxsize=None)
 def _hom_kernel_kernel(space, K, Kp):
-    """Hom^*(K, K') for two kernel bundles, via the covariant outer chase."""
+    """Hom^*(K, K') for two kernel bundles, via the covariant outer chase.
+
+    The top row Hom(-, O^h') is h' copies of the row Hom(-, O), so
+    `_free_row` scales that cached row, solved once per (cone, K).  Its
+    maps carry no matrix: the ladder reads one only from a top map of
+    nonzero rank after the first, and that map lands in
+    Hom^1(O^h, O^h') = H^1(X, O)^{hh'} = 0 for n >= 2; were it nonzero,
+    the ladder would refuse.  Only the degree-0 free term, the source of
+    the left vertical, gets a space.
+    """
     n = space.n
     comps = Kp.component_terms(space)
-    top = les_hom_contra(space, K, [OX(0)] * Kp.h)
+    top = _free_row(space, K, Kp.h)
     bottom = les_hom_contra(space, K, [OZ(Kp.e)])
 
     # left vertical: postcomposition on Hom^0(O^h, -); the image of a
     # label (c, j, u) depends only on the copy c of K' and on u, so it is
     # restricted and multiplied once and reused for every copy j of K
     images = {}
-    entries = {}
+    columns = []
     for (c, j, u) in top.terms[1].space.labels:
         image = images.get((c, u))
         if image is None:
@@ -605,11 +628,9 @@ def _hom_kernel_kernel(space, K, Kp):
             image = images[(c, u)] = (
                 () if ubar is None else [(ubar * mu, coeff) for mu, coeff in comps[c]]
             )
-        for w, coeff in image:
-            key = ((0, j, w), (c, j, u))
-            entries[key] = entries.get(key, 0) + coeff
-    v1 = map_from_entries(
-        top.terms[1].space, bottom.terms[1].space, entries, name="v1"
+        columns.append({(0, j, w): coeff for w, coeff in image})
+    v1 = map_from_images(
+        top.terms[1].space, bottom.terms[1].space, columns, name="v1"
     )
 
     # right vertical on the cone presentations of the Ext^1 terms

@@ -41,9 +41,10 @@ from .cone import (
 from .linalg import (
     DirectSpace,
     EngineError,
+    IllDefinedMap,
     PresentedMap,
     Subquotient,
-    map_from_entries,
+    map_from_images,
     zero_space,
 )
 
@@ -248,12 +249,9 @@ def restrict_map(space, a, e):
     """
     src = hom0_space(space, a, (OX(e),), "Hom(O(%d),O(%d))" % (a, e))
     tgt = hom0_space(space, a, (OZ(e),), "Hom(O(%d),OZ(%d))" % (a, e))
-    entries = {}
-    for (c, mon) in src.labels:
-        r = restrict_monomial(mon)
-        if r is not None:
-            entries[((c, r), (c, mon))] = 1
-    return map_from_entries(src, tgt, entries, name="restrict(a=%d,e=%d)" % (a, e))
+    restricted = [(c, restrict_monomial(mon)) for (c, mon) in src.labels]
+    images = [{} if r is None else {(c, r): 1} for c, r in restricted]
+    return map_from_images(src, tgt, images, name="restrict(a=%d,e=%d)" % (a, e))
 
 
 def connecting_map(space, d):
@@ -268,10 +266,8 @@ def connecting_map(space, d):
         laurent_top_basis(space, d - space.m),
         "H^%d(X,O(%d))" % (space.n, d - space.m),
     )
-    entries = {}
-    for mon in src.labels:
-        entries[((Monomial(mon.exps + (-1,))), mon)] = 1
-    return map_from_entries(src, tgt, entries, name="connect(d=%d)" % d)
+    images = [{Monomial(mon.exps + (-1,)): 1} for mon in src.labels]
+    return map_from_images(src, tgt, images, name="connect(d=%d)" % d)
 
 
 def pairing_partner(mon):
@@ -292,10 +288,8 @@ def serre_pairing(space, d):
         tuple(Dual(mon) for mon in laurent_top_basis(space, dual_deg)),
         "H^%d(X,O(%d))^" % (space.n, dual_deg),
     )
-    entries = {}
-    for u in src.labels:
-        entries[(Dual(pairing_partner(u)), u)] = 1
-    return map_from_entries(src, tgt, entries, name="pairing(d=%d)" % d)
+    images = [{Dual(pairing_partner(u)): 1} for u in src.labels]
+    return map_from_images(src, tgt, images, name="pairing(d=%d)" % d)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +324,12 @@ def _xn_multiplication(space, e, targets):
     src = hom0_space(space, e, targets, "Hom(O(%d),T)" % e)
     tgt = hom0_space(space, e - space.m, targets, "Hom(O(%d),T)" % (e - space.m))
     xn = Monomial((0,) * space.n + (1,))
-    entries = {}
-    for (c, mon) in src.labels:
-        if targets[c].kind == CONE:
-            entries[((c, mon * xn), (c, mon))] = 1
-        # on a section target multiplication by x_n is zero
-    return map_from_entries(src, tgt, entries, name="xn(e=%d)" % e)
+    # on a section target multiplication by x_n is zero
+    images = [
+        {(c, mon * xn): 1} if targets[c].kind == CONE else {}
+        for (c, mon) in src.labels
+    ]
+    return map_from_images(src, tgt, images, name="xn(e=%d)" % e)
 
 
 def cone_presentation(space, e, targets):
@@ -364,7 +358,7 @@ def cone_presentation(space, e, targets):
             "Ext^1(OZ(%d), %s): presentation gives %d, rules give %d"
             % (e, "+".join(str(t) for t in targets), quotient.dim, expected)
         )
-    return ConePresentation(e, targets, xmap.source, xmap.target, xmap, quotient)
+    return ConePresentation(e, targets, xmap.target, xmap.source, xmap, quotient)
 
 
 def postcompose_sections_map(space, a, src_targets, components, tgt_atom, name=""):
@@ -380,9 +374,16 @@ def postcompose_sections_map(space, a, src_targets, components, tgt_atom, name="
     """
     src = hom0_space(space, a, src_targets)
     tgt = hom0_space(space, a, (tgt_atom,))
+    return _postcompose(src, tgt, src_targets, components, name)
+
+
+def _postcompose(src, tgt, src_targets, components, name):
+    """postcompose_sections_map between given degree-0 Hom spaces."""
     restricted = {}
-    entries = {}
+    images = []
     for (c, mon) in src.labels:
+        image = {}
+        images.append(image)
         base = mon
         if src_targets[c].kind == CONE:
             if mon not in restricted:
@@ -390,12 +391,11 @@ def postcompose_sections_map(space, a, src_targets, components, tgt_atom, name="
             base = restricted[mon]
             if base is None:
                 continue
-        col = (c, mon)
         for mu, coeff in components[c]:
             if coeff:
-                key = ((0, base * mu), col)
-                entries[key] = entries.get(key, 0) + coeff
-    return map_from_entries(src, tgt, entries, name=name)
+                w = (0, base * mu)
+                image[w] = image.get(w, 0) + coeff
+    return map_from_images(src, tgt, images, name=name)
 
 
 def ext1_postcompose_map(space, e, pres_src, pres_tgt, components, name=""):
@@ -404,29 +404,23 @@ def ext1_postcompose_map(space, e, pres_src, pres_tgt, components, name=""):
     `components` describes the map T -> T' on the summands, as in
     postcompose_sections_map.  The square against the two x_n
     multiplication maps is verified by an exact equality of the sparse
-    columns of the two composites.
+    columns of the two composites; the first is also the image of the
+    source boundaries, which must land in the target boundaries.
     """
-    amb_map = postcompose_sections_map(
-        space,
-        e - space.m,
-        pres_src.targets,
-        components,
-        pres_tgt.targets[0],
-        name=name + ".ambient",
-    )
-    top_map = postcompose_sections_map(
-        space,
-        e,
-        pres_src.targets,
-        components,
-        pres_tgt.targets[0],
-        name=name + ".pairs",
+    amb_map, top_map = (
+        _postcompose(src, tgt, pres_src.targets, components, name + suffix)
+        for src, tgt, suffix in (
+            (pres_src.generators, pres_tgt.generators, ".ambient"),
+            (pres_src.relation_source, pres_tgt.relation_source, ".pairs"),
+        )
     )
     # the square with x_n multiplication must commute on the nose
-    left = amb_map.compose(pres_src.xn_map)
-    right = pres_tgt.xn_map.compose(top_map)
-    if left.columns != right.columns:
+    left = amb_map.compose(pres_src.xn_map).columns
+    right = pres_tgt.xn_map.compose(top_map).columns
+    if left != right:
         raise EngineError("cone presentation square does not commute for %s" % name)
+    if not pres_tgt.quotient._boundary_echelon.spans(left):
+        raise IllDefinedMap("map %r does not carry boundaries to boundaries" % name)
     return PresentedMap(
-        pres_src.quotient, pres_tgt.quotient, amb_map.columns, name=name
+        pres_src.quotient, pres_tgt.quotient, amb_map.columns, name=name, check=False
     )

@@ -2,9 +2,13 @@
 
 Random rational matrices, sparse and dense, with int and Fraction
 entries and forced zero rows and columns, are checked against the
-Fraction row reduction `rref` of tests/test_linalg.py.
+Fraction row reduction `rref` of tests/test_linalg.py.  So are
+unit-column matrices, the shape of every monomial map, which take the
+elimination's single-entry fast paths; pivots may alias their input
+columns, so those columns must come back unchanged.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -13,7 +17,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from conetilt.linalg import DirectSpace, PresentedMap, mat_rank, nullspace  # noqa: E402
+from conetilt.linalg import (  # noqa: E402
+    DirectSpace,
+    PresentedMap,
+    Subquotient,
+    _Echelon,
+    mat_rank,
+    nullspace,
+)
 from test_linalg import rref  # noqa: E402
 
 VALUES = st.one_of(
@@ -90,3 +101,53 @@ def test_sparse_elimination_matches_the_fraction_oracle(M):
     if nullity:
         assert all(x == 0 for row in product(M, ker.cycle_columns()) for x in row)
     assert PresentedMap(V, W, M).kernel().cycles == ker.cycles
+
+
+@st.composite
+def unit_column_matrices(draw):
+    """A list of rows whose columns hold at most one nonzero each.
+
+    Few rows, so the nonzeros of several columns share a row; the
+    entries are mostly ints of either sign, units or not, and some
+    Fractions, integral or not.
+    """
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(0, 9))
+    value = st.one_of(
+        st.sampled_from([1, -1, 2, -2, 3, -6]),
+        st.integers(-12, 12).filter(bool),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    )
+    M = [[0] * ncols for _ in range(nrows)]
+    for j in range(ncols):
+        if draw(st.integers(0, 4)):
+            M[draw(st.integers(0, nrows - 1))][j] = draw(value)
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_column_matrices())
+def test_unit_columns_match_the_oracle_and_stay_unchanged(M):
+    ncols = len(M[0])
+    rank = len(rref(M)[0])
+    assert mat_rank(M) == rank
+    N = nullspace(M)
+    assert [[row[j] for row in N] for j in range(len(N[0]) if N else 0)] == (
+        rref_kernel(M, ncols)
+    )
+
+    cols = [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(ncols)]
+    before = copy.deepcopy(cols)
+    V, W = DirectSpace(range(ncols)), DirectSpace(range(len(M)))
+    f = PresentedMap(V, W, cols)
+    assert f.rank() == rank
+    assert f.kernel().dim == ncols - rank
+    # reduce every column again against pivots that may be those columns
+    ech = _Echelon(cols)
+    assert ech.rank == rank and ech.spans(cols) and ech.spans(cols[::-1])
+    # the columns as boundaries of a quotient, and a map into it
+    Q = Subquotient(W, None, cols)
+    assert Q.dim == len(M) - rank
+    g = PresentedMap(W, Q, [{i: 1} for i in range(len(M))])
+    assert g.rank() == len(M) - rank and g.kernel().dim == rank
+    assert cols == before

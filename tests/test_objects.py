@@ -33,6 +33,7 @@ from conetilt.objects import (
     les_hom_cov,
     rank_of,
     solve_les,
+    _free_row,
     _les_hom_contra_cached,
 )
 from conetilt.rules import (
@@ -468,6 +469,43 @@ def test_ladder_indeterminate_is_refused():
     v3 = PresentedMap(top.terms[3].space, bottom.terms[3].space, [[0]], check=False)
     with pytest.raises(IndeterminateRank):
         ladder_propagate(top, bottom, {1: v1, 3: v3}, middle=2)
+
+
+def test_ladder_refuses_a_top_map_of_nonzero_rank_without_a_matrix():
+    # the top map out of the third term has rank 1: its kernel is needed
+    mats = [None, [[1], [0]], [[0, 0], [0, 1]], [[1, 0]]]
+    top = _mini_les([0, 1, 2, 2, 1], [0, 1, 1, 1], mats)
+    bottom = _mini_les([0, 1, 1, 0, 0], [0, 1, 0, 0], [None, [[1]], None, None])
+    v1 = PresentedMap(top.terms[1].space, bottom.terms[1].space, [[1]], check=False)
+    v3 = PresentedMap(top.terms[3].space, bottom.terms[3].space, [], check=False)
+    # with the matrix the kernel is explicit and the rank is pinned
+    assert ladder_propagate(top, bottom, {1: v1, 3: v3}, middle=2).rank == 1
+    top.maps[3].matrix = None  # as in a row scaled from one copy
+    with pytest.raises(IndeterminateRank, match="no explicit kernel"):
+        ladder_propagate(top, bottom, {1: v1, 3: v3}, middle=2)
+
+
+@pytest.mark.parametrize("n, m", [(2, 5), (3, 4), (3, 7), (4, 3), (4, 5)])
+def test_scaled_top_row_equals_the_explicit_row(n, m):
+    """h' copies of the cached Hom(-, O) row are Hom(-, O^h'), name for name."""
+    space = make_space(n, m)
+    copies = sorted({kernel_bundle(space, f).h for f in range(1, m)})
+    for e in range(1, m):
+        K = kernel_bundle(space, e)
+        for hp in copies:
+            scaled = _free_row(space, K, hp)
+            explicit = les_hom_contra(space, K, [OX(0)] * hp)
+            assert scaled.origin == explicit.origin
+            assert [(t.name, t.dim) for t in scaled.terms] == [
+                (t.name, t.dim) for t in explicit.terms
+            ]
+            assert [(f.name, f.rank, f.how) for f in scaled.maps] == [
+                (f.name, f.rank, f.how) for f in explicit.maps
+            ]
+            assert scaled.terms[1].space == explicit.terms[1].space
+            assert all(f.matrix is None for f in scaled.maps)
+            # it lands in Hom^1(O^h, O^h') = 0, so the ladder needs no matrix
+            assert scaled.maps[3].rank == 0
 
 
 def test_top_degree_dual_rank_keeps_chase_determined():

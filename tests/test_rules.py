@@ -18,6 +18,7 @@ from conetilt.rules import (
     PresentationMismatch,
     cone_presentation,
     connecting_map,
+    hom0_space,
     hom_atoms,
     restrict_map,
     serre_pairing,
@@ -119,6 +120,19 @@ def test_cone_presentation_examples():
     assert pres2.dim == 10
     pres3 = cone_presentation(X, 2, (OX(0),))
     assert pres3.dim == 3
+
+
+@pytest.mark.parametrize(
+    "e, targets", [(1, (OX(0),) * 3), (1, (OZ(1),)), (2, (OX(0), OZ(2), OX(3)))]
+)
+def test_cone_presentation_fields_match_the_docstring(e, targets):
+    # generators in Hom(O(e-m), T), relations from Hom(O(e), T) by x_n
+    pres = cone_presentation(X, e, targets)
+    assert pres.generators is pres.xn_map.target
+    assert pres.relation_source is pres.xn_map.source
+    assert pres.generators.labels == hom0_space(X, e - X.m, targets).labels
+    assert pres.relation_source.labels == hom0_space(X, e, targets).labels
+    assert pres.quotient.ambient is pres.generators
 
 
 def test_cone_presentation_rejects_non_invertible():
