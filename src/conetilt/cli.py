@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from .cone import cone_cohomology_dim, make_space, regime_notes, section_cohomology_dim
+from .cone import cone_cohomology_dim, regime_notes, section_cohomology_dim
 from .linalg import EngineError
 from .objects import hom_objects_detailed
 from .report import (  # parse_config is re-exported for callers of this module
@@ -30,6 +30,7 @@ from .report import (  # parse_config is re-exported for callers of this module
     load_config,
     parse_config,
     parse_object_expr,
+    parse_space,
 )
 from .tilting import check_sod
 
@@ -70,11 +71,7 @@ def emit_json(payload):
 # ---------------------------------------------------------------------------
 
 def _parse_space_flag(value):
-    try:
-        n, m = (int(x) for x in value.split(","))
-        return make_space(n, m)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("bad --space %r: %s" % (value, exc))
+    return parse_space(value, "bad --space")
 
 
 def cmd_cohomology(args):

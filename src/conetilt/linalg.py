@@ -276,7 +276,8 @@ def _as_columns(M, nrows, what):
         return []
     if isinstance(M[0], dict):
         cols = list(M)
-        if any(not 0 <= r < nrows for col in cols for r in col):
+        filled = [col for col in cols if col]
+        if filled and (min(map(min, filled)) < 0 or max(map(max, filled)) >= nrows):
             raise ShapeMismatch(
                 "%s: a row index lies outside 0..%d" % (what, nrows - 1)
             )

@@ -428,12 +428,9 @@ def _cov_beta(space, A, Kp, i, pspace, qspace):
     # section-twist source
     e = A.twist
     if i == 1:
-        pres_p = cone_presentation(space, e, (OX(0),) * Kp.h)
         pres_q = cone_presentation(space, e, (OZ(Kp.e),))
-        induced = ext1_postcompose_map(
-            space, e, pres_p, pres_q, comps, name="beta_1"
-        )
-        if pres_p.dim != pspace.dim or pres_q.dim != qspace.dim:
+        induced = ext1_postcompose_map(space, e, comps, pres_q, name="beta_1")
+        if induced.source.dim != pspace.dim or pres_q.dim != qspace.dim:
             raise EngineError("cone presentation dimensions drifted")
         return LESMap("beta_1", induced.rank(), "cone-presentation", induced)
     if i == n:
@@ -634,11 +631,10 @@ def _hom_kernel_kernel(space, K, Kp):
     )
 
     # right vertical on the cone presentations of the Ext^1 terms
-    pres_top = cone_presentation(space, K.e, (OX(0),) * Kp.h)
     pres_bot = cone_presentation(space, K.e, (OZ(Kp.e),))
-    if pres_top.dim != top.terms[3].dim or pres_bot.dim != bottom.terms[3].dim:
+    v3 = ext1_postcompose_map(space, K.e, comps, pres_bot, name="v3")
+    if v3.source.dim != top.terms[3].dim or pres_bot.dim != bottom.terms[3].dim:
         raise EngineError("presentation dimensions disagree with the rows")
-    v3 = ext1_postcompose_map(space, K.e, pres_top, pres_bot, comps, name="v3")
 
     ladder = ladder_propagate(top, bottom, {1: v1, 3: v3}, middle=2)
 

@@ -96,6 +96,18 @@ def parse_object_expr(expr, space, objects):
     return SumObject(tuple(parts))
 
 
+def parse_space(text, what):
+    """The cone P(1^n, m) written as "n,m"; ConfigError, led by `what`, if not."""
+    try:
+        n, m = map(int, text.split(","))
+    except ValueError:
+        raise ConfigError("%s %r: expected two integers n,m" % (what, text)) from None
+    try:
+        return make_space(n, m)
+    except ValueError as exc:
+        raise ConfigError("%s %r: %s" % (what, text, exc)) from None
+
+
 def parse_config(text, name="config"):
     """Parse the plain hierarchical instance format.
 
@@ -113,11 +125,7 @@ def parse_config(text, name="config"):
         stripped = line.strip()
         if stripped.startswith("space:"):
             val = stripped[len("space:"):].strip()
-            try:
-                n, m = (int(x) for x in val.split(","))
-                space = make_space(n, m)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError("line %d: bad space %r (%s)" % (lineno, val, exc))
+            space = parse_space(val, "line %d: bad space" % lineno)
             section = None
             continue
         if stripped == "objects:":

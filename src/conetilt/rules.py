@@ -19,7 +19,9 @@ guessing.  The tags attached to every degree name the rule used:
 * R4  Hom^i(OZ(e), O(b)) = H^{n-i}(Z, O(e-(n+m)-b))^* for invertible
       O(b), by duality against R2.
 * CP  cone presentation: Ext^1(OZ(e), T) as the cokernel of
-      multiplication by the cone variable on degree-0 Hom spaces.
+      multiplication by the cone variable on degree-0 Hom spaces; for
+      T = O^h' it is h' shifted copies of one cached presentation, mapped
+      to a section twist OZ(e') by ext1_postcompose_map.
 
 Degree-0 composition is polynomial multiplication on the monomial
 bases; the structural maps below (restriction, connecting map, duality
@@ -41,9 +43,9 @@ from .cone import (
 from .linalg import (
     DirectSpace,
     EngineError,
-    IllDefinedMap,
     PresentedMap,
     Subquotient,
+    _apply,
     map_from_images,
     zero_space,
 )
@@ -374,11 +376,6 @@ def postcompose_sections_map(space, a, src_targets, components, tgt_atom, name="
     """
     src = hom0_space(space, a, src_targets)
     tgt = hom0_space(space, a, (tgt_atom,))
-    return _postcompose(src, tgt, src_targets, components, name)
-
-
-def _postcompose(src, tgt, src_targets, components, name):
-    """postcompose_sections_map between given degree-0 Hom spaces."""
     restricted = {}
     images = []
     for (c, mon) in src.labels:
@@ -398,29 +395,48 @@ def _postcompose(src, tgt, src_targets, components, name):
     return map_from_images(src, tgt, images, name=name)
 
 
-def ext1_postcompose_map(space, e, pres_src, pres_tgt, components, name=""):
-    """The induced map on cone presentations of Ext^1(OZ(e), -).
+@lru_cache(maxsize=None)
+def _one_copy(space, e):
+    """cone_presentation(space, e, (OX(0),)) and its generators restricted to Z."""
+    pres = cone_presentation(space, e, (OX(0),))
+    return pres, tuple(restrict_monomial(mon) for (_, mon) in pres.generators.labels)
 
-    `components` describes the map T -> T' on the summands, as in
-    postcompose_sections_map.  The square against the two x_n
-    multiplication maps is verified by an exact equality of the sparse
-    columns of the two composites; the first is also the image of the
-    source boundaries, which must land in the target boundaries.
+
+def ext1_postcompose_map(space, e, components, pres_tgt, name=""):
+    """The map Ext^1(OZ(e), O^h') -> Ext^1(OZ(e), OZ(e')) on cone presentations.
+
+    `components` gives the map O^h' -> OZ(e') on the h' = len(components)
+    summands, as in postcompose_sections_map; `pres_tgt` must present
+    Ext^1(OZ(e), OZ(e')) for one section twist OZ(e').  The source is h'
+    shifted copies of the cached presentation of Ext^1(OZ(e), O): labels
+    (c, monomial) in the order of hom0_space(space, e - m, (OX(0),) * h'),
+    boundaries the one-copy x_n columns shifted by c times its generator
+    count.  x_n acts by zero on the target (checked), so the square with
+    the two x_n multiplications commutes iff the map kills the source
+    boundaries, which is checked exactly.
     """
-    amb_map, top_map = (
-        _postcompose(src, tgt, pres_src.targets, components, name + suffix)
-        for src, tgt, suffix in (
-            (pres_src.generators, pres_tgt.generators, ".ambient"),
-            (pres_src.relation_source, pres_tgt.relation_source, ".pairs"),
-        )
+    one, restricted = _one_copy(space, e)
+    if any(pres_tgt.xn_map.columns):
+        raise EngineError("%s: x_n does not act by zero on the target" % name)
+    row = pres_tgt.generators._index
+    columns = [
+        {} if base is None
+        else {row[(0, base * mu)]: coeff for mu, coeff in terms if coeff}
+        for terms in components
+        for base in restricted
+    ]
+    h, size = len(components), one.generators.dim
+    ambient = DirectSpace(
+        [(c, mon) for c in range(h) for (_, mon) in one.generators.labels],
+        "Hom(O(%d),T)" % (e - space.m),
     )
+    boundaries = [
+        {r + c * size: x for r, x in col.items()}
+        for c in range(h)
+        for col in one.xn_map.columns
+    ]
     # the square with x_n multiplication must commute on the nose
-    left = amb_map.compose(pres_src.xn_map).columns
-    right = pres_tgt.xn_map.compose(top_map).columns
-    if left != right:
+    if any(_apply(columns, b) for b in boundaries):
         raise EngineError("cone presentation square does not commute for %s" % name)
-    if not pres_tgt.quotient._boundary_echelon.spans(left):
-        raise IllDefinedMap("map %r does not carry boundaries to boundaries" % name)
-    return PresentedMap(
-        pres_src.quotient, pres_tgt.quotient, amb_map.columns, name=name, check=False
-    )
+    source = Subquotient(ambient, None, boundaries, name="Ext^1(OZ(%d),T)" % e)
+    return PresentedMap(source, pres_tgt.quotient, columns, name=name, check=False)

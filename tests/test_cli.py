@@ -139,6 +139,27 @@ def test_cohomology_top_degree(capsys):
     assert out.strip().splitlines()[-1].split()[-1] == "1"
 
 
+@pytest.mark.parametrize("value", ["3", "3,3,3", "a,b"])
+def test_malformed_space_flag_names_the_expected_form(value, capsys):
+    code = main(["hom", "--space", value, "O(1)", "O(2)"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err == "config error: bad --space %r: expected two integers n,m\n" % value
+
+
+@pytest.mark.parametrize("value", ["3", "3,3,3", "a,b"])
+def test_malformed_config_space_names_the_expected_form(value, tmp_path, capsys):
+    with pytest.raises(ConfigError) as info:
+        parse_config("space: %s\n" % value)
+    assert str(info.value) == "line 1: bad space %r: expected two integers n,m" % value
+    path = tmp_path / "instance.cfg"
+    path.write_text("# cone\nspace: %s\n" % value)
+    code = main(["hom", "--config", str(path), "O(1)", "O(2)"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err == "config error: line 2: bad space %r: expected two integers n,m\n" % value
+
+
 def test_hom_command_inline_expression(capsys):
     code = main(["hom", "--space", "3,3", "O(0)", "OZ(2)"])
     out = capsys.readouterr().out

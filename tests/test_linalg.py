@@ -236,3 +236,20 @@ def test_sparse_and_dense_matrices_give_the_same_map():
     assert dense.kernel().cycles == sparse.kernel().cycles
     with pytest.raises(ShapeMismatch):
         PresentedMap(V, W, [{2: 1}, {}, {}])
+
+
+@pytest.mark.parametrize("row", [-1, 2])
+def test_sparse_row_index_outside_the_target_is_refused(row):
+    V = space("a", "b", "c")
+    W = space("x", "y")
+    with pytest.raises(ShapeMismatch, match=r"map 'f': a row index lies outside 0\.\.1"):
+        PresentedMap(V, W, [{}, {0: 1, row: 2}, {}], name="f")
+
+
+@pytest.mark.parametrize("row", [-1, 2])
+def test_sparse_boundary_row_outside_the_ambient_is_refused(row):
+    W = space("x", "y")
+    with pytest.raises(ShapeMismatch, match=r"boundaries: a row index lies outside 0\.\.1"):
+        Subquotient(W, None, [{}, {row: 1}])
+    with pytest.raises(ShapeMismatch, match=r"cycles: a row index lies outside 0\.\.1"):
+        Subquotient(W, [{row: 1, 0: 1}], [])

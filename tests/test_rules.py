@@ -10,7 +10,10 @@ from math import comb
 
 import pytest
 
-from conetilt.cone import make_space, section_monomials, weighted_monomials
+from conetilt import rules
+from conetilt.cone import Monomial, make_space, section_monomials, weighted_monomials
+from conetilt.linalg import EngineError, PresentedMap
+from conetilt.objects import kernel_bundle
 from conetilt.rules import (
     OX,
     OZ,
@@ -18,8 +21,10 @@ from conetilt.rules import (
     PresentationMismatch,
     cone_presentation,
     connecting_map,
+    ext1_postcompose_map,
     hom0_space,
     hom_atoms,
+    postcompose_sections_map,
     restrict_map,
     serre_pairing,
 )
@@ -166,6 +171,61 @@ def test_cone_presentation_agrees_with_rules_randomized():
         assert pres.dim == hom_atoms(X, OZ(e), targets[0]).dims[1]
         checked += 1
     assert checked >= 100
+
+
+EXT1_CONES = [make_space(*nm) for nm in ((2, 3), (2, 5), (3, 3), (3, 5), (4, 3))]
+
+
+@pytest.mark.parametrize("space", EXT1_CONES, ids=str)
+def test_ext1_postcompose_map_equals_the_presentation_of_the_full_sum(space):
+    """h' shifted one-copy blocks == the presentation of O^h' postcomposed."""
+    m = space.m
+    compared = 0
+    for e in range(-m, m + 1):
+        for ep in range(1, m):
+            comps = kernel_bundle(space, ep).component_terms(space)
+            free = (OX(0),) * len(comps)
+            try:
+                pres_tgt = cone_presentation(space, e, (OZ(ep),))
+            except PresentationMismatch:
+                continue  # the n = 2 refusals
+            ref = cone_presentation(space, e, free)
+            post = postcompose_sections_map(space, e - m, free, comps, OZ(ep))
+            ref_map = PresentedMap(ref.quotient, pres_tgt.quotient, post.columns)
+            got = ext1_postcompose_map(space, e, comps, pres_tgt, name="v3")
+            assert got.source.ambient.labels == ref.generators.labels
+            assert got.source.boundaries == ref.quotient.boundaries
+            assert got.columns == ref_map.columns
+            assert got.source.dim == ref.dim
+            assert got.rank() == ref_map.rank()
+            compared += 1
+    assert compared >= 2 * m
+
+
+def _keep_xn_divisible(mon):
+    """A wrong restriction: x_n^k u goes to u x_0^(mk) instead of to zero."""
+    k = mon.exps[-1]
+    return Monomial((mon.exps[0] + X.m * k,) + mon.exps[1:-1])
+
+
+def test_ext1_postcompose_square_check_catches_a_wrong_restriction(monkeypatch):
+    pres_tgt = cone_presentation(X, -1, (OZ(1),))
+    comps = kernel_bundle(X, 1).component_terms(X)
+    monkeypatch.setattr(rules, "restrict_monomial", _keep_xn_divisible)
+    rules._one_copy.cache_clear()
+    try:
+        with pytest.raises(EngineError, match="square does not commute for v3"):
+            ext1_postcompose_map(X, -1, comps, pres_tgt, name="v3")
+    finally:
+        rules._one_copy.cache_clear()
+
+
+def test_ext1_postcompose_refuses_a_target_where_xn_acts():
+    pres_tgt = cone_presentation(X, -1, (OX(0),))
+    assert any(pres_tgt.xn_map.columns)
+    comps = kernel_bundle(X, 1).component_terms(X)
+    with pytest.raises(EngineError, match="x_n does not act by zero"):
+        ext1_postcompose_map(X, -1, comps, pres_tgt, name="v3")
 
 
 def _twist_of(atom, shift):
