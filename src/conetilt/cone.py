@@ -170,11 +170,14 @@ def cone_cohomology_dim(space, d, i):
     """dim H^i(X, O_X(d)); rejects i outside [0, n]."""
     if not 0 <= i <= space.n:
         raise ValueError("cohomological degree %d outside [0, %d]" % (i, space.n))
-    if i == 0:
-        return len(weighted_monomials(space, d))
     if i == space.n:
-        return len(weighted_monomials(space, -d - space.n - space.m))
-    return 0
+        d = -d - space.n - space.m  # Serre duality: the dual twist in degree 0
+    elif i != 0:
+        return 0
+    # count, never list: x_n^j times the degree d - jm monomials in n
+    # weight-one variables; the range is empty for d < 0
+    n1, m = space.n - 1, space.m
+    return sum(comb(d - j * m + n1, n1) for j in range(d // m + 1))
 
 
 def section_cohomology_dim(space, e, i):

@@ -8,13 +8,15 @@ nothing of size rows x columns is ever built on the engine path.  Their
 coefficients come from the evaluations of the kernel bundles; a
 canonical bundle implies its identity evaluation without storing it,
 so its maps hold ints only and no Fraction arithmetic runs on them.
-`map_from_images` builds a map from the images of the source basis, in
-order, so only target labels are looked up; it and `map_from_entries`
-keep an int an int and turn an integral Fraction into one.
+`map_from_columns` builds a map from columns keyed by row index; it
+keeps an int an int, turns an integral Fraction into one and drops
+zeros.  `map_from_images` looks up the rows of target labels first.
 Vector spaces are presented either directly (a finite tuple of basis
 labels) or as subquotients span(cycles)/span(boundaries) inside a
 direct space; cycles=None means the whole ambient and is never
-expanded into an identity matrix.
+expanded into an identity matrix.  A space that is a sum of copies of
+a basis is a `DirectSum`: it is indexed by block offset plus base
+index, and its labels are built only on request.
 
 Elimination.  One routine, `_Echelon`, reduces columns one at a time
 against the pivots found so far.  The pivot of a reduced column is its
@@ -42,6 +44,8 @@ There are no floats and no tolerances anywhere in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import gcd, lcm
 
 
@@ -328,7 +332,36 @@ class DirectSpace:
         return hash(self.labels)
 
     def __repr__(self):
-        return "DirectSpace(%s, dim=%d)" % (self.name or "?", self.dim)
+        return "%s(%s, dim=%d)" % (type(self).__name__, self.name or "?", self.dim)
+
+
+class DirectSum(DirectSpace):
+    """The direct sum of direct spaces, labels (block index, block label).
+
+    Its dimension and the offset of each block are fixed at construction;
+    `labels` and `_index` are built on request and kept.  A map builder
+    finds the row of block c's label `lbl` as
+    ``offsets[c] + blocks[c]._index[lbl]``, so a sum of copies of one
+    cached basis costs a tuple of offsets, not a label per copy.
+    """
+
+    def __init__(self, blocks, name=""):
+        self.blocks = tuple(blocks)
+        self.name = name
+        ends = (0, *accumulate(b.dim for b in self.blocks))
+        self.offsets, self._dim = ends[:-1], ends[-1]
+
+    @property
+    def dim(self):
+        return self._dim
+
+    @cached_property
+    def labels(self):
+        return tuple((c, lbl) for c, b in enumerate(self.blocks) for lbl in b.labels)
+
+    @cached_property
+    def _index(self):
+        return dict(zip(self.labels, range(self._dim)))
 
 
 class Subquotient:
@@ -483,29 +516,28 @@ class PresentedMap:
         return "PresentedMap(%s: %r -> %r)" % (self.name or "?", self.source, self.target)
 
 
-def map_from_images(source, target, images, name="", check=True):
-    """Build a map from a list of {target_label: coeff} dicts, the images
-    of the source ambient labels in order; zero entries are dropped."""
-    row_index = target.ambient._index
+def map_from_columns(source, target, columns, name="", check=True):
+    """Build a map from sparse columns {target row index: coeff}, one per
+    source ambient basis vector in order.  An int stays an int, an
+    integral Fraction becomes one, and zero entries are dropped."""
     cols = []
-    for image in images:
+    for column in columns:
         col = {}
-        for lbl, coeff in image.items():
+        for r, coeff in column.items():
             if type(coeff) is not int:
                 if type(coeff) is not Fraction:
                     coeff = Fraction(coeff)
                 if coeff.denominator == 1:
                     coeff = coeff.numerator
             if coeff:
-                col[row_index[lbl]] = coeff
+                col[r] = coeff
         cols.append(col)
     return PresentedMap(source, target, cols, name=name, check=check)
 
 
-def map_from_entries(source, target, entries, name="", check=True):
-    """Build a map from a sparse {(target_label, source_label): coeff} dict."""
-    images = [{} for _ in range(source.ambient.dim)]
-    col_index = source.ambient._index
-    for (row_lbl, col_lbl), coeff in entries.items():
-        images[col_index[col_lbl]][row_lbl] = coeff
-    return map_from_images(source, target, images, name=name, check=check)
+def map_from_images(source, target, images, name="", check=True):
+    """Build a map from a list of {target_label: coeff} dicts, the images
+    of the source ambient labels in order, as map_from_columns does."""
+    row_index = target.ambient._index
+    columns = [{row_index[lbl]: x for lbl, x in image.items()} for image in images]
+    return map_from_columns(source, target, columns, name=name, check=check)

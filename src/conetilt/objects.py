@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cone import laurent_top_basis, section_laurent_basis, section_monomials
+from .cone import section_monomials
 from .linalg import (
-    DirectSpace,
+    DirectSum,
     EngineError,
     PresentedMap,
     ShapeMismatch,
-    map_from_entries,
-    map_from_images,
+    map_from_columns,
     mat_rank,
 )
 from .rules import (
@@ -284,24 +283,16 @@ def solve_les(origin, terms, maps):
 
 def _term_space_section_source(space, e, B_atoms, i, name):
     """Hom^i(OZ(e), sum B): labels (component, rule label)."""
-    basis = {a: hom_atoms(space, OZ(e), a)[i].labels for a in dict.fromkeys(B_atoms)}
-    return DirectSpace(
-        [(c, lbl) for c, atom in enumerate(B_atoms) for lbl in basis[atom]], name
-    )
+    basis = {a: hom_atoms(space, OZ(e), a)[i] for a in dict.fromkeys(B_atoms)}
+    return DirectSum([basis[a] for a in B_atoms], name)
 
 
 def _term_space_free_source(space, h, B_atoms, i, name):
-    """Hom^i(O_X^h, sum B): labels (component, copy, rule label)."""
-    basis = {a: hom_atoms(space, OX(0), a)[i].labels for a in dict.fromkeys(B_atoms)}
-    return DirectSpace(
-        [
-            (c, j, lbl)
-            for c, atom in enumerate(B_atoms)
-            for j in range(h)
-            for lbl in basis[atom]
-        ],
-        name,
-    )
+    """Hom^i(O_X^h, sum B): labels (component, (copy, rule label))."""
+    copies = {
+        a: DirectSum([hom_atoms(space, OX(0), a)[i]] * h) for a in dict.fromkeys(B_atoms)
+    }
+    return DirectSum([copies[a] for a in B_atoms], name)
 
 
 def _contra_alpha(space, K, B_atoms, i, qspace, pspace):
@@ -313,42 +304,38 @@ def _contra_alpha(space, K, B_atoms, i, qspace, pspace):
     transported through the duality pairings from the explicit
     degree-0 multiplication map; the transport preserves rank.
     """
-    n = space.n
-    e = K.e
     comps = K.component_terms(space)
-    entries = {}
+    columns = [{} for _ in range(qspace.dim)]
     how = "matrix"
     for c, atom in enumerate(B_atoms):
+        block, copies = qspace.blocks[c], pspace.blocks[c]
+        shifts = [pspace.offsets[c] + s for s in copies.offsets]
+        rows = copies.blocks[0]._index  # Hom^i(O, atom)
         if atom.kind == SECTION:
-            for (cc, lbl) in qspace.labels:
-                if cc != c or lbl[0] != 0:
+            for k, (part, u) in enumerate(block.labels):
+                if part != 0:
                     continue  # only the H^i(Z, f-e) block survives restriction
-                u = lbl[1]
-                for j, terms in enumerate(comps):
+                col = columns[qspace.offsets[c] + k]
+                for s, terms in zip(shifts, comps):
                     for mu, coeff in terms:
                         prod = u * mu
                         if i > 0:
                             prod = laurent_class(prod)
                             if prod is None:
                                 continue
-                        key = ((c, j, prod), (c, lbl))
-                        entries[key] = entries.get(key, 0) + coeff
-        else:
-            if i != n:
-                continue  # zero: R4 vanishes or the target twist cohomology does
+                        r = s + rows[prod]
+                        col[r] = col.get(r, 0) + coeff
+        elif i == space.n:  # below the top degree R4 or H^i(X, O(b)) vanishes
             how = "serre-dual"
-            b = atom.twist
-            for v in laurent_top_basis(space, b):
-                u = pairing_partner(v)
-                ubar = restrict_monomial(u)
+            for k, v in enumerate(copies.blocks[0].labels):
+                ubar = restrict_monomial(pairing_partner(v))
                 if ubar is None:
                     continue
-                for j, terms in enumerate(comps):
+                for s, terms in zip(shifts, comps):
                     for mu, coeff in terms:
-                        w = ubar * mu
-                        key = ((c, j, v), (c, Dual(w)))
-                        entries[key] = entries.get(key, 0) + coeff
-    pmap = map_from_entries(qspace, pspace, entries, name="alpha_%d" % i)
+                        col = columns[qspace.offsets[c] + block._index[Dual(ubar * mu)]]
+                        col[s + k] = col.get(s + k, 0) + coeff
+    pmap = map_from_columns(qspace, pspace, columns, name="alpha_%d" % i)
     return LESMap("alpha_%d" % i, pmap.rank(), how, pmap)
 
 
@@ -434,18 +421,20 @@ def _cov_beta(space, A, Kp, i, pspace, qspace):
             raise EngineError("cone presentation dimensions drifted")
         return LESMap("beta_1", induced.rank(), "cone-presentation", induced)
     if i == n:
-        entries = {}
-        for v in section_laurent_basis(space, Kp.e - e + space.m):
+        # qspace is R3's H^{n-1}(Z, e'-e+m) block, labels (1, v); pspace is
+        # h' copies of R4's dual basis
+        columns = [{} for _ in range(pspace.dim)]
+        cols = pspace.blocks[0]._index
+        for r, (_, v) in enumerate(qspace.labels):
             u = pairing_partner(v)
-            for j, terms in enumerate(comps):
+            for s, terms in zip(pspace.offsets, comps):
                 for mu, coeff in terms:
-                    w = u * mu
-                    key = ((1, v), (j, Dual(w)))
-                    entries[key] = entries.get(key, 0) + coeff
-        pmap = map_from_entries(pspace, qspace, entries, name="beta_%d" % i)
+                    col = columns[s + cols[Dual(u * mu)]]
+                    col[r] = col.get(r, 0) + coeff
+        pmap = map_from_columns(pspace, qspace, columns, name="beta_%d" % i)
         return LESMap("beta_%d" % i, pmap.rank(), "serre-dual", pmap)
     # degrees 0 and 1 < i < n: the R4 source vanishes
-    pmap = map_from_entries(pspace, qspace, {}, name="beta_%d" % i)
+    pmap = PresentedMap(pspace, qspace, [], name="beta_%d" % i)
     return LESMap("beta_%d" % i, 0, "zero", pmap)
 
 
@@ -476,14 +465,11 @@ def _les_hom_cov_cached(space, A, Kp):
 
     terms, maps = [], []
     for i in range(n + 1):
-        labels = [(j, lbl) for j in range(Kp.h) for lbl in ghP[i].labels]
-        ps = DirectSpace(tuple(labels), "Hom^%d(%s, O^%d)" % (i, A, Kp.h))
-        qs = DirectSpace(
-            tuple(ghQ[i].labels), "Hom^%d(%s, OZ(%d))" % (i, A, Kp.e)
-        )
+        ps = DirectSum([ghP[i]] * Kp.h, "Hom^%d(%s, O^%d)" % (i, A, Kp.h))
+        qs = ghQ[i]
         terms.append(LESTerm("Hom^%d(%s, %s)" % (i, A, kname), None))
         terms.append(LESTerm(ps.name, ps.dim, ps))
-        terms.append(LESTerm(qs.name, qs.dim, qs))
+        terms.append(LESTerm("Hom^%d(%s, OZ(%d))" % (i, A, Kp.e), qs.dim, qs))
         maps.append(LESMap("inc_%d" % i, None, "exactness"))
         maps.append(_cov_beta(space, A, Kp, i, ps, qs))
         if i < n:
@@ -614,21 +600,20 @@ def _hom_kernel_kernel(space, K, Kp):
     bottom = les_hom_contra(space, K, [OZ(Kp.e)])
 
     # left vertical: postcomposition on Hom^0(O^h, -); the image of a
-    # label (c, j, u) depends only on the copy c of K' and on u, so it is
-    # restricted and multiplied once and reused for every copy j of K
-    images = {}
+    # label (c, (j, u)) depends only on the copy c of K' and on u, so it is
+    # restricted and multiplied once and shifted to every copy j of K
+    src, tgt = top.terms[1].space, bottom.terms[1].space
+    units = src.blocks[0].blocks[0].labels  # the basis of Hom^0(O, O)
+    (copies,) = tgt.blocks
+    row = copies.blocks[0]._index
     columns = []
-    for (c, j, u) in top.terms[1].space.labels:
-        image = images.get((c, u))
-        if image is None:
+    for terms in comps:
+        images = []
+        for u in units:
             ubar = restrict_monomial(u)
-            image = images[(c, u)] = (
-                () if ubar is None else [(ubar * mu, coeff) for mu, coeff in comps[c]]
-            )
-        columns.append({(0, j, w): coeff for w, coeff in image})
-    v1 = map_from_images(
-        top.terms[1].space, bottom.terms[1].space, columns, name="v1"
-    )
+            images.append(() if ubar is None else [(row[ubar * mu], x) for mu, x in terms])
+        columns += [{s + r: x for r, x in image} for s in copies.offsets for image in images]
+    v1 = map_from_columns(src, tgt, columns, name="v1")
 
     # right vertical on the cone presentations of the Ext^1 terms
     pres_bot = cone_presentation(space, K.e, (OZ(Kp.e),))

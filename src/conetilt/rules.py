@@ -42,10 +42,12 @@ from .cone import (
 )
 from .linalg import (
     DirectSpace,
+    DirectSum,
     EngineError,
     PresentedMap,
     Subquotient,
     _apply,
+    map_from_columns,
     map_from_images,
     zero_space,
 )
@@ -214,19 +216,21 @@ def hom_atoms(space, A, B):
 # degree-0 Hom spaces between sums, and monomial arithmetic
 # ---------------------------------------------------------------------------
 
-def hom0_space(space, a, targets, name=""):
-    """Hom(O(a), sum_c T_c) in degree 0, labels (c, monomial).
+@lru_cache(maxsize=None)
+def _basis(space, kind, d):
+    """The monomial basis of H^0(X, O(d)) (kind CONE) or H^0(Z, O(d)), once."""
+    if kind == CONE:
+        return DirectSpace(weighted_monomials(space, d))
+    return DirectSpace(section_monomials(space, d))
 
-    Cone targets use the reflexive rule R0, section targets R2.
+
+def hom0_space(space, a, targets, name=""):
+    """Hom(O(a), sum_c T_c) in degree 0: a DirectSum, labels (c, monomial).
+
+    Cone targets use the reflexive rule R0, section targets R2; block c
+    is the cached basis of T_c twisted by -a.
     """
-    labels = []
-    for c, t in enumerate(targets):
-        if t.kind == CONE:
-            basis = weighted_monomials(space, t.twist - a)
-        else:
-            basis = section_monomials(space, t.twist - a)
-        labels += [(c, mon) for mon in basis]
-    return DirectSpace(tuple(labels), name)
+    return DirectSum([_basis(space, t.kind, t.twist - a) for t in targets], name)
 
 
 def restrict_monomial(mon):
@@ -326,12 +330,14 @@ def _xn_multiplication(space, e, targets):
     src = hom0_space(space, e, targets, "Hom(O(%d),T)" % e)
     tgt = hom0_space(space, e - space.m, targets, "Hom(O(%d),T)" % (e - space.m))
     xn = Monomial((0,) * space.n + (1,))
-    # on a section target multiplication by x_n is zero
-    images = [
-        {(c, mon * xn): 1} if targets[c].kind == CONE else {}
-        for (c, mon) in src.labels
-    ]
-    return map_from_images(src, tgt, images, name="xn(e=%d)" % e)
+    columns = []
+    for t, block, offset, tblock in zip(targets, src.blocks, tgt.offsets, tgt.blocks):
+        if t.kind == CONE:
+            row = tblock._index
+            columns += [{offset + row[mon * xn]: 1} for mon in block.labels]
+        else:  # on a section target multiplication by x_n is zero
+            columns += [{} for _ in range(block.dim)]
+    return map_from_columns(src, tgt, columns, name="xn(e=%d)" % e)
 
 
 def cone_presentation(space, e, targets):
@@ -376,30 +382,33 @@ def postcompose_sections_map(space, a, src_targets, components, tgt_atom, name="
     """
     src = hom0_space(space, a, src_targets)
     tgt = hom0_space(space, a, (tgt_atom,))
+    row = tgt.blocks[0]._index
     restricted = {}
-    images = []
-    for (c, mon) in src.labels:
-        image = {}
-        images.append(image)
-        base = mon
-        if src_targets[c].kind == CONE:
-            if mon not in restricted:
-                restricted[mon] = restrict_monomial(mon)
-            base = restricted[mon]
+    columns = []
+    for t, block, terms in zip(src_targets, src.blocks, components):
+        bases = block.labels
+        if t.kind == CONE:
+            if t not in restricted:
+                restricted[t] = [restrict_monomial(mon) for mon in bases]
+            bases = restricted[t]
+        for base in bases:
+            col = {}
+            columns.append(col)
             if base is None:
                 continue
-        for mu, coeff in components[c]:
-            if coeff:
-                w = (0, base * mu)
-                image[w] = image.get(w, 0) + coeff
-    return map_from_images(src, tgt, images, name=name)
+            for mu, coeff in terms:
+                if coeff:
+                    r = row[base * mu]
+                    col[r] = col.get(r, 0) + coeff
+    return map_from_columns(src, tgt, columns, name=name)
 
 
 @lru_cache(maxsize=None)
 def _one_copy(space, e):
     """cone_presentation(space, e, (OX(0),)) and its generators restricted to Z."""
     pres = cone_presentation(space, e, (OX(0),))
-    return pres, tuple(restrict_monomial(mon) for (_, mon) in pres.generators.labels)
+    (generators,) = pres.generators.blocks
+    return pres, tuple(restrict_monomial(mon) for mon in generators.labels)
 
 
 def ext1_postcompose_map(space, e, components, pres_tgt, name=""):
@@ -410,29 +419,27 @@ def ext1_postcompose_map(space, e, components, pres_tgt, name=""):
     Ext^1(OZ(e), OZ(e')) for one section twist OZ(e').  The source is h'
     shifted copies of the cached presentation of Ext^1(OZ(e), O): labels
     (c, monomial) in the order of hom0_space(space, e - m, (OX(0),) * h'),
-    boundaries the one-copy x_n columns shifted by c times its generator
-    count.  x_n acts by zero on the target (checked), so the square with
-    the two x_n multiplications commutes iff the map kills the source
-    boundaries, which is checked exactly.
+    boundaries the one-copy x_n columns shifted by the offset of copy c.
+    x_n acts by zero on the target (checked), so the square with the two
+    x_n multiplications commutes iff the map kills the source boundaries,
+    which is checked exactly.
     """
     one, restricted = _one_copy(space, e)
     if any(pres_tgt.xn_map.columns):
         raise EngineError("%s: x_n does not act by zero on the target" % name)
-    row = pres_tgt.generators._index
+    row = pres_tgt.generators.blocks[0]._index
     columns = [
         {} if base is None
-        else {row[(0, base * mu)]: coeff for mu, coeff in terms if coeff}
+        else {row[base * mu]: coeff for mu, coeff in terms if coeff}
         for terms in components
         for base in restricted
     ]
-    h, size = len(components), one.generators.dim
-    ambient = DirectSpace(
-        [(c, mon) for c in range(h) for (_, mon) in one.generators.labels],
-        "Hom(O(%d),T)" % (e - space.m),
+    ambient = DirectSum(
+        one.generators.blocks * len(components), "Hom(O(%d),T)" % (e - space.m)
     )
     boundaries = [
-        {r + c * size: x for r, x in col.items()}
-        for c in range(h)
+        {r + offset: x for r, x in col.items()}
+        for offset in ambient.offsets
         for col in one.xn_map.columns
     ]
     # the square with x_n multiplication must commute on the nose

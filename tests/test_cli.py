@@ -139,6 +139,23 @@ def test_cohomology_top_degree(capsys):
     assert out.strip().splitlines()[-1].split()[-1] == "1"
 
 
+def test_cohomology_counts_without_enumerating_bases(monkeypatch, capsys):
+    import conetilt.cone as cone
+
+    def refuse(space, d):
+        raise AssertionError("basis enumerated to count it")
+
+    monkeypatch.setattr(cone, "weighted_monomials", refuse)
+    X = cone.make_space(3, 3)
+    assert cone.cone_cohomology_dim(X, 100, 0) == 60690
+    assert cone.cone_cohomology_dim(X, -150, 3) == 176449
+    args = ["cohomology", "--space", "3,3", "--sheaf", "O", "--i"]
+    assert main(args + ["0", "--twist-min", "0", "--twist-max", "100"]) == EXIT_OK
+    assert capsys.readouterr().out.strip().splitlines()[-1].split() == ["O(100)", "60690"]
+    assert main(args + ["3", "--twist-min", "-150", "--twist-max", "-140"]) == EXIT_OK
+    assert capsys.readouterr().out.strip().splitlines()[2].split() == ["O(-150)", "176449"]
+
+
 @pytest.mark.parametrize("value", ["3", "3,3,3", "a,b"])
 def test_malformed_space_flag_names_the_expected_form(value, capsys):
     code = main(["hom", "--space", value, "O(1)", "O(2)"])

@@ -13,7 +13,8 @@ from conetilt.linalg import (
     ShapeMismatch,
     Subquotient,
     identity,
-    map_from_entries,
+    map_from_columns,
+    map_from_images,
     mat_mul,
     mat_rank,
     nullspace,
@@ -203,9 +204,19 @@ def test_zero_dimensional_edge_cases():
 def test_map_from_entries_roundtrip():
     V = space("a", "b")
     W = space("x", "y")
-    f = map_from_entries(V, W, {("x", "a"): 1, ("y", "b"): Fraction(1, 2)})
+    f = map_from_images(V, W, [{"x": 1}, {"y": Fraction(1, 2)}])
     assert f.matrix[0][0] == 1 and f.matrix[1][1] == Fraction(1, 2)
     assert f.rank() == 2
+
+
+def test_map_from_columns_normalizes_coefficients():
+    V = space("a", "b", "c")
+    W = space("x", "y")
+    f = map_from_columns(
+        V, W, [{0: 2, 1: Fraction(4, 2)}, {0: 0, 1: Fraction(1, 3)}, {1: Fraction(0)}]
+    )
+    assert f.columns == [{0: 2, 1: 2}, {1: Fraction(1, 3)}, {}]
+    assert [type(x) for col in f.columns for x in col.values()] == [int, int, Fraction]
 
 
 def test_ragged_rank_input_is_refused():

@@ -5,7 +5,8 @@ entries and forced zero rows and columns, are checked against the
 Fraction row reduction `rref` of tests/test_linalg.py.  So are
 unit-column matrices, the shape of every monomial map, which take the
 elimination's single-entry fast paths; pivots may alias their input
-columns, so those columns must come back unchanged.
+columns, so those columns must come back unchanged.  Random nested
+direct sums are checked against the flat label list they stand for.
 """
 
 import copy
@@ -19,7 +20,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from conetilt.linalg import (  # noqa: E402
     DirectSpace,
+    DirectSum,
     PresentedMap,
+    ShapeMismatch,
     Subquotient,
     _Echelon,
     mat_rank,
@@ -151,3 +154,41 @@ def test_unit_columns_match_the_oracle_and_stay_unchanged(M):
     g = PresentedMap(W, Q, [{i: 1} for i in range(len(M))])
     assert g.rank() == len(M) - rank and g.kernel().dim == rank
     assert cols == before
+
+
+@st.composite
+def direct_sums(draw, depth=2):
+    """A DirectSum of 0-4 blocks: direct spaces of 0-3 labels, nested
+    sums, and repeats of an earlier block (a sum of copies)."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        if blocks and draw(st.booleans()):
+            blocks.append(draw(st.sampled_from(blocks)))
+        elif depth and draw(st.booleans()):
+            blocks.append(draw(direct_sums(depth - 1)))
+        else:
+            size = draw(st.integers(0, 3))
+            blocks.append(DirectSpace(["b%d" % k for k in range(size)]))
+    return DirectSum(blocks, "S")
+
+
+@settings(max_examples=150, deadline=None)
+@given(direct_sums())
+def test_direct_sum_is_its_flat_labels_indexed_by_offset(S):
+    assert "labels" not in vars(S) and "_index" not in vars(S)  # built on request
+    flat = tuple((c, lbl) for c, b in enumerate(S.blocks) for lbl in b.labels)
+    assert S.labels == flat
+    assert S.dim == len(flat)
+    for c, b in enumerate(S.blocks):
+        for lbl in b.labels:
+            assert S.offsets[c] + b._index[lbl] == S._index[(c, lbl)]
+    assert S == DirectSpace(flat) and hash(S) == hash(DirectSpace(flat))
+    V = DirectSpace(["v"])
+    for r in range(S.dim):
+        assert PresentedMap(V, S, [{r: 1}]).rank() == 1
+        assert Subquotient(S, None, [{r: 1}]).dim == S.dim - 1
+    for r in (-1, S.dim):
+        with pytest.raises(ShapeMismatch):
+            PresentedMap(V, S, [{r: 1}])
+        with pytest.raises(ShapeMismatch):
+            Subquotient(S, None, [{r: 1}])

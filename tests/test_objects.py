@@ -14,7 +14,7 @@ from math import comb
 import pytest
 
 from conetilt.cone import make_space, section_monomials
-from conetilt.linalg import DirectSpace, PresentedMap, ShapeMismatch, identity
+from conetilt.linalg import DirectSpace, DirectSum, PresentedMap, ShapeMismatch, identity
 from conetilt.objects import (
     IndeterminateRank,
     KernelBundle,
@@ -400,6 +400,76 @@ def test_left_vertical_restricts_once_per_copy_of_the_target(monkeypatch):
     labels_per_copy = hom_atoms(X7, OX(0), OX(0))[0].dim
     assert (K.h, Kp.h, labels_per_copy) == (10, 6, 1)
     assert len(calls) == Kp.h * labels_per_copy
+
+
+# atom <-> kernel pairs on P(1^3, 3): (Hom(F_e, a), Hom(a, F_e)); the
+# twists O(d) with 3 not dividing d are refused (OutOfValidity) both ways
+ATOM_PAIRS_P1113 = {
+    (1, OX(-3)): ((0, 0, 0, 0), (18, 0, 0, 0)),
+    (1, OX(0)): ((9, 0, 0, 0), (0, 0, 0, 0)),
+    (1, OX(3)): ((54, 0, 0, 0), (0, 0, 0, 0)),
+    (1, OZ(-3)): ((0, 0, 0, 0), (0, 63, 0, 0)),
+    (1, OZ(-2)): ((1, 1, 0, 0), (0, 45, 0, 0)),
+    (1, OZ(-1)): ((3, 0, 0, 0), (0, 30, 0, 0)),
+    (1, OZ(0)): ((9, 0, 0, 0), (0, 18, 0, 0)),
+    (1, OZ(1)): ((18, 0, 0, 0), (0, 9, 0, 0)),
+    (1, OZ(2)): ((30, 0, 0, 0), (0, 3, 0, 0)),
+    (1, OZ(3)): ((45, 0, 0, 0), (0, 0, 0, 0)),
+    (2, OX(-3)): ((0, 0, 0, 0), (45, 0, 0, 0)),
+    (2, OX(0)): ((9, 0, 0, 0), (0, 0, 0, 0)),
+    (2, OX(3)): ((81, 0, 0, 0), (0, 0, 0, 0)),
+    (2, OZ(-3)): ((0, 0, 0, 0), (0, 144, 0, 0)),
+    (2, OZ(-2)): ((0, 3, 0, 0), (0, 105, 0, 0)),
+    (2, OZ(-1)): ((1, 1, 0, 0), (0, 72, 0, 0)),
+    (2, OZ(0)): ((9, 0, 0, 0), (0, 45, 0, 0)),
+    (2, OZ(1)): ((24, 0, 0, 0), (0, 24, 0, 0)),
+    (2, OZ(2)): ((45, 0, 0, 0), (0, 9, 0, 0)),
+    (2, OZ(3)): ((72, 0, 0, 0), (0, 0, 0, 0)),
+}
+
+
+def test_sums_of_copies_are_indexed_by_offset(monkeypatch):
+    """No sum of copies of a basis lists its labels while the chase runs.
+
+    The spaces h or h' copies of one basis are DirectSums, and every map
+    builder finds a row as block offset plus base index; building the
+    labels of such a sum is the per-query waste this guards against.
+    """
+    import conetilt.objects as objects
+    import conetilt.rules as rules
+
+    built = []
+    labels = vars(DirectSum)["labels"]
+
+    def spy(self):
+        if len({id(b) for b in self.blocks}) < len(self.blocks):
+            built.append(self)
+        return labels.func(self)
+
+    monkeypatch.setattr(DirectSum, "labels", property(spy))
+    for mod in (rules, objects):
+        for value in vars(mod).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    X5 = make_space(3, 5)
+    bundles = {e: kernel_bundle(X5, e) for e in range(1, 5)}
+    grid = {(e, f): hom_objects(X5, bundles[e], bundles[f]) for e, f in GRID_P1115}
+    assert grid == {
+        k: (hom0, 0, int(k == (4, 1)), 0) for k, hom0 in GRID_P1115.items()
+    }
+    pairs = {}
+    for e in (1, 2):
+        K = kernel_bundle(X, e)
+        for d in range(-3, 4):
+            for a in (OX(d), OZ(d)):
+                if a == OX(d) and d % 3:
+                    for args in ((K, a), (a, K)):
+                        with pytest.raises(OutOfValidity):
+                            hom_objects(X, *args)
+                    continue
+                pairs[e, a] = (hom_objects(X, K, a), hom_objects(X, a, K))
+    assert pairs == ATOM_PAIRS_P1113
+    assert built == []
 
 
 def _mini_space(dim, tag):
