@@ -108,6 +108,11 @@ class KernelBundle:
         return _component_terms(space, self)
 
 
+def _spans(columns, full):
+    """Whether the evaluation columns span a space of dimension `full`."""
+    return mat_rank([[col[i] for col in columns] for i in range(full)]) == full
+
+
 @lru_cache(maxsize=None)
 def _component_terms(space, K):
     if not 0 < K.e < space.m:
@@ -124,6 +129,12 @@ def _component_terms(space, K):
         )
     if K.canonical:
         return tuple(((mu, 1),) for mu in basis)
+    # exactness of 0 -> K -> O^h -> OZ(e) -> 0 and the ladder's ONTO need this
+    if not _spans(K.columns, length):
+        raise ShapeMismatch(
+            "%s does not live on %s: its evaluation does not span H^0(Z, O(%d))"
+            % (K, space, K.e)
+        )
     return tuple(
         tuple((mu, c) for mu, c in zip(basis, col) if c) for col in K.columns
     )
@@ -145,17 +156,12 @@ def kernel_bundle_custom(space, e, columns):
     generated for e > 0, spanning sections give a sheaf surjection and
     the kernel is locally free of rank h.
     """
-    if not 0 < e < space.m:
-        raise ValueError(
-            "kernel bundle twist must satisfy 0 < e < m = %d, got %d" % (space.m, e)
-        )
-    full = len(section_monomials(space, e))
+    full = kernel_bundle(space, e).h  # ValueError for a twist outside 0 < e < m
     cols = tuple(tuple(Fraction(c) for c in col) for col in columns)
     for col in cols:
         if len(col) != full:
             raise ValueError("evaluation columns must have length %d" % full)
-    rows = [[col[i] for col in cols] for i in range(full)]
-    if mat_rank(rows) != full:
+    if not _spans(cols, full):
         raise ValueError("evaluation sections do not span H^0(Z, O(%d))" % e)
     return KernelBundle(e, len(cols), cols)
 
@@ -382,14 +388,12 @@ def _les_hom_contra_cached(space, K, B_atoms):
 def _free_row(space, K, hp):
     """les_hom_contra(space, K, [OX(0)] * hp), scaled from the one-copy row."""
     one = les_hom_contra(space, K, [OX(0)])
-    free = (OX(0),) * hp
-    origin, names = _contra_names(space, K, free)
+    origin, names = _contra_names(space, K, (OX(0),) * hp)
     row = LongExactSequence(
         origin,
         [LESTerm(name, hp * t.dim) for name, t in zip(names, one.terms)],
         [LESMap(m.name, hp * m.rank, m.how) for m in one.maps],
     )
-    row.terms[1].space = _term_space_free_source(space, K.h, free, 0, names[1])
     row.check_exactness()
     return row
 
@@ -492,15 +496,20 @@ class LadderResult:
     certificate: str
 
 
+ONTO = object()  # a ladder's left vertical known to be onto its bottom term
+
+
 def ladder_propagate(top, bottom, verticals, middle=2):
     """Rank of the middle vertical in a commutative two-row ladder.
 
     `top` and `bottom` are exact rows (LongExactSequence); `verticals`
     maps term indices to explicit PresentedMaps and must contain the
-    two outer verticals at middle-1 and middle+1.  The rank of the
-    middle vertical is returned with a determination certificate when
-    the diagram pins it; otherwise IndeterminateRank is raised.  The
-    engine never guesses.
+    two outer verticals at middle-1 and middle+1.  The left one may be
+    ONTO, a map onto B1: its rank r_c into B1 / ker(B1 -> B2) is then
+    dim B1 - rank(B0 -> B1), which is rank(B1 -> B2) by exactness of
+    the bottom row.  The rank of the middle vertical is returned with a
+    determination certificate when the diagram pins it; otherwise
+    IndeterminateRank is raised.  The engine never guesses.
     """
     v1 = verticals.get(middle - 1)
     v3 = verticals.get(middle + 1)
@@ -512,7 +521,7 @@ def ladder_propagate(top, bottom, verticals, middle=2):
         bottom.terms[middle],
         bottom.terms[middle + 1],
     )
-    if v1.source.dim != t1.dim or v1.target.dim != b1.dim:
+    if v1 is not ONTO and (v1.source.dim != t1.dim or v1.target.dim != b1.dim):
         raise EngineError("left vertical does not match the rows")
     if v3.source.dim != top.terms[middle + 1].dim or v3.target.dim != b3.dim:
         raise EngineError("right vertical does not match the rows")
@@ -523,16 +532,18 @@ def ladder_propagate(top, bottom, verticals, middle=2):
 
     # r_c: rank of v1 into the cokernel of the previous bottom map, whose
     # image is the kernel of B1 -> B2
-    if middle - 1 == 0 or bottom.maps[middle - 2].rank == 0:
-        b1_mod_ker = v1.target
+    prev = bottom.maps[middle - 2] if middle > 1 else None
+    if v1 is ONTO:
+        r_c = b1.dim - (prev.rank if prev else 0)
+    elif prev is None or prev.rank == 0:
+        r_c = v1.rank()
+    elif prev.matrix is None:
+        raise IndeterminateRank(
+            "ladder: kernel of %s has no explicit span" % bottom_first.name
+        )
     else:
-        prev = bottom.maps[middle - 2]
-        if prev.matrix is None:
-            raise IndeterminateRank(
-                "ladder: kernel of %s has no explicit span" % bottom_first.name
-            )
         b1_mod_ker = prev.matrix.cokernel()
-    r_c = PresentedMap(v1.source, b1_mod_ker, v1.columns, name=v1.name).rank()
+        r_c = PresentedMap(v1.source, b1_mod_ker, v1.columns, name=v1.name).rank()
 
     # the middle vertical restricted to the image of T1 -> T2 is forced
     if top_first.rank == t2.dim:
@@ -591,29 +602,14 @@ def _hom_kernel_kernel(space, K, Kp):
     maps carry no matrix: the ladder reads one only from a top map of
     nonzero rank after the first, and that map lands in
     Hom^1(O^h, O^h') = H^1(X, O)^{hh'} = 0 for n >= 2; were it nonzero,
-    the ladder would refuse.  Only the degree-0 free term, the source of
-    the left vertical, gets a space.
+    the ladder would refuse.  The left vertical is h copies of the
+    evaluation of K' (H^0(X, O) = k), which `component_terms` checked
+    spans H^0(Z, O(e')), so it is ONTO and no top term needs a space.
     """
     n = space.n
     comps = Kp.component_terms(space)
     top = _free_row(space, K, Kp.h)
     bottom = les_hom_contra(space, K, [OZ(Kp.e)])
-
-    # left vertical: postcomposition on Hom^0(O^h, -); the image of a
-    # label (c, (j, u)) depends only on the copy c of K' and on u, so it is
-    # restricted and multiplied once and shifted to every copy j of K
-    src, tgt = top.terms[1].space, bottom.terms[1].space
-    units = src.blocks[0].blocks[0].labels  # the basis of Hom^0(O, O)
-    (copies,) = tgt.blocks
-    row = copies.blocks[0]._index
-    columns = []
-    for terms in comps:
-        images = []
-        for u in units:
-            ubar = restrict_monomial(u)
-            images.append(() if ubar is None else [(row[ubar * mu], x) for mu, x in terms])
-        columns += [{s + r: x for r, x in image} for s in copies.offsets for image in images]
-    v1 = map_from_columns(src, tgt, columns, name="v1")
 
     # right vertical on the cone presentations of the Ext^1 terms
     pres_bot = cone_presentation(space, K.e, (OZ(Kp.e),))
@@ -621,7 +617,7 @@ def _hom_kernel_kernel(space, K, Kp):
     if v3.source.dim != top.terms[3].dim or pres_bot.dim != bottom.terms[3].dim:
         raise EngineError("presentation dimensions disagree with the rows")
 
-    ladder = ladder_propagate(top, bottom, {1: v1, 3: v3}, middle=2)
+    ladder = ladder_propagate(top, bottom, {1: ONTO, 3: v3}, middle=2)
 
     dimsP = top.solved_dims(2)  # Hom^i(K, O^h')
     dimsQ = bottom.solved_dims(2)  # Hom^i(K, OZ(e'))

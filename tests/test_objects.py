@@ -14,13 +14,21 @@ from math import comb
 import pytest
 
 from conetilt.cone import make_space, section_monomials
-from conetilt.linalg import DirectSpace, DirectSum, PresentedMap, ShapeMismatch, identity
+from conetilt.linalg import (
+    DirectSpace,
+    DirectSum,
+    PresentedMap,
+    ShapeMismatch,
+    identity,
+    map_from_columns,
+)
 from conetilt.objects import (
     IndeterminateRank,
     KernelBundle,
     LESMap,
     LESTerm,
     LongExactSequence,
+    ONTO,
     as_object,
     direct_sum,
     euler_form,
@@ -35,11 +43,15 @@ from conetilt.objects import (
     solve_les,
     _free_row,
     _les_hom_contra_cached,
+    _term_space_free_source,
 )
 from conetilt.rules import (
     OX,
     OZ,
     OutOfValidity,
+    PresentationMismatch,
+    cone_presentation,
+    ext1_postcompose_map,
     hom_atoms,
     postcompose_sections_map,
     restrict_monomial,
@@ -377,11 +389,12 @@ def test_kernel_grid_on_p1117():
     }
 
 
-def test_left_vertical_restricts_once_per_copy_of_the_target(monkeypatch):
-    """v1 restricts each label once per copy of K', not per pair of copies.
+def test_left_vertical_restricts_nothing(monkeypatch):
+    """The chase takes its left vertical as onto and builds no matrix for it.
 
-    The image of a label of Hom^0(O^h, O^h') does not depend on the copy
-    of K it comes from, so the h copies of K share it.
+    v1 is h copies of the evaluation of K', which spans H^0(Z, O(e')),
+    so the ladder reads its rank off the bottom row; no label of
+    Hom^0(O^h, O^h') is restricted.
     """
     import conetilt.objects as objects
 
@@ -397,9 +410,95 @@ def test_left_vertical_restricts_once_per_copy_of_the_target(monkeypatch):
     monkeypatch.setattr(objects, "restrict_monomial", counting)
     objects._hom_kernel_kernel.cache_clear()
     assert hom_objects(X7, K, Kp) == expected
-    labels_per_copy = hom_atoms(X7, OX(0), OX(0))[0].dim
-    assert (K.h, Kp.h, labels_per_copy) == (10, 6, 1)
-    assert len(calls) == Kp.h * labels_per_copy
+    assert calls == []
+
+
+def _explicit_v1(space, K, Kp, bottom):
+    """The left vertical Hom^0(O^h, O^h') -> Hom^0(O^h, OZ(e')) as a matrix.
+
+    The image of a label (c, (j, u)) depends only on the copy c of K'
+    and on u, so it is restricted and multiplied once and shifted to
+    every copy j of K.
+    """
+    src = _term_space_free_source(space, K.h, (OX(0),) * Kp.h, 0, "Hom^0(O^h, O^h')")
+    tgt = bottom.terms[1].space
+    units = src.blocks[0].blocks[0].labels  # the basis of Hom^0(O, O)
+    (copies,) = tgt.blocks
+    row = copies.blocks[0]._index
+    columns = []
+    for terms in Kp.component_terms(space):
+        images = []
+        for u in units:
+            ubar = restrict_monomial(u)
+            images.append(() if ubar is None else [(row[ubar * mu], x) for mu, x in terms])
+        columns += [{s + r: x for r, x in image} for s in copies.offsets for image in images]
+    return map_from_columns(src, tgt, columns, name="v1")
+
+
+def _custom_bundles(space, rng):
+    """Spanning Fraction evaluations, with as many sections as the basis and one more."""
+    out = []
+    for e in range(1, space.m):
+        full = len(section_monomials(space, e))
+        for h in (full, full + 1):
+            while True:
+                cols = [
+                    [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(full)]
+                    for _ in range(h)
+                ]
+                try:
+                    out.append(kernel_bundle_custom(space, e, cols))
+                    break
+                except ValueError:  # the draw does not span
+                    continue
+    return out
+
+
+@pytest.mark.parametrize("n, m, custom", [(2, 7, False), (3, 5, False), (4, 3, False), (3, 4, True)])
+def test_onto_left_vertical_matches_the_explicit_one(n, m, custom):
+    """The ladder's ONTO rank and certificate equal those of the explicit v1."""
+    space = make_space(n, m)
+    bundles = [kernel_bundle(space, e) for e in range(1, m)]
+    pairs = [(K, Kp) for K in bundles for Kp in bundles]
+    if custom:
+        odd = _custom_bundles(space, random.Random(7))
+        pairs = [(K, Kp) for K in odd for Kp in odd + bundles]
+        pairs += [(K, Kp) for K in bundles for Kp in odd]
+    compared = 0
+    for K, Kp in pairs:
+        top = _free_row(space, K, Kp.h)
+        bottom = les_hom_contra(space, K, [OZ(Kp.e)])
+        try:
+            pres = cone_presentation(space, K.e, (OZ(Kp.e),))
+            v3 = ext1_postcompose_map(space, K.e, Kp.component_terms(space), pres, name="v3")
+        except PresentationMismatch:  # the n = 2 gap: refused before the ladder
+            continue
+        explicit = _explicit_v1(space, K, Kp, bottom)
+        outcomes = []
+        for left in (explicit, ONTO):
+            try:
+                res = ladder_propagate(top, bottom, {1: left, 3: v3}, middle=2)
+                outcomes.append((res.rank, res.certificate))
+            except IndeterminateRank as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1], (K, Kp)
+        compared += 1
+    assert compared >= len(pairs) // 2
+
+
+def test_non_spanning_kernel_bundle_is_refused():
+    """A bundle built directly with an evaluation that does not span is refused.
+
+    0 -> K -> O^6 -> OZ(2) -> 0 is not exact when all six sections are
+    the same monomial, so no Hom of K can be read off that sequence.
+    """
+    X4 = make_space(3, 4)
+    first = tuple(int(i == 0) for i in range(6))
+    K = KernelBundle(2, 6, (first,) * 6)
+    F2 = kernel_bundle(X4, 2)
+    for A, B in [(K, F2), (K, OX(0)), (OX(0), K), (F2, K)]:
+        with pytest.raises(ShapeMismatch, match=r"does not span H\^0\(Z, O\(2\)\)"):
+            hom_objects(X4, A, B)
 
 
 # atom <-> kernel pairs on P(1^3, 3): (Hom(F_e, a), Hom(a, F_e)); the
@@ -572,7 +671,7 @@ def test_scaled_top_row_equals_the_explicit_row(n, m):
             assert [(f.name, f.rank, f.how) for f in scaled.maps] == [
                 (f.name, f.rank, f.how) for f in explicit.maps
             ]
-            assert scaled.terms[1].space == explicit.terms[1].space
+            assert all(t.space is None for t in scaled.terms)
             assert all(f.matrix is None for f in scaled.maps)
             # it lands in Hom^1(O^h, O^h') = 0, so the ladder needs no matrix
             assert scaled.maps[3].rank == 0

@@ -150,3 +150,15 @@ def test_sod_report_reproduces_vanishing_pattern():
     assert rep.pairwise[0][1] == (18, 0, 0, 0)
     assert rep.pairwise[0][2] == (135, 0, 0, 0)
     assert rep.pairwise[1][2] == (11, 0, 0, 0)
+
+
+def test_check_sod_on_p11111_5():
+    """<F_1+...+F_4, O, O(5)> on P(1^5, 5): a scale check of the kernel chase."""
+    X5 = make_space(5, 5)
+    Fs = direct_sum(*[kernel_bundle(X5, e) for e in range(1, 5)])
+    rep = check_sod(X5, [("F", Fs), ("O", OX(0)), ("O5", OX(5))])
+    assert rep.ok
+    assert rep.blocks == [13125, 1, 1]
+    for i in range(3):
+        for j in range(i):
+            assert rep.pairwise[i][j] == (0,) * 6
