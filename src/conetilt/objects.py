@@ -33,6 +33,7 @@ from .rules import (
     Dual,
     OX,
     OZ,
+    _one_copy,
     cone_presentation,
     ext1_postcompose_map,
     hom_atoms,
@@ -103,7 +104,8 @@ class KernelBundle:
         Computed once per (space, bundle).  The canonical terms are
         ((mu_j, 1),) with int coefficients; a stored evaluation keeps
         its Fractions.  Raises ShapeMismatch when the bundle does not
-        live on `space`.
+        live on `space`, or when it does not have h columns of the
+        length of that basis.
         """
         return _component_terms(space, self)
 
@@ -121,16 +123,20 @@ def _component_terms(space, K):
             % (K, space, K.e, space.m)
         )
     basis = section_monomials(space, K.e)
-    length = K.h if K.canonical else len(K.columns[0])
-    if length != len(basis):
+    if not K.canonical and len(K.columns) != K.h:
         raise ShapeMismatch(
-            "%s does not live on %s: its evaluation has length %d, "
-            "H^0(Z, O(%d)) has dimension %d" % (K, space, length, K.e, len(basis))
+            "%s has %d evaluation columns for h = %d" % (K, len(K.columns), K.h)
         )
+    for length in (K.h,) if K.canonical else map(len, K.columns):
+        if length != len(basis):
+            raise ShapeMismatch(
+                "%s does not live on %s: its evaluation has length %d, "
+                "H^0(Z, O(%d)) has dimension %d" % (K, space, length, K.e, len(basis))
+            )
     if K.canonical:
         return tuple(((mu, 1),) for mu in basis)
-    # exactness of 0 -> K -> O^h -> OZ(e) -> 0 and the ladder's ONTO need this
-    if not _spans(K.columns, length):
+    # exactness of 0 -> K -> O^h -> OZ(e) -> 0 and both ONTO verticals need this
+    if not _spans(K.columns, len(basis)):
         raise ShapeMismatch(
             "%s does not live on %s: its evaluation does not span H^0(Z, O(%d))"
             % (K, space, K.e)
@@ -496,7 +502,7 @@ class LadderResult:
     certificate: str
 
 
-ONTO = object()  # a ladder's left vertical known to be onto its bottom term
+ONTO = object()  # a ladder's outer vertical known to be onto its bottom term
 
 
 def ladder_propagate(top, bottom, verticals, middle=2):
@@ -504,12 +510,15 @@ def ladder_propagate(top, bottom, verticals, middle=2):
 
     `top` and `bottom` are exact rows (LongExactSequence); `verticals`
     maps term indices to explicit PresentedMaps and must contain the
-    two outer verticals at middle-1 and middle+1.  The left one may be
-    ONTO, a map onto B1: its rank r_c into B1 / ker(B1 -> B2) is then
-    dim B1 - rank(B0 -> B1), which is rank(B1 -> B2) by exactness of
-    the bottom row.  The rank of the middle vertical is returned with a
-    determination certificate when the diagram pins it; otherwise
-    IndeterminateRank is raised.  The engine never guesses.
+    two outer verticals at middle-1 and middle+1.  Either may be ONTO,
+    a map onto its bottom term.  An ONTO left vertical has rank r_c
+    into B1 / ker(B1 -> B2) equal to dim B1 - rank(B0 -> B1), which is
+    rank(B1 -> B2) by exactness of the bottom row.  An ONTO right
+    vertical has rank dim B3 on ker(T3 -> T4) when T3 -> T4 is zero;
+    with any other outgoing top map its rank is not pinned and
+    IndeterminateRank is raised.  The rank of the middle vertical is
+    returned with a determination certificate when the diagram pins it;
+    otherwise IndeterminateRank is raised.  The engine never guesses.
     """
     v1 = verticals.get(middle - 1)
     v3 = verticals.get(middle + 1)
@@ -523,7 +532,8 @@ def ladder_propagate(top, bottom, verticals, middle=2):
     )
     if v1 is not ONTO and (v1.source.dim != t1.dim or v1.target.dim != b1.dim):
         raise EngineError("left vertical does not match the rows")
-    if v3.source.dim != top.terms[middle + 1].dim or v3.target.dim != b3.dim:
+    t3 = top.terms[middle + 1]
+    if v3 is not ONTO and (v3.source.dim != t3.dim or v3.target.dim != b3.dim):
         raise EngineError("right vertical does not match the rows")
 
     bottom_first = bottom.maps[middle - 1]  # B1 -> B2
@@ -561,16 +571,19 @@ def ladder_propagate(top, bottom, verticals, middle=2):
     # contribution through the quotient: v3 restricted to im(T2 -> T3)
     nxt = top.maps[middle + 1] if middle + 1 < len(top.maps) else None
     if nxt is None or nxt.rank == 0:
-        r_v3 = v3.rank()
+        r_v3 = b3.dim if v3 is ONTO else v3.rank()
+    elif v3 is ONTO:
+        raise IndeterminateRank(
+            "ladder: the onto right vertical out of %s is not pinned on the "
+            "kernel of its outgoing map of rank %d" % (t3.name, nxt.rank)
+        )
     elif nxt.matrix is not None:
         # r_v3: rank of v3 on the kernel of T3 -> T4
         ker = nxt.matrix.kernel()
         r_v3 = PresentedMap(ker, v3.target, v3.columns, name=v3.name).rank()
     else:
         raise IndeterminateRank(
-            "ladder: outgoing map of %s has no explicit kernel" % top.terms[
-                middle + 1
-            ].name
+            "ladder: outgoing map of %s has no explicit kernel" % t3.name
         )
     rank = r_kb + r_v3
     cert = (
@@ -605,19 +618,35 @@ def _hom_kernel_kernel(space, K, Kp):
     the ladder would refuse.  The left vertical is h copies of the
     evaluation of K' (H^0(X, O) = k), which `component_terms` checked
     spans H^0(Z, O(e')), so it is ONTO and no top term needs a space.
+
+    The right vertical Ext^1(OZ(e), O^h') -> Ext^1(OZ(e), OZ(e')) is
+    ONTO too, for 0 < e, e' < m.  Its source is presented by the
+    generators H^0(X, O(m-e))^h' with no relations, as H^0(X, O(-e)) = 0.
+    Those generators are free of x_n since m - e < m, so restriction to
+    Z maps them bijectively onto H^0(Z, m-e)^h'.  The target is
+    presented by H^0(Z, m-e+e') with no relations, and the map sends
+    (f_c) to sum f_c s_c.  The evaluation sections s_c span H^0(Z, e'),
+    and H^0(Z, m-e) H^0(Z, e') is all of H^0(Z, m-e+e') as both degrees
+    are at least 1.  The presentation sizes are checked against the
+    rows; the cone presentation of the bottom term is still built, so a
+    pair outside its validity domain is refused as before.
     """
     n = space.n
-    comps = Kp.component_terms(space)
+    Kp.component_terms(space)  # ShapeMismatch unless K' lives here and spans
     top = _free_row(space, K, Kp.h)
     bottom = les_hom_contra(space, K, [OZ(Kp.e)])
 
-    # right vertical on the cone presentations of the Ext^1 terms
+    # the cone presentations behind the ONTO right vertical
     pres_bot = cone_presentation(space, K.e, (OZ(Kp.e),))
-    v3 = ext1_postcompose_map(space, K.e, comps, pres_bot, name="v3")
-    if v3.source.dim != top.terms[3].dim or pres_bot.dim != bottom.terms[3].dim:
+    one = _one_copy(space, K.e)[0]
+    if (
+        one.relation_source.dim
+        or Kp.h * one.dim != top.terms[3].dim
+        or pres_bot.dim != bottom.terms[3].dim
+    ):
         raise EngineError("presentation dimensions disagree with the rows")
 
-    ladder = ladder_propagate(top, bottom, {1: ONTO, 3: v3}, middle=2)
+    ladder = ladder_propagate(top, bottom, {1: ONTO, 3: ONTO}, middle=2)
 
     dimsP = top.solved_dims(2)  # Hom^i(K, O^h')
     dimsQ = bottom.solved_dims(2)  # Hom^i(K, OZ(e'))

@@ -454,9 +454,16 @@ def _custom_bundles(space, rng):
     return out
 
 
-@pytest.mark.parametrize("n, m, custom", [(2, 7, False), (3, 5, False), (4, 3, False), (3, 4, True)])
-def test_onto_left_vertical_matches_the_explicit_one(n, m, custom):
-    """The ladder's ONTO rank and certificate equal those of the explicit v1."""
+LADDER_CONES = [(2, 7, False), (3, 5, False), (4, 3, False), (3, 4, True)]
+
+
+def _ladder_cases(n, m, custom):
+    """Kernel pairs of a cone with both ladder rows and the explicit v3.
+
+    Returns the cases and the number of pairs tried; a pair in the
+    n = 2 gap is refused by its cone presentation before the ladder,
+    so it has no case.
+    """
     space = make_space(n, m)
     bundles = [kernel_bundle(space, e) for e in range(1, m)]
     pairs = [(K, Kp) for K in bundles for Kp in bundles]
@@ -464,26 +471,93 @@ def test_onto_left_vertical_matches_the_explicit_one(n, m, custom):
         odd = _custom_bundles(space, random.Random(7))
         pairs = [(K, Kp) for K in odd for Kp in odd + bundles]
         pairs += [(K, Kp) for K in bundles for Kp in odd]
-    compared = 0
+    cases = []
     for K, Kp in pairs:
         top = _free_row(space, K, Kp.h)
         bottom = les_hom_contra(space, K, [OZ(Kp.e)])
         try:
             pres = cone_presentation(space, K.e, (OZ(Kp.e),))
-            v3 = ext1_postcompose_map(space, K.e, Kp.component_terms(space), pres, name="v3")
-        except PresentationMismatch:  # the n = 2 gap: refused before the ladder
+        except PresentationMismatch:
             continue
+        v3 = ext1_postcompose_map(space, K.e, Kp.component_terms(space), pres, name="v3")
+        cases.append((space, K, Kp, top, bottom, v3))
+    return cases, len(pairs)
+
+
+def _ladder_outcome(top, bottom, verticals):
+    try:
+        res = ladder_propagate(top, bottom, verticals, middle=2)
+        return res.rank, res.certificate
+    except IndeterminateRank as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("n, m, custom", LADDER_CONES)
+def test_onto_left_vertical_matches_the_explicit_one(n, m, custom):
+    """The ladder's ONTO rank and certificate equal those of the explicit v1."""
+    cases, tried = _ladder_cases(n, m, custom)
+    for space, K, Kp, top, bottom, v3 in cases:
         explicit = _explicit_v1(space, K, Kp, bottom)
-        outcomes = []
-        for left in (explicit, ONTO):
-            try:
-                res = ladder_propagate(top, bottom, {1: left, 3: v3}, middle=2)
-                outcomes.append((res.rank, res.certificate))
-            except IndeterminateRank as err:
-                outcomes.append(str(err))
-        assert outcomes[0] == outcomes[1], (K, Kp)
-        compared += 1
-    assert compared >= len(pairs) // 2
+        assert _ladder_outcome(top, bottom, {1: explicit, 3: v3}) == _ladder_outcome(
+            top, bottom, {1: ONTO, 3: v3}
+        ), (K, Kp)
+    assert len(cases) >= tried // 2
+
+
+@pytest.mark.parametrize("n, m, custom", LADDER_CONES)
+def test_onto_right_vertical_matches_the_explicit_one(n, m, custom):
+    """The explicit v3 is onto, and ONTO gives its rank and certificate."""
+    cases, tried = _ladder_cases(n, m, custom)
+    for space, K, Kp, top, bottom, v3 in cases:
+        assert v3.rank() == bottom.terms[3].dim, (K, Kp)
+        assert _ladder_outcome(top, bottom, {1: ONTO, 3: v3}) == _ladder_outcome(
+            top, bottom, {1: ONTO, 3: ONTO}
+        ), (K, Kp)
+    assert len(cases) >= tried // 2
+
+
+def test_chase_builds_no_ext1_postcomposition(monkeypatch):
+    """The kernel-kernel chase takes v3 as ONTO and builds no Ext^1 map for it."""
+    import conetilt.objects as objects
+
+    X7 = make_space(3, 7)
+    pairs = [(kernel_bundle(X7, e), kernel_bundle(X7, f)) for e, f in ((3, 2), (1, 6), (6, 1))]
+    expected = [hom_objects(X7, K, Kp) for K, Kp in pairs]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return ext1_postcompose_map(*args, **kwargs)
+
+    monkeypatch.setattr(objects, "ext1_postcompose_map", counting)
+    objects._hom_kernel_kernel.cache_clear()
+    assert [hom_objects(X7, K, Kp) for K, Kp in pairs] == expected
+    assert calls == []
+    # the covariant chase from a section twist still postcomposes on Ext^1
+    objects._les_hom_cov_cached.cache_clear()
+    hom_objects(X7, OZ(2), pairs[0][1])
+    assert len(calls) == 1
+
+
+def test_kernel_bundle_columns_must_match_h_and_the_basis():
+    """A directly built bundle needs h columns, each of the basis length.
+
+    With h = 7 but six evaluation columns, or with a short last column,
+    the sequence 0 -> K -> O^h -> OZ(2) -> 0 is not the one the columns
+    describe; every Hom of K is refused, never answered.
+    """
+    X4 = make_space(3, 4)
+    eye = tuple(tuple(int(i == j) for i in range(6)) for j in range(6))
+    F1 = kernel_bundle(X4, 1)
+    seven = KernelBundle(2, 7, eye)
+    short = KernelBundle(2, 6, eye[:5] + (eye[5][:5],))
+    for K, match in [
+        (seven, r"ker\(O\^7->OZ\(2\)\) \[non-canonical\] has 6 evaluation columns for h = 7"),
+        (short, r"does not live on P\(1,1,1,4\): its evaluation has length 5, H\^0\(Z, O\(2\)\) has dimension 6"),
+    ]:
+        for A, B in [(K, OX(0)), (K, F1), (OX(0), K), (F1, K)]:
+            with pytest.raises(ShapeMismatch, match=match):
+                hom_objects(X4, A, B)
 
 
 def test_non_spanning_kernel_bundle_is_refused():
@@ -652,6 +726,22 @@ def test_ladder_refuses_a_top_map_of_nonzero_rank_without_a_matrix():
     top.maps[3].matrix = None  # as in a row scaled from one copy
     with pytest.raises(IndeterminateRank, match="no explicit kernel"):
         ladder_propagate(top, bottom, {1: v1, 3: v3}, middle=2)
+
+
+def test_ladder_onto_right_vertical_needs_a_zero_outgoing_top_map():
+    """An ONTO right vertical has rank dim B3 only when T3 -> T4 is zero."""
+    bottom = _mini_les([0, 1, 2, 1, 0], [0, 1, 1, 0], [None, [[1], [0]], [[0, 1]], None])
+    top = _mini_les([0, 1, 2, 1, 0], [0, 1, 1, 0], [None, [[1], [0]], [[0, 1]], None])
+    v3 = PresentedMap(top.terms[3].space, bottom.terms[3].space, [[1]], check=False)
+    explicit = ladder_propagate(top, bottom, {1: ONTO, 3: v3}, middle=2)
+    onto = ladder_propagate(top, bottom, {1: ONTO, 3: ONTO}, middle=2)
+    assert (onto.rank, onto.certificate) == (explicit.rank, explicit.certificate)
+    assert onto.rank == 2
+    # T3 -> T4 has rank 1: being onto B3 does not pin the rank on its kernel
+    mats = [None, [[1], [0]], [[0, 0], [0, 1]], [[1, 0]]]
+    top = _mini_les([0, 1, 2, 2, 1], [0, 1, 1, 1], mats)
+    with pytest.raises(IndeterminateRank, match="onto right vertical out of t3"):
+        ladder_propagate(top, bottom, {1: ONTO, 3: ONTO}, middle=2)
 
 
 @pytest.mark.parametrize("n, m", [(2, 5), (3, 4), (3, 7), (4, 3), (4, 5)])

@@ -162,3 +162,15 @@ def test_check_sod_on_p11111_5():
     for i in range(3):
         for j in range(i):
             assert rep.pairwise[i][j] == (0,) * 6
+
+
+def test_check_sod_on_p111111_6():
+    """<F_1+...+F_5, O, O(6)> on P(1^6, 6): the largest cone of the family checked."""
+    X6 = make_space(6, 6)
+    Fs = direct_sum(*[kernel_bundle(X6, e) for e in range(1, 6)])
+    rep = check_sod(X6, [("F", Fs), ("O", OX(0)), ("O6", OX(6))])
+    assert rep.ok
+    assert rep.blocks == [194986, 1, 1]
+    for i in range(3):
+        for j in range(i):
+            assert rep.pairwise[i][j] == (0,) * 7
