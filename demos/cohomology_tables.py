@@ -7,14 +7,14 @@ hyperplane section at infinity.
 """
 
 from conetilt import (
-    connecting_map,
+    Monomial,
     cone_cohomology_dim,
     laurent_top_basis,
     make_space,
     section_cohomology_dim,
-    serre_pairing,
     weighted_monomials,
 )
+from conetilt.cone import section_laurent_basis
 
 X = make_space(3, 3)
 print("space:", X, " dim =", X.dim, " canonical twist =", X.canonical_degree)
@@ -33,10 +33,11 @@ for d in (-6, -7, -8):
     print("  d=%d  h^3 = %2d   e.g. %s" % (d, len(mons), mons[0]))
 print()
 
-print("duality pairs the two models monomial-by-monomial:")
-p = serre_pairing(X, 2)
-print("  degree 2 pairing matrix is a %dx%d permutation, rank %d"
-      % (p.target.dim, p.source.dim, p.rank()))
+print("duality pairs the two models monomial-by-monomial, u <-> -1-u:")
+h0, top = weighted_monomials(X, 2), laurent_top_basis(X, -8)
+partners = {Monomial(tuple(-1 - x for x in u.exps)) for u in h0}
+print("  H^0(X, O(2)) -> H^3(X, O(-8)): %d -> %d, a bijection: %s"
+      % (len(h0), len(top), partners == set(top)))
 print()
 
 print("full cohomology table of O(d) (intermediate degrees vanish):")
@@ -56,6 +57,7 @@ print()
 
 print("the connecting map into top cohomology is multiplication by the")
 print("inverse cone variable on Laurent monomials, always injective:")
-c = connecting_map(X, -5)
-print("  H^2(Z, O(-5)) -> H^3(X, O(-8)): %d -> %d, rank %d (bijective)"
-      % (c.source.dim, c.target.dim, c.rank()))
+src = section_laurent_basis(X, -5)
+images = {Monomial(mon.exps + (-1,)) for mon in src}
+print("  H^2(Z, O(-5)) -> H^3(X, O(-8)): %d -> %d, injective: %s"
+      % (len(src), len(top), len(images) == len(src) and images <= set(top)))

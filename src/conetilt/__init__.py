@@ -51,15 +51,11 @@ from .rules import (
     OutOfValidity,
     PresentationMismatch,
     cone_presentation,
-    connecting_map,
     hom_atoms,
-    restrict_map,
-    serre_pairing,
 )
 from .tilting import (
     check_sod,
     end_blocks,
-    is_tilting,
     rank_square_identity,
     stack_exceptional_check,
     stack_hom_dims,

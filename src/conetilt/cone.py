@@ -55,11 +55,6 @@ class ConeSpace:
     def canonical_degree(self):
         return -(self.n + self.m)
 
-    @property
-    def section_normal_degree(self):
-        """Degree of the normal bundle of the section Z inside X."""
-        return self.m
-
     def __str__(self):
         return "P(%s)" % ",".join(str(w) for w in self.weights)
 
@@ -112,11 +107,6 @@ class Monomial(NamedTuple):
         return "Monomial(%s)" % (self,)
 
 
-def weighted_degree(space, mon):
-    """Weighted degree of a cone monomial (length n+1)."""
-    return sum(mon.exps[: space.n]) + space.m * mon.exps[space.n]
-
-
 def _compositions(total, parts):
     """All tuples of `parts` nonnegative integers summing to `total`."""
     if parts == 1:
@@ -136,7 +126,7 @@ def weighted_monomials(space, d):
     for j in range(d // space.m + 1):
         for head in _compositions(d - j * space.m, space.n):
             mons.append(Monomial(head + (j,)))
-    return tuple(sorted(mons))
+    return tuple(sorted(mons))  # the x_n exponent was iterated first
 
 
 @lru_cache(maxsize=None)
@@ -147,8 +137,8 @@ def laurent_top_basis(space, d):
     basis at degree -d-(n+m), so the two counts always agree.
     """
     dual = weighted_monomials(space, -d - space.n - space.m)
-    mons = [Monomial(tuple(-1 - b for b in mon.exps)) for mon in dual]
-    return tuple(sorted(mons))
+    # negation reverses the lexicographic order
+    return tuple(Monomial(tuple(-1 - b for b in mon.exps)) for mon in reversed(dual))
 
 
 @lru_cache(maxsize=None)
@@ -156,14 +146,14 @@ def section_monomials(space, e):
     """Monomial basis of H^0(Z, O(e)) on the section Z = P^{n-1}."""
     if e < 0:
         return ()
-    return tuple(sorted(Monomial(t) for t in _compositions(e, space.n)))
+    return tuple(map(Monomial, _compositions(e, space.n)))  # already lexicographic
 
 
 @lru_cache(maxsize=None)
 def section_laurent_basis(space, e):
     """Laurent basis of H^{n-1}(Z, O(e)): all n exponents <= -1."""
     dual = section_monomials(space, -e - space.n)
-    return tuple(sorted(Monomial(tuple(-1 - b for b in mon.exps)) for mon in dual))
+    return tuple(Monomial(tuple(-1 - b for b in mon.exps)) for mon in reversed(dual))
 
 
 def cone_cohomology_dim(space, d, i):

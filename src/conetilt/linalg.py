@@ -10,7 +10,7 @@ canonical bundle implies its identity evaluation without storing it,
 so its maps hold ints only and no Fraction arithmetic runs on them.
 `map_from_columns` builds a map from columns keyed by row index; it
 keeps an int an int, turns an integral Fraction into one and drops
-zeros.  `map_from_images` looks up the rows of target labels first.
+zeros.
 Vector spaces are presented either directly (a finite tuple of basis
 labels) or as subquotients span(cycles)/span(boundaries) inside a
 direct space; cycles=None means the whole ambient and is never
@@ -469,15 +469,6 @@ class PresentedMap:
             return self.columns
         return [_apply(self.columns, c) for c in self.source.cycles]
 
-    def compose(self, inner, name=""):
-        """self after `inner`, as a map inner.source -> self.target."""
-        if inner.target.ambient.dim != self.source.ambient.dim:
-            raise ShapeMismatch(
-                "cannot compose %r after %r" % (self.name, inner.name)
-            )
-        cols = [_apply(self.columns, c) for c in inner.columns]
-        return PresentedMap(inner.source, self.target, cols, name=name, check=False)
-
     def rank(self):
         """Rank of the induced map on subquotients, exactly."""
         return _Echelon(
@@ -533,11 +524,3 @@ def map_from_columns(source, target, columns, name="", check=True):
                 col[r] = coeff
         cols.append(col)
     return PresentedMap(source, target, cols, name=name, check=check)
-
-
-def map_from_images(source, target, images, name="", check=True):
-    """Build a map from a list of {target_label: coeff} dicts, the images
-    of the source ambient labels in order, as map_from_columns does."""
-    row_index = target.ambient._index
-    columns = [{row_index[lbl]: x for lbl, x in image.items()} for image in images]
-    return map_from_columns(source, target, columns, name=name, check=check)

@@ -5,10 +5,10 @@ free kernels of evaluation maps O_X^h -> OZ(e).  Graded Hom between
 objects is computed by resolving kernel bundles along their defining
 sequences: the left argument first (contravariant sequences with atom
 targets), then the right argument (covariant sequences), with every
-induced rank realized by an explicit matrix or by two-row ladder
-propagation.  When a rank is genuinely not determined by the diagrams,
-the engine raises IndeterminateRank naming the unresolved map; it never
-guesses.
+induced rank realized by an explicit matrix or read off the two exact
+rows of a ladder.  When a rank is genuinely not determined by the
+diagrams, the engine raises IndeterminateRank naming the unresolved
+map; it never guesses.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cone import section_monomials
+from .cone import Monomial, section_monomials
 from .linalg import (
     DirectSum,
     EngineError,
@@ -28,9 +28,7 @@ from .linalg import (
 )
 from .rules import (
     CONE,
-    SECTION,
     Atom,
-    Dual,
     OX,
     OZ,
     _one_copy,
@@ -38,9 +36,7 @@ from .rules import (
     ext1_postcompose_map,
     hom_atoms,
     laurent_class,
-    pairing_partner,
     postcompose_sections_map,
-    restrict_monomial,
 )
 
 
@@ -135,7 +131,7 @@ def _component_terms(space, K):
             )
     if K.canonical:
         return tuple(((mu, 1),) for mu in basis)
-    # exactness of 0 -> K -> O^h -> OZ(e) -> 0 and both ONTO verticals need this
+    # exactness of 0 -> K -> O^h -> OZ(e) -> 0 and both onto verticals need this
     if not _spans(K.columns, len(basis)):
         raise ShapeMismatch(
             "%s does not live on %s: its evaluation does not span H^0(Z, O(%d))"
@@ -310,45 +306,40 @@ def _term_space_free_source(space, h, B_atoms, i, name):
 def _contra_alpha(space, K, B_atoms, i, qspace, pspace):
     """The known-to-known map Hom^i(OZ(e), B) -> Hom^i(O_X^h, B).
 
-    Section components act by multiplication with the evaluation
-    sections (Laurent classes in higher degree).  Invertible cone
-    components are zero except in top degree, where the matrix is
-    transported through the duality pairings from the explicit
-    degree-0 multiplication map; the transport preserves rank.
+    Every component acts by multiplication with the evaluation sections
+    (Laurent classes in higher degree).  An invertible cone component
+    O(b) is zero below the top degree; in top degree R4's
+    H^{n-1}(Z, b-e+m) is multiplied into H^{n-1}(Z, b+m) and carried to
+    H^n(X, O(b)) by the connecting map, multiplication by x_n^-1.
     """
     comps = K.component_terms(space)
     columns = [{} for _ in range(qspace.dim)]
-    how = "matrix"
     for c, atom in enumerate(B_atoms):
+        cone = atom.kind == CONE
+        if cone and i < space.n:
+            continue  # below the top degree R4 or H^i(X, O(b)) vanishes
         block, copies = qspace.blocks[c], pspace.blocks[c]
         shifts = [pspace.offsets[c] + s for s in copies.offsets]
         rows = copies.blocks[0]._index  # Hom^i(O, atom)
-        if atom.kind == SECTION:
-            for k, (part, u) in enumerate(block.labels):
+        for k, u in enumerate(block.labels):
+            if not cone:
+                part, u = u
                 if part != 0:
-                    continue  # only the H^i(Z, f-e) block survives restriction
-                col = columns[qspace.offsets[c] + k]
-                for s, terms in zip(shifts, comps):
-                    for mu, coeff in terms:
-                        prod = u * mu
-                        if i > 0:
-                            prod = laurent_class(prod)
-                            if prod is None:
-                                continue
-                        r = s + rows[prod]
-                        col[r] = col.get(r, 0) + coeff
-        elif i == space.n:  # below the top degree R4 or H^i(X, O(b)) vanishes
-            how = "serre-dual"
-            for k, v in enumerate(copies.blocks[0].labels):
-                ubar = restrict_monomial(pairing_partner(v))
-                if ubar is None:
-                    continue
-                for s, terms in zip(shifts, comps):
-                    for mu, coeff in terms:
-                        col = columns[qspace.offsets[c] + block._index[Dual(ubar * mu)]]
-                        col[s + k] = col.get(s + k, 0) + coeff
+                    continue  # only R3's H^i(Z, f-e) block survives restriction
+            col = columns[qspace.offsets[c] + k]
+            for s, terms in zip(shifts, comps):
+                for mu, coeff in terms:
+                    prod = u * mu
+                    if i > 0:
+                        prod = laurent_class(prod)
+                        if prod is None:
+                            continue
+                        if cone:  # the connecting map appends the exponent -1
+                            prod = Monomial(prod.exps + (-1,))
+                    r = s + rows[prod]
+                    col[r] = col.get(r, 0) + coeff
     pmap = map_from_columns(qspace, pspace, columns, name="alpha_%d" % i)
-    return LESMap("alpha_%d" % i, pmap.rank(), how, pmap)
+    return LESMap("alpha_%d" % i, pmap.rank(), "matrix", pmap)
 
 
 def les_hom_contra(space, K, B):
@@ -390,7 +381,6 @@ def _les_hom_contra_cached(space, K, B_atoms):
     return solve_les(origin, terms, maps)
 
 
-
 def _free_row(space, K, hp):
     """les_hom_contra(space, K, [OX(0)] * hp), scaled from the one-copy row."""
     one = les_hom_contra(space, K, [OX(0)])
@@ -409,8 +399,8 @@ def _cov_beta(space, A, Kp, i, pspace, qspace):
 
     For an invertible twist source everything is explicit multiplication
     (and zero in higher degrees).  For a section source, degree 1 is
-    computed on the cone presentations and top degree is transported
-    through the section duality pairing; intermediate degrees vanish.
+    computed on the cone presentations and top degree is Laurent
+    multiplication; the other degrees vanish.
     """
     n = space.n
     comps = Kp.component_terms(space)
@@ -431,18 +421,21 @@ def _cov_beta(space, A, Kp, i, pspace, qspace):
             raise EngineError("cone presentation dimensions drifted")
         return LESMap("beta_1", induced.rank(), "cone-presentation", induced)
     if i == n:
-        # qspace is R3's H^{n-1}(Z, e'-e+m) block, labels (1, v); pspace is
-        # h' copies of R4's dual basis
-        columns = [{} for _ in range(pspace.dim)]
-        cols = pspace.blocks[0]._index
-        for r, (_, v) in enumerate(qspace.labels):
-            u = pairing_partner(v)
-            for s, terms in zip(pspace.offsets, comps):
+        # pspace is h' copies of R4's H^{n-1}(Z, m-e); qspace is R3's
+        # H^{n-1}(Z, e'-e+m) block, labels (1, v)
+        rows = qspace._index
+        columns = []
+        for terms in comps:
+            for u in pspace.blocks[0].labels:
+                col = {}
                 for mu, coeff in terms:
-                    col = columns[s + cols[Dual(u * mu)]]
-                    col[r] = col.get(r, 0) + coeff
+                    v = laurent_class(u * mu)
+                    if v is not None:
+                        r = rows[1, v]
+                        col[r] = col.get(r, 0) + coeff
+                columns.append(col)
         pmap = map_from_columns(pspace, qspace, columns, name="beta_%d" % i)
-        return LESMap("beta_%d" % i, pmap.rank(), "serre-dual", pmap)
+        return LESMap("beta_%d" % i, pmap.rank(), "matrix", pmap)
     # degrees 0 and 1 < i < n: the R4 source vanishes
     pmap = PresentedMap(pspace, qspace, [], name="beta_%d" % i)
     return LESMap("beta_%d" % i, 0, "zero", pmap)
@@ -502,89 +495,34 @@ class LadderResult:
     certificate: str
 
 
-ONTO = object()  # a ladder's outer vertical known to be onto its bottom term
+def ladder_propagate(top, bottom):
+    """Rank of the middle vertical T2 -> B2 of a commutative two-row ladder.
 
-
-def ladder_propagate(top, bottom, verticals, middle=2):
-    """Rank of the middle vertical in a commutative two-row ladder.
-
-    `top` and `bottom` are exact rows (LongExactSequence); `verticals`
-    maps term indices to explicit PresentedMaps and must contain the
-    two outer verticals at middle-1 and middle+1.  Either may be ONTO,
-    a map onto its bottom term.  An ONTO left vertical has rank r_c
-    into B1 / ker(B1 -> B2) equal to dim B1 - rank(B0 -> B1), which is
-    rank(B1 -> B2) by exactness of the bottom row.  An ONTO right
-    vertical has rank dim B3 on ker(T3 -> T4) when T3 -> T4 is zero;
-    with any other outgoing top map its rank is not pinned and
-    IndeterminateRank is raised.  The rank of the middle vertical is
-    returned with a determination certificate when the diagram pins it;
-    otherwise IndeterminateRank is raised.  The engine never guesses.
+    `top` and `bottom` are exact rows (LongExactSequence) whose terms 1,
+    2, 3 are T1, T2, T3 and B1, B2, B3; both outer verticals are onto
+    their bottom terms.  The left one then has rank
+    dim B1 - rank(B0 -> B1) = rank(B1 -> B2) into B1 / ker(B1 -> B2), so
+    through T1 the middle vertical reaches all of im(B1 -> B2).  When
+    T1 -> T2 covers T2 that is the whole rank.  Otherwise the quotient
+    part adds the rank of the right vertical on ker(T3 -> T4), which is
+    dim B3 when T3 -> T4 is zero; with any other T3 -> T4 it is not
+    pinned and IndeterminateRank is raised.  The rank is returned with a
+    determination certificate; the engine never guesses.
     """
-    v1 = verticals.get(middle - 1)
-    v3 = verticals.get(middle + 1)
-    if v1 is None or v3 is None:
-        raise IndeterminateRank("ladder needs explicit outer verticals")
-    t1, t2 = top.terms[middle - 1], top.terms[middle]
-    b1, b2, b3 = (
-        bottom.terms[middle - 1],
-        bottom.terms[middle],
-        bottom.terms[middle + 1],
-    )
-    if v1 is not ONTO and (v1.source.dim != t1.dim or v1.target.dim != b1.dim):
-        raise EngineError("left vertical does not match the rows")
-    t3 = top.terms[middle + 1]
-    if v3 is not ONTO and (v3.source.dim != t3.dim or v3.target.dim != b3.dim):
-        raise EngineError("right vertical does not match the rows")
-
-    bottom_first = bottom.maps[middle - 1]  # B1 -> B2
+    bottom_first = bottom.maps[1]  # B1 -> B2
     r_kb = bottom_first.rank
-    top_first = top.maps[middle - 1]
-
-    # r_c: rank of v1 into the cokernel of the previous bottom map, whose
-    # image is the kernel of B1 -> B2
-    prev = bottom.maps[middle - 2] if middle > 1 else None
-    if v1 is ONTO:
-        r_c = b1.dim - (prev.rank if prev else 0)
-    elif prev is None or prev.rank == 0:
-        r_c = v1.rank()
-    elif prev.matrix is None:
-        raise IndeterminateRank(
-            "ladder: kernel of %s has no explicit span" % bottom_first.name
-        )
-    else:
-        b1_mod_ker = prev.matrix.cokernel()
-        r_c = PresentedMap(v1.source, b1_mod_ker, v1.columns, name=v1.name).rank()
-
-    # the middle vertical restricted to the image of T1 -> T2 is forced
-    if top_first.rank == t2.dim:
+    if top.maps[1].rank == top.terms[2].dim:
         return LadderResult(
-            r_c,
-            "middle term is covered by the first map; rank forced to %d" % r_c,
+            r_kb,
+            "middle term is covered by the first map; rank forced to %d" % r_kb,
         )
-    if r_c != r_kb:
-        raise IndeterminateRank(
-            "ladder for %s -> %s: the image part reaches rank %d of %d; the "
-            "diagram does not determine the middle vertical"
-            % (t2.name, b2.name, r_c, r_kb)
-        )
-
-    # contribution through the quotient: v3 restricted to im(T2 -> T3)
-    nxt = top.maps[middle + 1] if middle + 1 < len(top.maps) else None
-    if nxt is None or nxt.rank == 0:
-        r_v3 = b3.dim if v3 is ONTO else v3.rank()
-    elif v3 is ONTO:
+    nxt = top.maps[3]  # T3 -> T4
+    if nxt.rank:
         raise IndeterminateRank(
             "ladder: the onto right vertical out of %s is not pinned on the "
-            "kernel of its outgoing map of rank %d" % (t3.name, nxt.rank)
+            "kernel of its outgoing map of rank %d" % (top.terms[3].name, nxt.rank)
         )
-    elif nxt.matrix is not None:
-        # r_v3: rank of v3 on the kernel of T3 -> T4
-        ker = nxt.matrix.kernel()
-        r_v3 = PresentedMap(ker, v3.target, v3.columns, name=v3.name).rank()
-    else:
-        raise IndeterminateRank(
-            "ladder: outgoing map of %s has no explicit kernel" % t3.name
-        )
+    r_v3 = bottom.terms[3].dim
     rank = r_kb + r_v3
     cert = (
         "image part saturated (rank %d = rank of %s); quotient part "
@@ -611,16 +549,15 @@ def _hom_kernel_kernel(space, K, Kp):
     """Hom^*(K, K') for two kernel bundles, via the covariant outer chase.
 
     The top row Hom(-, O^h') is h' copies of the row Hom(-, O), so
-    `_free_row` scales that cached row, solved once per (cone, K).  Its
-    maps carry no matrix: the ladder reads one only from a top map of
-    nonzero rank after the first, and that map lands in
-    Hom^1(O^h, O^h') = H^1(X, O)^{hh'} = 0 for n >= 2; were it nonzero,
-    the ladder would refuse.  The left vertical is h copies of the
-    evaluation of K' (H^0(X, O) = k), which `component_terms` checked
-    spans H^0(Z, O(e')), so it is ONTO and no top term needs a space.
+    `_free_row` scales that cached row, solved once per (cone, K).  The
+    ladder reads ranks only, so its maps carry no matrix.  Its map
+    T3 -> T4 lands in Hom^1(O^h, O^h') = H^1(X, O)^{hh'} = 0 for n >= 2;
+    were it nonzero, the ladder would refuse.  The left vertical is h
+    copies of the evaluation of K' (H^0(X, O) = k), which
+    `component_terms` checked spans H^0(Z, O(e')), so it is onto.
 
     The right vertical Ext^1(OZ(e), O^h') -> Ext^1(OZ(e), OZ(e')) is
-    ONTO too, for 0 < e, e' < m.  Its source is presented by the
+    onto too, for 0 < e, e' < m.  Its source is presented by the
     generators H^0(X, O(m-e))^h' with no relations, as H^0(X, O(-e)) = 0.
     Those generators are free of x_n since m - e < m, so restriction to
     Z maps them bijectively onto H^0(Z, m-e)^h'.  The target is
@@ -636,7 +573,7 @@ def _hom_kernel_kernel(space, K, Kp):
     top = _free_row(space, K, Kp.h)
     bottom = les_hom_contra(space, K, [OZ(Kp.e)])
 
-    # the cone presentations behind the ONTO right vertical
+    # the cone presentations behind the onto right vertical
     pres_bot = cone_presentation(space, K.e, (OZ(Kp.e),))
     one = _one_copy(space, K.e)[0]
     if (
@@ -646,7 +583,7 @@ def _hom_kernel_kernel(space, K, Kp):
     ):
         raise EngineError("presentation dimensions disagree with the rows")
 
-    ladder = ladder_propagate(top, bottom, {1: ONTO, 3: ONTO}, middle=2)
+    ladder = ladder_propagate(top, bottom)
 
     dimsP = top.solved_dims(2)  # Hom^i(K, O^h')
     dimsQ = bottom.solved_dims(2)  # Hom^i(K, OZ(e'))

@@ -16,16 +16,17 @@ guessing.  The tags attached to every degree name the rule used:
 * R3  Hom^i(OZ(e), OZ(f)) = H^i(Z, O(f-e)) + H^{i-1}(Z, O(f-e+m)),
       from the twist resolution 0 -> O(e-m) -> O(e) -> OZ(e) -> 0 and
       the fact that multiplication by the cone variable dies on Z.
-* R4  Hom^i(OZ(e), O(b)) = H^{n-i}(Z, O(e-(n+m)-b))^* for invertible
-      O(b), by duality against R2.
+* R4  Hom^i(OZ(e), O(b)) = H^{i-1}(Z, O(b-e+m)) for invertible O(b),
+      from the local Ext^1(OZ(e), O(b)) = O_Z(b-e+m) of the twist
+      resolution; it has the dimensions of the Serre dual of R2.
 * CP  cone presentation: Ext^1(OZ(e), T) as the cokernel of
       multiplication by the cone variable on degree-0 Hom spaces; for
       T = O^h' it is h' shifted copies of one cached presentation, mapped
       to a section twist OZ(e') by ext1_postcompose_map.
 
-Degree-0 composition is polynomial multiplication on the monomial
-bases; the structural maps below (restriction, connecting map, duality
-pairing, cone presentation) realize the maps the dimension chases need.
+Composition is multiplication of monomials: polynomial on the H^0
+bases, Laurent on the top-degree bases.  The cone presentations below
+realize the maps on Ext^1 that the dimension chases need.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .linalg import (
     Subquotient,
     _apply,
     map_from_columns,
-    map_from_images,
     zero_space,
 )
 
@@ -89,16 +89,6 @@ def OZ(e):
     return Atom(SECTION, e)
 
 
-@dataclass(frozen=True, order=True)
-class Dual:
-    """Formal dual-basis label, used for the R4 spaces."""
-
-    of: Monomial
-
-    def __str__(self):
-        return "(%s)^" % (self.of,)
-
-
 @dataclass
 class GradedHom:
     """Degree-indexed family of presented spaces for Hom^*(A, B)."""
@@ -130,7 +120,7 @@ def cone_h_space(space, d, i, name=""):
 
 
 def section_h_space(space, e, i, name=""):
-    """H^i(Z, O(e)) with its monomial or Laurent basis."""
+    """H^i(Z, O(e)) with its monomial or Laurent basis; zero for any other i."""
     if i == 0:
         return DirectSpace(section_monomials(space, e), name)
     if i == space.n - 1:
@@ -140,24 +130,13 @@ def section_h_space(space, e, i, name=""):
 
 def _r3_space(space, e, f, i, name=""):
     """R3 degree-i space: H^i(Z, f-e) block 0, then H^{i-1}(Z, f-e+m) block 1."""
-    labels = []
-    if 0 <= i <= space.n - 1:
-        labels += [(0, mon) for mon in section_h_space(space, f - e, i).labels]
-    if 0 <= i - 1 <= space.n - 1:
-        labels += [
-            (1, mon)
-            for mon in section_h_space(space, f - e + space.m, i - 1).labels
-        ]
-    return DirectSpace(tuple(labels), name)
-
-
-def _r4_space(space, e, b, i, name=""):
-    """R4 degree-i space: H^{n-i}(Z, e-(n+m)-b)^* with dual labels."""
-    j = space.n - i
-    if not 0 <= j <= space.n - 1:
-        return zero_space(name)
-    primal = section_h_space(space, e - space.n - space.m - b, j)
-    return DirectSpace(tuple(Dual(mon) for mon in primal.labels), name)
+    blocks = (
+        section_h_space(space, f - e, i),
+        section_h_space(space, f - e + space.m, i - 1),
+    )
+    return DirectSpace(
+        tuple((c, mon) for c, block in enumerate(blocks) for mon in block.labels), name
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +166,7 @@ def hom_atoms(space, A, B):
     if A.kind == CONE and B.kind == SECTION:
         d = B.twist - A.twist
         spaces = tuple(
-            section_h_space(space, d, i, "Hom^%d(%s)" % (i, tag))
-            if i <= n - 1
-            else zero_space("Hom^%d(%s)" % (i, tag))
-            for i in range(n + 1)
+            section_h_space(space, d, i, "Hom^%d(%s)" % (i, tag)) for i in range(n + 1)
         )
         return GradedHom(A, B, spaces, ("R2",) * (n + 1))
     if A.kind == SECTION and B.kind == SECTION:
@@ -205,9 +181,9 @@ def hom_atoms(space, A, B):
             "graded Hom(%s, %s): target twist is not invertible; rule R4 "
             "does not apply" % (A, B)
         )
+    d = B.twist - A.twist + space.m
     spaces = tuple(
-        _r4_space(space, A.twist, B.twist, i, "Hom^%d(%s)" % (i, tag))
-        for i in range(n + 1)
+        section_h_space(space, d, i - 1, "Hom^%d(%s)" % (i, tag)) for i in range(n + 1)
     )
     return GradedHom(A, B, spaces, ("R4",) * (n + 1))
 
@@ -245,57 +221,6 @@ def laurent_class(mon):
     if all(e <= -1 for e in mon.exps):
         return mon
     return None
-
-
-def restrict_map(space, a, e):
-    """Restriction Hom(O(a), O(e)) -> Hom(O(a), OZ(e)) in degree 0.
-
-    Induced by the canonical section O(e) -> OZ(e); monomials divisible
-    by the cone variable map to zero.
-    """
-    src = hom0_space(space, a, (OX(e),), "Hom(O(%d),O(%d))" % (a, e))
-    tgt = hom0_space(space, a, (OZ(e),), "Hom(O(%d),OZ(%d))" % (a, e))
-    restricted = [(c, restrict_monomial(mon)) for (c, mon) in src.labels]
-    images = [{} if r is None else {(c, r): 1} for c, r in restricted]
-    return map_from_images(src, tgt, images, name="restrict(a=%d,e=%d)" % (a, e))
-
-
-def connecting_map(space, d):
-    """Connecting map H^{n-1}(Z, O(d)) -> H^n(X, O(d-m)).
-
-    On Laurent bases it is multiplication by the inverse of the cone
-    variable; it is always injective, and its cokernel is spanned by the
-    Laurent monomials whose x_n exponent is at most -2.
-    """
-    src = DirectSpace(section_laurent_basis(space, d), "H^%d(Z,O(%d))" % (space.n - 1, d))
-    tgt = DirectSpace(
-        laurent_top_basis(space, d - space.m),
-        "H^%d(X,O(%d))" % (space.n, d - space.m),
-    )
-    images = [{Monomial(mon.exps + (-1,)): 1} for mon in src.labels]
-    return map_from_images(src, tgt, images, name="connect(d=%d)" % d)
-
-
-def pairing_partner(mon):
-    """The unique monomial pairing with mon to the class of (x0...xn)^-1."""
-    return Monomial(tuple(-1 - e for e in mon.exps))
-
-
-def serre_pairing(space, d):
-    """The duality pairing H^0(O(d)) x H^n(O(-d-(n+m))) -> k as a map.
-
-    Returned as the map H^0(O(d)) -> H^n(O(-d-(n+m)))^* whose matrix has
-    a 1 exactly where the product of the two monomials is the inverse of
-    the product of all variables; it is a permutation matrix.
-    """
-    src = DirectSpace(weighted_monomials(space, d), "H^0(X,O(%d))" % d)
-    dual_deg = -d - space.n - space.m
-    tgt = DirectSpace(
-        tuple(Dual(mon) for mon in laurent_top_basis(space, dual_deg)),
-        "H^%d(X,O(%d))^" % (space.n, dual_deg),
-    )
-    images = [{Dual(pairing_partner(u)): 1} for u in src.labels]
-    return map_from_images(src, tgt, images, name="pairing(d=%d)" % d)
 
 
 # ---------------------------------------------------------------------------

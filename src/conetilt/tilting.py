@@ -28,12 +28,6 @@ class TiltingVerdict:
         return "not tilting: higher self-extensions %s" % (self.dims[1:],)
 
 
-def is_tilting(space, T):
-    """True iff Hom^i(T, T) = 0 for all i > 0; also reports dim End(T)."""
-    dims = hom_objects(space, T, T)
-    return TiltingVerdict(all(d == 0 for d in dims[1:]), dims[0], dims)
-
-
 @dataclass
 class EndBlocks:
     names: list

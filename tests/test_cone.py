@@ -20,7 +20,6 @@ from conetilt.cone import (
     section_monomials,
     weighted_monomials,
 )
-from conetilt.rules import Dual
 
 
 def brute_monomial_count(n, m, d):
@@ -49,7 +48,6 @@ def test_make_space_examples():
     assert make_space(3, 3).canonical_degree == -6
     assert make_space(2, 2).canonical_degree == -4
     assert make_space(3, 1).canonical_degree == -4
-    assert make_space(3, 3).section_normal_degree == 3
 
 
 def test_make_space_rejects_bad_input():
@@ -213,8 +211,7 @@ def test_monomial_is_immutable_and_prints_as_before():
 def test_monomial_equals_neither_a_tuple_nor_a_dual():
     mon = Monomial((1, 0, 2))
     assert mon != (1, 0, 2) and (1, 0, 2) != mon
-    assert mon != Dual(mon) and Dual(mon) != mon
-    assert mon not in {(1, 0, 2): 0, Dual(mon): 1}
+    assert mon not in {(1, 0, 2): 0}
     prod = mon * Monomial((0, 3, -1))
     assert type(prod) is Monomial and prod == Monomial((1, 3, 1))
 

@@ -14,7 +14,6 @@ from conetilt.linalg import (
     Subquotient,
     identity,
     map_from_columns,
-    map_from_images,
     mat_mul,
     mat_rank,
     nullspace,
@@ -90,11 +89,13 @@ def test_kernel_of_injective_and_cokernel_of_surjective():
 
 def test_rank_nullity_on_restriction_matrix():
     """Kernel of the degree-3 restriction on P(1,1,1,3) is the cone-variable line."""
-    from conetilt.cone import make_space
-    from conetilt.rules import restrict_map
+    from conetilt.cone import Monomial, make_space
+    from conetilt.rules import OX, OZ, postcompose_sections_map
 
     X = make_space(3, 3)
-    res = restrict_map(X, 0, 3)
+    # restriction Hom(O, O(3)) -> Hom(O, OZ(3)): postcompose with the section 1
+    one = Monomial((0, 0, 0))
+    res = postcompose_sections_map(X, 0, (OX(3),), [((one, 1),)], OZ(3))
     assert (res.source.dim, res.target.dim) == (11, 10)
     ker = res.kernel()
     assert ker.dim == 1
@@ -204,7 +205,7 @@ def test_zero_dimensional_edge_cases():
 def test_map_from_entries_roundtrip():
     V = space("a", "b")
     W = space("x", "y")
-    f = map_from_images(V, W, [{"x": 1}, {"y": Fraction(1, 2)}])
+    f = map_from_columns(V, W, [{0: 1}, {1: Fraction(1, 2)}])
     assert f.matrix[0][0] == 1 and f.matrix[1][1] == Fraction(1, 2)
     assert f.rank() == 2
 

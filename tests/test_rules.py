@@ -1,4 +1,4 @@
-"""The closed-form Hom rules and their structural maps.
+"""The closed-form Hom rules, the bases behind them, and cone presentations.
 
 Frozen expected vectors marked "reported" are the published dimension
 table for P(1,1,1,3); everything else is checked against independent
@@ -11,7 +11,16 @@ from math import comb
 import pytest
 
 from conetilt import rules
-from conetilt.cone import Monomial, make_space, section_monomials, weighted_monomials
+from conetilt.cone import (
+    Monomial,
+    cone_cohomology_dim,
+    laurent_top_basis,
+    make_space,
+    section_cohomology_dim,
+    section_laurent_basis,
+    section_monomials,
+    weighted_monomials,
+)
 from conetilt.linalg import EngineError, PresentedMap
 from conetilt.objects import kernel_bundle
 from conetilt.rules import (
@@ -20,13 +29,10 @@ from conetilt.rules import (
     OutOfValidity,
     PresentationMismatch,
     cone_presentation,
-    connecting_map,
     ext1_postcompose_map,
     hom0_space,
     hom_atoms,
     postcompose_sections_map,
-    restrict_map,
-    serre_pairing,
 )
 
 X = make_space(3, 3)
@@ -71,50 +77,67 @@ def test_r2_allows_any_source_twist():
     assert hom_atoms(X, OX(-2), OZ(0)).dims == (6, 0, 0, 0)
 
 
+def _restriction(space, a, e):
+    """Hom(O(a), O(e)) -> Hom(O(a), OZ(e)) in degree 0: postcompose with 1."""
+    one = Monomial((0,) * space.n)
+    return postcompose_sections_map(space, a, (OX(e),), [((one, 1),)], OZ(e))
+
+
 def test_restrict_map_ranks():
-    assert restrict_map(X, -2, 0).rank() == 6  # bijective at degree 2
-    r3 = restrict_map(X, 0, 3)
+    assert _restriction(X, -2, 0).rank() == 6  # bijective at degree 2
+    r3 = _restriction(X, 0, 3)
     assert r3.rank() == 10 and r3.source.dim == 11
-    assert restrict_map(X, 0, 0).rank() == 1
+    assert _restriction(X, 0, 0).rank() == 1
+
+
+def _connecting(space, d):
+    """H^{n-1}(Z, O(d)) -> H^n(X, O(d-m)) on Laurent bases: append x_n^-1."""
+    source = section_laurent_basis(space, d)
+    return source, laurent_top_basis(space, d - space.m), [
+        Monomial(mon.exps + (-1,)) for mon in source
+    ]
 
 
 def test_connecting_map_examples():
-    c = connecting_map(X, -5)
-    assert (c.source.dim, c.target.dim, c.rank()) == (6, 6, 6)
-    z = connecting_map(X, 0)
-    assert z.source.dim == 0
-    cs = connecting_map(S, -3)
-    assert (cs.source.dim, cs.target.dim, cs.rank()) == (2, 2, 2)
+    for space, d, dims in ((X, -5, (6, 6)), (X, 0, (0, 0)), (S, -3, (2, 2))):
+        source, target, images = _connecting(space, d)
+        assert (len(source), len(target)) == dims
+        assert set(images) <= set(target) and len(set(images)) == len(source)
 
 
 def test_connecting_map_always_injective_and_cokernel_basis():
     for d in range(-12, 1):
-        c = connecting_map(X, d)
-        assert c.rank() == c.source.dim
-        coker = c.cokernel()
-        # cokernel dimension counts Laurent monomials with last exponent <= -2
-        deep = [
-            m for m in c.target.labels if m.exps[-1] <= -2
-        ]
-        assert coker.dim == len(deep)
+        source, target, images = _connecting(X, d)
+        assert len(set(images)) == len(source) and set(images) <= set(target)
+        # the cokernel is spanned by the Laurent monomials with last exponent <= -2
+        assert set(target) - set(images) == {m for m in target if m.exps[-1] <= -2}
+
+
+def _pairing(space, d):
+    """The Serre pairing on bases: u in H^0(X, O(d)) pairs with -1-u."""
+    return [Monomial(tuple(-1 - x for x in u.exps)) for u in weighted_monomials(space, d)]
 
 
 def test_serre_pairing_examples():
-    p0 = serre_pairing(X, 0)
-    assert (p0.source.dim, p0.rank()) == (1, 1)
-    p2 = serre_pairing(X, 2)
-    assert (p2.source.dim, p2.target.dim, p2.rank()) == (6, 6, 6)
-    # permutation matrix: one 1 per row and column
-    for row in p2.matrix:
-        assert sum(row) == 1 and all(x in (0, 1) for x in row)
-    pneg = serre_pairing(X, -1)
-    assert pneg.source.dim == 0
+    assert _pairing(X, 0) == [Monomial((-1, -1, -1, -1))]
+    assert sorted(_pairing(X, 2)) == list(laurent_top_basis(X, -8))
+    assert len(_pairing(X, 2)) == 6
+    assert _pairing(X, -1) == []
 
 
 def test_serre_pairing_full_rank_sweep():
+    """The pairing is a bijection of bases, and R4 is the Serre dual of R2."""
+    n, m = X.n, X.m
     for d in range(0, 9):
-        p = serre_pairing(X, d)
-        assert p.rank() == p.source.dim == p.target.dim
+        partners = _pairing(X, d)
+        assert sorted(partners) == list(laurent_top_basis(X, -d - n - m))
+        assert len(partners) == cone_cohomology_dim(X, -d - n - m, n)
+    for e in range(-8, 9):
+        for b in range(-9, 10, m):
+            dims = hom_atoms(X, OZ(e), OX(b)).dims
+            dual = [section_cohomology_dim(X, e - n - m - b, n - i) if i else 0
+                    for i in range(n + 1)]
+            assert list(dims) == dual, (e, b)
 
 
 def test_cone_presentation_examples():
@@ -299,6 +322,7 @@ def test_graded_hom_spaces_have_expected_bases():
     assert gh[0].labels == tuple(weighted_monomials(X, 3))
     gh2 = hom_atoms(X, OX(0), OZ(2))
     assert gh2[0].labels == tuple(section_monomials(X, 2))
-    # R4 degree-1 space is the dual of H^2(Z, O(-5)), dimension comb(4,2)
+    # R4 degree-1 space is H^0(Z, O(2)), the dual of H^2(Z, O(-5)), dimension comb(4,2)
     gh3 = hom_atoms(X, OZ(1), OX(0))
+    assert gh3[1].labels == section_monomials(X, 2)
     assert gh3[1].dim == comb(4, 2)
