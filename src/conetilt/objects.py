@@ -5,10 +5,10 @@ free kernels of evaluation maps O_X^h -> OZ(e).  Graded Hom between
 objects is computed by resolving kernel bundles along their defining
 sequences: the left argument first (contravariant sequences with atom
 targets), then the right argument (covariant sequences), with every
-induced rank realized by an explicit matrix or read off the two exact
-rows of a ladder.  When a rank is genuinely not determined by the
-diagrams, the engine raises IndeterminateRank naming the unresolved
-map; it never guesses.
+induced rank realized by an explicit matrix, read off the target of a
+map shown to be onto, or read off the two exact rows of a ladder.  When
+a rank is genuinely not determined by the diagrams, the engine raises
+IndeterminateRank naming the unresolved map; it never guesses.
 """
 
 from __future__ import annotations
@@ -21,22 +21,20 @@ from .cone import Monomial, section_monomials
 from .linalg import (
     DirectSum,
     EngineError,
-    PresentedMap,
     ShapeMismatch,
     map_from_columns,
     mat_rank,
 )
 from .rules import (
     CONE,
+    SECTION,
     Atom,
     OX,
     OZ,
     _one_copy,
     cone_presentation,
-    ext1_postcompose_map,
     hom_atoms,
     laurent_class,
-    postcompose_sections_map,
 )
 
 
@@ -223,7 +221,7 @@ class LESTerm:
 class LESMap:
     name: str
     rank: int  # None until solve_les pins it
-    how: str  # "matrix" | "cone-presentation" | "exactness" | "zero" | ...
+    how: str  # "matrix" | "onto" | "exactness" | "ladder" | "zero-side"
     matrix: object = None
 
 
@@ -319,13 +317,11 @@ def _contra_alpha(space, K, B_atoms, i, qspace, pspace):
         if cone and i < space.n:
             continue  # below the top degree R4 or H^i(X, O(b)) vanishes
         block, copies = qspace.blocks[c], pspace.blocks[c]
+        if not cone:
+            block = block.blocks[0]  # only R3's H^i(Z, f-e) block survives restriction
         shifts = [pspace.offsets[c] + s for s in copies.offsets]
         rows = copies.blocks[0]._index  # Hom^i(O, atom)
         for k, u in enumerate(block.labels):
-            if not cone:
-                part, u = u
-                if part != 0:
-                    continue  # only R3's H^i(Z, f-e) block survives restriction
             col = columns[qspace.offsets[c] + k]
             for s, terms in zip(shifts, comps):
                 for mu, coeff in terms:
@@ -395,50 +391,35 @@ def _free_row(space, K, hp):
 
 
 def _cov_beta(space, A, Kp, i, pspace, qspace):
-    """The known-to-known map Hom^i(A, O_X^h') -> Hom^i(A, OZ(e')).
+    """The known-to-known map Hom^i(A, O_X^h') -> Hom^i(A, OZ(e')), by rank.
 
-    For an invertible twist source everything is explicit multiplication
-    (and zero in higher degrees).  For a section source, degree 1 is
-    computed on the cone presentations and top degree is Laurent
-    multiplication; the other degrees vanish.
+    The map multiplies by the evaluation sections s_c of K', which span
+    H^0(Z, e'), so it is onto the part of the target it reaches, or its
+    source is zero; no matrix is built.
+    * A = O(a) invertible, degree 0: restriction maps H^0(X, -a) onto
+      H^0(Z, -a), and H^0(Z, p) H^0(Z, q) = H^0(Z, p+q) for p, q >= 0.
+      In other degrees H^i(X, O) or H^n(Z, .) is zero.
+    * A = OZ(d), degree 1, on the cone presentations: the source is
+      H^0(X, m-d)^h' modulo x_n-multiples, which restrict to zero, so it
+      maps as H^0(Z, m-d)^h' onto R3's block H^0(Z, e'-d+m) when d <= m;
+      for d > m the source is zero.  The presentations are still built
+      and sized, so the n = 2 gap is refused as before.
+    * A = OZ(d), degree n: Laurent multiplication
+      H^{n-1}(Z, m-d)^h' -> H^{n-1}(Z, e'-d+m); a monomial x^b hits each
+      class x^-g from x^-(g+b), and each x^b is a combination of the s_c.
+    * A = OZ(d), other degrees: R4's source is zero.
+    A section source reaches only R3's block 1: O^h' maps nothing into
+    its block 0, H^i(Z, e'-d).
     """
-    n = space.n
-    comps = Kp.component_terms(space)
-    if A.kind == CONE:
-        matrix = []  # for 0 < i < n the source vanishes; in top degree the target does
-        if i == 0:
-            matrix = postcompose_sections_map(
-                space, A.twist, (OX(0),) * Kp.h, comps, OZ(Kp.e)
-            ).columns
-        pmap = PresentedMap(pspace, qspace, matrix, name="beta_%d" % i)
-        return LESMap("beta_%d" % i, pmap.rank(), "matrix", pmap)
-    # section-twist source
-    e = A.twist
-    if i == 1:
-        pres_q = cone_presentation(space, e, (OZ(Kp.e),))
-        induced = ext1_postcompose_map(space, e, comps, pres_q, name="beta_1")
-        if induced.source.dim != pspace.dim or pres_q.dim != qspace.dim:
-            raise EngineError("cone presentation dimensions drifted")
-        return LESMap("beta_1", induced.rank(), "cone-presentation", induced)
-    if i == n:
-        # pspace is h' copies of R4's H^{n-1}(Z, m-e); qspace is R3's
-        # H^{n-1}(Z, e'-e+m) block, labels (1, v)
-        rows = qspace._index
-        columns = []
-        for terms in comps:
-            for u in pspace.blocks[0].labels:
-                col = {}
-                for mu, coeff in terms:
-                    v = laurent_class(u * mu)
-                    if v is not None:
-                        r = rows[1, v]
-                        col[r] = col.get(r, 0) + coeff
-                columns.append(col)
-        pmap = map_from_columns(pspace, qspace, columns, name="beta_%d" % i)
-        return LESMap("beta_%d" % i, pmap.rank(), "matrix", pmap)
-    # degrees 0 and 1 < i < n: the R4 source vanishes
-    pmap = PresentedMap(pspace, qspace, [], name="beta_%d" % i)
-    return LESMap("beta_%d" % i, 0, "zero", pmap)
+    reached = qspace
+    if A.kind == SECTION:
+        reached = qspace.blocks[1]
+        if i == 1:
+            pres_q = cone_presentation(space, A.twist, (OZ(Kp.e),))
+            pres_p = _one_copy(space, A.twist)
+            if Kp.h * pres_p.dim != pspace.dim or pres_q.dim != qspace.dim:
+                raise EngineError("cone presentation dimensions drifted")
+    return LESMap("beta_%d" % i, reached.dim if pspace.dim else 0, "onto")
 
 
 def les_hom_cov(space, A, Kp):
@@ -575,7 +556,7 @@ def _hom_kernel_kernel(space, K, Kp):
 
     # the cone presentations behind the onto right vertical
     pres_bot = cone_presentation(space, K.e, (OZ(Kp.e),))
-    one = _one_copy(space, K.e)[0]
+    one = _one_copy(space, K.e)
     if (
         one.relation_source.dim
         or Kp.h * one.dim != top.terms[3].dim

@@ -21,12 +21,12 @@ guessing.  The tags attached to every degree name the rule used:
       resolution; it has the dimensions of the Serre dual of R2.
 * CP  cone presentation: Ext^1(OZ(e), T) as the cokernel of
       multiplication by the cone variable on degree-0 Hom spaces; for
-      T = O^h' it is h' shifted copies of one cached presentation, mapped
-      to a section twist OZ(e') by ext1_postcompose_map.
+      T = O^h' it is h' copies of one cached presentation.  Its size is
+      checked against R3/R4, which refuses the n = 2 gap; the maps the
+      chases need between presentations are onto, so none is built.
 
 Composition is multiplication of monomials: polynomial on the H^0
-bases, Laurent on the top-degree bases.  The cone presentations below
-realize the maps on Ext^1 that the dimension chases need.
+bases, Laurent on the top-degree bases.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from .linalg import (
     EngineError,
     PresentedMap,
     Subquotient,
-    _apply,
     map_from_columns,
     zero_space,
 )
@@ -134,9 +133,7 @@ def _r3_space(space, e, f, i, name=""):
         section_h_space(space, f - e, i),
         section_h_space(space, f - e + space.m, i - 1),
     )
-    return DirectSpace(
-        tuple((c, mon) for c, block in enumerate(blocks) for mon in block.labels), name
-    )
+    return DirectSum(blocks, name)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +204,6 @@ def hom0_space(space, a, targets, name=""):
     is the cached basis of T_c twisted by -a.
     """
     return DirectSum([_basis(space, t.kind, t.twist - a) for t in targets], name)
-
-
-def restrict_monomial(mon):
-    """Image of a cone monomial on the section: drop x_n, or 0 if present."""
-    if mon.exps[-1] != 0:
-        return None
-    return Monomial(mon.exps[:-1])
 
 
 def laurent_class(mon):
@@ -294,81 +284,7 @@ def cone_presentation(space, e, targets):
     return ConePresentation(e, targets, xmap.target, xmap.source, xmap, quotient)
 
 
-def postcompose_sections_map(space, a, src_targets, components, tgt_atom, name=""):
-    """Postcomposition Hom(O(a), sum_c T_c) -> Hom(O(a), tgt) in degree 0.
-
-    `components` gives, for each summand T_c = O(b_c), the composite
-    section T_c -> tgt as a vector over the monomial basis of the
-    relevant section space (tgt = OZ(f): basis of H^0(Z, f - b_c)).
-    Cone-monomial inputs are restricted to the section before
-    multiplying; summands with equal twists share their source basis, so
-    each monomial is restricted once per call.  Integer coefficients
-    keep every entry an int.
-    """
-    src = hom0_space(space, a, src_targets)
-    tgt = hom0_space(space, a, (tgt_atom,))
-    row = tgt.blocks[0]._index
-    restricted = {}
-    columns = []
-    for t, block, terms in zip(src_targets, src.blocks, components):
-        bases = block.labels
-        if t.kind == CONE:
-            if t not in restricted:
-                restricted[t] = [restrict_monomial(mon) for mon in bases]
-            bases = restricted[t]
-        for base in bases:
-            col = {}
-            columns.append(col)
-            if base is None:
-                continue
-            for mu, coeff in terms:
-                if coeff:
-                    r = row[base * mu]
-                    col[r] = col.get(r, 0) + coeff
-    return map_from_columns(src, tgt, columns, name=name)
-
-
 @lru_cache(maxsize=None)
 def _one_copy(space, e):
-    """cone_presentation(space, e, (OX(0),)) and its generators restricted to Z."""
-    pres = cone_presentation(space, e, (OX(0),))
-    (generators,) = pres.generators.blocks
-    return pres, tuple(restrict_monomial(mon) for mon in generators.labels)
-
-
-def ext1_postcompose_map(space, e, components, pres_tgt, name=""):
-    """The map Ext^1(OZ(e), O^h') -> Ext^1(OZ(e), OZ(e')) on cone presentations.
-
-    `components` gives the map O^h' -> OZ(e') on the h' = len(components)
-    summands, as in postcompose_sections_map; `pres_tgt` must present
-    Ext^1(OZ(e), OZ(e')) for one section twist OZ(e').  The source is h'
-    shifted copies of the cached presentation of Ext^1(OZ(e), O): labels
-    (c, monomial) in the order of hom0_space(space, e - m, (OX(0),) * h'),
-    boundaries the one-copy x_n columns shifted by the offset of copy c.
-    x_n acts by zero on the target (checked), so the square with the two
-    x_n multiplications commutes iff the map kills the source boundaries,
-    which is checked exactly.
-    """
-    one, restricted = _one_copy(space, e)
-    if any(pres_tgt.xn_map.columns):
-        raise EngineError("%s: x_n does not act by zero on the target" % name)
-    row = pres_tgt.generators.blocks[0]._index
-    columns = [
-        {} if base is None
-        else {row[base * mu]: coeff for mu, coeff in terms if coeff}
-        for terms in components
-        for base in restricted
-    ]
-    ambient = DirectSum(
-        one.generators.blocks * len(components), "Hom(O(%d),T)" % (e - space.m)
-    )
-    boundaries = [
-        {r + offset: x for r, x in col.items()}
-        for offset in ambient.offsets
-        for col in one.xn_map.columns
-    ]
-    # the square with x_n multiplication must commute on the nose
-    if any(_apply(columns, b) for b in boundaries):
-        raise EngineError("cone presentation square does not commute for %s" % name)
-    source = Subquotient(ambient, None, boundaries, name="Ext^1(OZ(%d),T)" % e)
-    return PresentedMap(source, pres_tgt.quotient, columns, name=name, check=False)
+    """cone_presentation(space, e, (OX(0),)), once per (cone, e)."""
+    return cone_presentation(space, e, (OX(0),))

@@ -1,0 +1,124 @@
+"""Explicit multiplication matrices for maps the engine takes as onto.
+
+The covariant chase reads the rank of each map
+beta_i: Hom^i(A, O^h') -> Hom^i(A, OZ(e')) off its target without
+building it.  The functions here realize every beta_i as an exact matrix
+over the monomial bases, so tests can compare those ranks with an
+elimination that shares nothing with the argument for ontoness.
+"""
+
+from conetilt.cone import Monomial
+from conetilt.linalg import DirectSum, PresentedMap, Subquotient
+from conetilt.rules import (
+    CONE,
+    OX,
+    OZ,
+    cone_presentation,
+    hom0_space,
+    hom_atoms,
+    laurent_class,
+)
+
+
+def restrict(mon):
+    """Image of a cone monomial on the section: drop x_n, or None if present."""
+    if mon.exps[-1] != 0:
+        return None
+    return Monomial(mon.exps[:-1])
+
+
+def sections_map(space, a, src_targets, components, tgt_atom):
+    """Postcomposition Hom(O(a), sum_c T_c) -> Hom(O(a), tgt) in degree 0.
+
+    `components[c]` gives the section T_c = O(b_c) -> tgt = OZ(f) as
+    (monomial, coefficient) pairs over the basis of H^0(Z, f - b_c).
+    Cone monomials are restricted to the section, then multiplied.
+    """
+    src = hom0_space(space, a, src_targets)
+    tgt = hom0_space(space, a, (tgt_atom,))
+    row = tgt.blocks[0]._index
+    columns = []
+    for block, terms in zip(src.blocks, components):
+        for mon in block.labels:
+            col = {}
+            base = restrict(mon)
+            if base is not None:
+                for mu, coeff in terms:
+                    r = row[base * mu]
+                    col[r] = col.get(r, 0) + coeff
+            columns.append(col)
+    return PresentedMap(src, tgt, columns)
+
+
+def ext1_map(space, e, components, pres_tgt, name=""):
+    """Ext^1(OZ(e), O^h') -> Ext^1(OZ(e), OZ(e')) on cone presentations.
+
+    The source is h' = len(components) shifted copies of the presentation
+    of Ext^1(OZ(e), O): labels (c, monomial) in the order of
+    hom0_space(space, e - m, (OX(0),) * h'), boundaries the one-copy x_n
+    columns shifted by the offset of copy c.  `pres_tgt` presents
+    Ext^1(OZ(e), OZ(e')).  A generator u of copy c goes to
+    restrict(u) * s_c; PresentedMap checks that the boundaries, the x_n
+    multiples, go to boundaries.
+    """
+    one = cone_presentation(space, e, (OX(0),))
+    (generators,) = one.generators.blocks
+    row = pres_tgt.generators.blocks[0]._index
+    columns = []
+    for terms in components:
+        for u in generators.labels:
+            col = {}
+            base = restrict(u)
+            if base is not None:
+                for mu, coeff in terms:
+                    r = row[base * mu]
+                    col[r] = col.get(r, 0) + coeff
+            columns.append(col)
+    ambient = DirectSum(one.generators.blocks * len(components))
+    boundaries = [
+        {r + offset: x for r, x in col.items()}
+        for offset in ambient.offsets
+        for col in one.xn_map.columns
+    ]
+    source = Subquotient(ambient, None, boundaries)
+    return PresentedMap(source, pres_tgt.quotient, columns, name=name)
+
+
+def _laurent_map(space, d, components, Kp):
+    """Degree n from OZ(d): H^{n-1}(Z, m-d)^h' -> R3's H^{n-1}(Z, e'-d+m)."""
+    n = space.n
+    source = hom_atoms(space, OZ(d), OX(0))[n]
+    target = hom_atoms(space, OZ(d), OZ(Kp.e))[n]
+    row = target._index
+    columns = []
+    for terms in components:
+        for u in source.labels:
+            col = {}
+            for mu, coeff in terms:
+                v = laurent_class(u * mu)
+                if v is not None:
+                    r = row[1, v]
+                    col[r] = col.get(r, 0) + coeff
+            columns.append(col)
+    return PresentedMap(DirectSum([source] * Kp.h), target, columns)
+
+
+def beta_map(space, A, Kp, i):
+    """beta_i of Hom(A, -) along 0 -> K' -> O^h' -> OZ(e') -> 0, explicitly.
+
+    Raises what the rules raise for A: OutOfValidity for a cone twist
+    that is not invertible, PresentationMismatch in the n = 2 gap.
+    """
+    components = Kp.component_terms(space)
+    source = DirectSum([hom_atoms(space, A, OX(0))[i]] * Kp.h)
+    target = hom_atoms(space, A, OZ(Kp.e))[i]
+    if A.kind == CONE:
+        if i == 0:
+            free = (OX(0),) * Kp.h
+            return sections_map(space, A.twist, free, components, OZ(Kp.e))
+    elif i == 1:
+        pres = cone_presentation(space, A.twist, (OZ(Kp.e),))
+        return ext1_map(space, A.twist, components, pres)
+    elif i == space.n:
+        return _laurent_map(space, A.twist, components, Kp)
+    return PresentedMap(source, target, [])

@@ -89,13 +89,15 @@ def test_kernel_of_injective_and_cokernel_of_surjective():
 
 def test_rank_nullity_on_restriction_matrix():
     """Kernel of the degree-3 restriction on P(1,1,1,3) is the cone-variable line."""
+    from explicit_maps import sections_map
+
     from conetilt.cone import Monomial, make_space
-    from conetilt.rules import OX, OZ, postcompose_sections_map
+    from conetilt.rules import OX, OZ
 
     X = make_space(3, 3)
     # restriction Hom(O, O(3)) -> Hom(O, OZ(3)): postcompose with the section 1
     one = Monomial((0, 0, 0))
-    res = postcompose_sections_map(X, 0, (OX(3),), [((one, 1),)], OZ(3))
+    res = sections_map(X, 0, (OX(3),), [((one, 1),)], OZ(3))
     assert (res.source.dim, res.target.dim) == (11, 10)
     ker = res.kernel()
     assert ker.dim == 1

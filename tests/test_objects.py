@@ -12,8 +12,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from explicit_maps import beta_map, ext1_map, restrict, sections_map
 
-from conetilt.cone import make_space, section_monomials
+from conetilt.cone import Monomial, make_space, section_monomials
 from conetilt.linalg import (
     DirectSpace,
     DirectSum,
@@ -49,10 +50,7 @@ from conetilt.rules import (
     OutOfValidity,
     PresentationMismatch,
     cone_presentation,
-    ext1_postcompose_map,
     hom_atoms,
-    postcompose_sections_map,
-    restrict_monomial,
 )
 
 X = make_space(3, 3)
@@ -118,7 +116,7 @@ def test_canonical_kernel_bundle_stores_no_evaluation():
     assert [list(t) for t in terms] == [[(mu, 1)] for mu in basis]
     assert all(type(c) is int for t in terms for _, c in t)
     # postcomposition with the canonical evaluation stays in ints
-    post = postcompose_sections_map(X5, -1, (OX(0),) * K.h, terms, OZ(2))
+    post = sections_map(X5, -1, (OX(0),) * K.h, terms, OZ(2))
     entries = [c for col in post.columns for c in col.values()]
     assert entries and all(type(c) is int for c in entries)
 
@@ -392,21 +390,22 @@ def test_left_vertical_restricts_nothing(monkeypatch):
 
     v1 is h copies of the evaluation of K', which spans H^0(Z, O(e')),
     so the ladder reads its rank off the bottom row; no label of
-    Hom^0(O^h, O^h') is restricted.
+    Hom^0(O^h, O^h') is restricted and multiplied by a section, and
+    with the sequence caches filled the chase multiplies no monomial.
     """
     import conetilt.objects as objects
-    import conetilt.rules as rules
 
     X7 = make_space(3, 7)
     K, Kp = kernel_bundle(X7, 3), kernel_bundle(X7, 2)
     expected = hom_objects(X7, K, Kp)  # fills the sequence caches first
     calls = []
+    product = Monomial.__mul__
 
-    def counting(mon):
+    def counting(mon, other):
         calls.append(mon)
-        return restrict_monomial(mon)
+        return product(mon, other)
 
-    monkeypatch.setattr(rules, "restrict_monomial", counting)
+    monkeypatch.setattr(Monomial, "__mul__", counting)
     objects._hom_kernel_kernel.cache_clear()
     assert hom_objects(X7, K, Kp) == expected
     assert calls == []
@@ -428,7 +427,7 @@ def _explicit_v1(space, K, Kp, bottom):
     for terms in Kp.component_terms(space):
         images = []
         for u in units:
-            ubar = restrict_monomial(u)
+            ubar = restrict(u)
             images.append(() if ubar is None else [(row[ubar * mu], x) for mu, x in terms])
         columns += [{s + r: x for r, x in image} for s in copies.offsets for image in images]
     return map_from_columns(src, tgt, columns, name="v1")
@@ -478,7 +477,7 @@ def _ladder_cases(n, m, custom):
             pres = cone_presentation(space, K.e, (OZ(Kp.e),))
         except PresentationMismatch:
             continue
-        v3 = ext1_postcompose_map(space, K.e, Kp.component_terms(space), pres, name="v3")
+        v3 = ext1_map(space, K.e, Kp.component_terms(space), pres, name="v3")
         cases.append((space, K, Kp, top, bottom, v3))
     return cases, len(pairs)
 
@@ -521,27 +520,115 @@ def test_onto_right_vertical_matches_the_explicit_one(n, m, custom):
     assert len(cases) >= tried // 2
 
 
+def _count_presented_maps(monkeypatch):
+    """Record the name of every PresentedMap built from now on."""
+    import conetilt.linalg as linalg
+
+    built = []
+    init = linalg.PresentedMap.__init__
+
+    def counting(pmap, source, target, matrix, name="", check=True):
+        built.append(name)
+        init(pmap, source, target, matrix, name, check)
+
+    monkeypatch.setattr(linalg.PresentedMap, "__init__", counting)
+    return built
+
+
+def _only_xn_maps(built):
+    """Whether every built map is the x_n multiplication of a cone presentation."""
+    return all(name.startswith("xn(") for name in built)
+
+
 def test_chase_builds_no_ext1_postcomposition(monkeypatch):
-    """The kernel-kernel chase takes v3 as onto and builds no Ext^1 map for it."""
+    """Neither chase builds a map on Ext^1: both take it as onto.
+
+    The kernel-kernel chase reads the rank of v3 off the bottom row, the
+    covariant chase the rank of beta_1 off its target.  The only maps
+    either builds are the x_n multiplications of the cone presentations
+    whose sizes they check.
+    """
     import conetilt.objects as objects
 
     X7 = make_space(3, 7)
     pairs = [(kernel_bundle(X7, e), kernel_bundle(X7, f)) for e, f in ((3, 2), (1, 6), (6, 1))]
     expected = [hom_objects(X7, K, Kp) for K, Kp in pairs]
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return ext1_postcompose_map(*args, **kwargs)
-
-    monkeypatch.setattr(objects, "ext1_postcompose_map", counting)
+    built = _count_presented_maps(monkeypatch)
     objects._hom_kernel_kernel.cache_clear()
     assert [hom_objects(X7, K, Kp) for K, Kp in pairs] == expected
-    assert calls == []
-    # the covariant chase from a section twist still postcomposes on Ext^1
+    assert built and _only_xn_maps(built)
+    # the covariant chase from a section twist builds no Ext^1 map either
+    del built[:]
     objects._les_hom_cov_cached.cache_clear()
-    hom_objects(X7, OZ(2), pairs[0][1])
-    assert len(calls) == 1
+    beta_1 = les_hom_cov(X7, OZ(2), pairs[0][1]).maps[4]
+    assert built and _only_xn_maps(built)
+    assert (beta_1.name, beta_1.how, beta_1.matrix) == ("beta_1", "onto", None)
+
+
+COVARIANT_CONES = [(2, 5), (2, 7), (3, 4), (3, 5), (4, 3), (5, 3)]
+# Fraction elimination of an explicit beta_i costs seconds once its target
+# passes a few dozen rows; larger targets are checked on canonical
+# bundles, and on one Fraction bundle in the P(1^4, 3) test below
+FRACTION_TARGET_ROWS = 40
+
+
+@pytest.mark.parametrize("n, m", COVARIANT_CONES)
+def test_covariant_ranks_match_explicit_multiplication(n, m):
+    """Each beta_i the covariant chase reads off its target has that rank.
+
+    For every atom O(d), OZ(d) with -m-n <= d <= 2m+n and every kernel
+    bundle, canonical or with a Fraction evaluation (up to
+    FRACTION_TARGET_ROWS target rows), the rank of the explicit
+    multiplication matrix of beta_i is the chase's rank; a refused pair
+    is refused by beta_map too.  The sweep includes OZ(d) with
+    m < d <= m+e', where beta_1 has a zero source and a nonzero target,
+    so its rank is 0, and for n >= 3 also d >= m+n+e', where the
+    Laurent beta_n has a nonzero target.
+    """
+    space = make_space(n, m)
+    bundles = [kernel_bundle(space, e) for e in range(1, m)]
+    bundles += _custom_bundles(space, random.Random(7))
+    atoms = [atom(d) for d in range(-m - n, 2 * m + n + 1) for atom in (OX, OZ)]
+    compared = zero_source = top = 0
+    for Kp in bundles:
+        for A in atoms:
+            try:
+                les = les_hom_cov(space, A, Kp)
+            except (OutOfValidity, PresentationMismatch) as refusal:
+                with pytest.raises(type(refusal)):
+                    beta_map(space, A, Kp, 1)
+                continue
+            for i in range(n + 1):
+                beta = les.maps[3 * i + 1]
+                assert (beta.how, beta.matrix) == ("onto", None)
+                source, target = les.terms[3 * i + 1].dim, les.terms[3 * i + 2].dim
+                zero_source += not source and target > 0
+                top += i == n and target > 0
+                if Kp.canonical or target <= FRACTION_TARGET_ROWS:
+                    assert beta_map(space, A, Kp, i).rank() == beta.rank, (A, Kp, i)
+                    compared += 1
+    assert compared >= len(bundles) * (n + 1) and zero_source
+    # for n = 2 those pairs have R3's H^1(Z, e'-d) block: the n = 2 gap refuses them
+    assert top or n == 2
+
+
+def test_fraction_bundle_covariant_chase_matches_the_canonical_one(monkeypatch):
+    """Hom(OZ(d), K) for a Fraction evaluation K equals the canonical F_2's.
+
+    On P(1^4, 3) the explicit beta_1 of Hom(OZ(-7), K) has h * 286
+    dense Fraction columns into 455 rows; the chase reads its rank off
+    the target and builds no map but the x_n multiplications of the
+    cone presentations it sizes.
+    """
+    X4 = make_space(4, 3)
+    F2 = kernel_bundle(X4, 2)
+    hilbert = [[Fraction(1, i + j + 1) for i in range(F2.h)] for j in range(F2.h)]
+    K = kernel_bundle_custom(X4, 2, hilbert)
+    canonical = {d: hom_objects(X4, OZ(d), F2) for d in range(-7, 0)}
+    assert canonical[-7] == (0, 2625, 0, 0, 0)
+    built = _count_presented_maps(monkeypatch)
+    assert {d: hom_objects(X4, OZ(d), K) for d in range(-7, 0)} == canonical
+    assert built and _only_xn_maps(built)
 
 
 def test_kernel_bundle_columns_must_match_h_and_the_basis():

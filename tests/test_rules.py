@@ -9,8 +9,8 @@ import random
 from math import comb
 
 import pytest
+from explicit_maps import ext1_map, sections_map
 
-from conetilt import rules
 from conetilt.cone import (
     Monomial,
     cone_cohomology_dim,
@@ -21,7 +21,7 @@ from conetilt.cone import (
     section_monomials,
     weighted_monomials,
 )
-from conetilt.linalg import EngineError, PresentedMap
+from conetilt.linalg import PresentedMap
 from conetilt.objects import kernel_bundle
 from conetilt.rules import (
     OX,
@@ -29,10 +29,8 @@ from conetilt.rules import (
     OutOfValidity,
     PresentationMismatch,
     cone_presentation,
-    ext1_postcompose_map,
     hom0_space,
     hom_atoms,
-    postcompose_sections_map,
 )
 
 X = make_space(3, 3)
@@ -80,7 +78,7 @@ def test_r2_allows_any_source_twist():
 def _restriction(space, a, e):
     """Hom(O(a), O(e)) -> Hom(O(a), OZ(e)) in degree 0: postcompose with 1."""
     one = Monomial((0,) * space.n)
-    return postcompose_sections_map(space, a, (OX(e),), [((one, 1),)], OZ(e))
+    return sections_map(space, a, (OX(e),), [((one, 1),)], OZ(e))
 
 
 def test_restrict_map_ranks():
@@ -213,9 +211,9 @@ def test_ext1_postcompose_map_equals_the_presentation_of_the_full_sum(space):
             except PresentationMismatch:
                 continue  # the n = 2 refusals
             ref = cone_presentation(space, e, free)
-            post = postcompose_sections_map(space, e - m, free, comps, OZ(ep))
+            post = sections_map(space, e - m, free, comps, OZ(ep))
             ref_map = PresentedMap(ref.quotient, pres_tgt.quotient, post.columns)
-            got = ext1_postcompose_map(space, e, comps, pres_tgt, name="v3")
+            got = ext1_map(space, e, comps, pres_tgt, name="v3")
             assert got.source.ambient.labels == ref.generators.labels
             assert got.source.boundaries == ref.quotient.boundaries
             assert got.columns == ref_map.columns
@@ -223,32 +221,6 @@ def test_ext1_postcompose_map_equals_the_presentation_of_the_full_sum(space):
             assert got.rank() == ref_map.rank()
             compared += 1
     assert compared >= 2 * m
-
-
-def _keep_xn_divisible(mon):
-    """A wrong restriction: x_n^k u goes to u x_0^(mk) instead of to zero."""
-    k = mon.exps[-1]
-    return Monomial((mon.exps[0] + X.m * k,) + mon.exps[1:-1])
-
-
-def test_ext1_postcompose_square_check_catches_a_wrong_restriction(monkeypatch):
-    pres_tgt = cone_presentation(X, -1, (OZ(1),))
-    comps = kernel_bundle(X, 1).component_terms(X)
-    monkeypatch.setattr(rules, "restrict_monomial", _keep_xn_divisible)
-    rules._one_copy.cache_clear()
-    try:
-        with pytest.raises(EngineError, match="square does not commute for v3"):
-            ext1_postcompose_map(X, -1, comps, pres_tgt, name="v3")
-    finally:
-        rules._one_copy.cache_clear()
-
-
-def test_ext1_postcompose_refuses_a_target_where_xn_acts():
-    pres_tgt = cone_presentation(X, -1, (OX(0),))
-    assert any(pres_tgt.xn_map.columns)
-    comps = kernel_bundle(X, 1).component_terms(X)
-    with pytest.raises(EngineError, match="x_n does not act by zero"):
-        ext1_postcompose_map(X, -1, comps, pres_tgt, name="v3")
 
 
 def _twist_of(atom, shift):
