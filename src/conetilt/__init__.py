@@ -50,7 +50,6 @@ from .rules import (
     OZ,
     OutOfValidity,
     PresentationMismatch,
-    cone_presentation,
     hom_atoms,
 )
 from .tilting import (

@@ -431,7 +431,7 @@ class PresentedMap:
     basis vector) or a list of rows; an empty matrix is the zero map.
     """
 
-    def __init__(self, source, target, matrix, name="", check=True):
+    def __init__(self, source, target, matrix, name=""):
         self.source = source
         self.target = target
         self.name = name
@@ -445,7 +445,7 @@ class PresentedMap:
                     "map %r: %d columns, the source ambient has %d"
                     % (name, len(self.columns), cols)
                 )
-        if check and not (source.is_direct and target.is_direct):
+        if not (source.is_direct and target.is_direct):
             if not target.full_cycles:
                 if not _Echelon(target.cycles).spans(self._source_image()):
                     raise IllDefinedMap(
@@ -507,7 +507,7 @@ class PresentedMap:
         return "PresentedMap(%s: %r -> %r)" % (self.name or "?", self.source, self.target)
 
 
-def map_from_columns(source, target, columns, name="", check=True):
+def map_from_columns(source, target, columns, name=""):
     """Build a map from sparse columns {target row index: coeff}, one per
     source ambient basis vector in order.  An int stays an int, an
     integral Fraction becomes one, and zero entries are dropped."""
@@ -523,4 +523,4 @@ def map_from_columns(source, target, columns, name="", check=True):
             if coeff:
                 col[r] = coeff
         cols.append(col)
-    return PresentedMap(source, target, cols, name=name, check=check)
+    return PresentedMap(source, target, cols, name=name)

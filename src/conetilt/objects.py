@@ -31,8 +31,7 @@ from .rules import (
     Atom,
     OX,
     OZ,
-    _one_copy,
-    cone_presentation,
+    ext1_h0_block,
     hom_atoms,
     laurent_class,
 )
@@ -402,8 +401,8 @@ def _cov_beta(space, A, Kp, i, pspace, qspace):
     * A = OZ(d), degree 1, on the cone presentations: the source is
       H^0(X, m-d)^h' modulo x_n-multiples, which restrict to zero, so it
       maps as H^0(Z, m-d)^h' onto R3's block H^0(Z, e'-d+m) when d <= m;
-      for d > m the source is zero.  The presentations are still built
-      and sized, so the n = 2 gap is refused as before.
+      for d > m the source is zero.  That block is ext1_h0_block, which
+      refuses the n = 2 H^1(Z, e'-d) block.
     * A = OZ(d), degree n: Laurent multiplication
       H^{n-1}(Z, m-d)^h' -> H^{n-1}(Z, e'-d+m); a monomial x^b hits each
       class x^-g from x^-(g+b), and each x^b is a combination of the s_c.
@@ -413,12 +412,7 @@ def _cov_beta(space, A, Kp, i, pspace, qspace):
     """
     reached = qspace
     if A.kind == SECTION:
-        reached = qspace.blocks[1]
-        if i == 1:
-            pres_q = cone_presentation(space, A.twist, (OZ(Kp.e),))
-            pres_p = _one_copy(space, A.twist)
-            if Kp.h * pres_p.dim != pspace.dim or pres_q.dim != qspace.dim:
-                raise EngineError("cone presentation dimensions drifted")
+        reached = ext1_h0_block(space, A.twist, Kp.e) if i == 1 else qspace.blocks[1]
     return LESMap("beta_%d" % i, reached.dim if pspace.dim else 0, "onto")
 
 
@@ -545,24 +539,14 @@ def _hom_kernel_kernel(space, K, Kp):
     presented by H^0(Z, m-e+e') with no relations, and the map sends
     (f_c) to sum f_c s_c.  The evaluation sections s_c span H^0(Z, e'),
     and H^0(Z, m-e) H^0(Z, e') is all of H^0(Z, m-e+e') as both degrees
-    are at least 1.  The presentation sizes are checked against the
-    rows; the cone presentation of the bottom term is still built, so a
-    pair outside its validity domain is refused as before.
+    are at least 1.  The bottom term is ext1_h0_block, which refuses a
+    pair whose Ext^1 has the n = 2 block H^1(Z, e'-e).
     """
     n = space.n
     Kp.component_terms(space)  # ShapeMismatch unless K' lives here and spans
     top = _free_row(space, K, Kp.h)
     bottom = les_hom_contra(space, K, [OZ(Kp.e)])
-
-    # the cone presentations behind the onto right vertical
-    pres_bot = cone_presentation(space, K.e, (OZ(Kp.e),))
-    one = _one_copy(space, K.e)
-    if (
-        one.relation_source.dim
-        or Kp.h * one.dim != top.terms[3].dim
-        or pres_bot.dim != bottom.terms[3].dim
-    ):
-        raise EngineError("presentation dimensions disagree with the rows")
+    ext1_h0_block(space, K.e, Kp.e)  # refuses the block the right vertical misses
 
     ladder = ladder_propagate(top, bottom)
 

@@ -16,14 +16,12 @@ guessing.  The tags attached to every degree name the rule used:
 * R3  Hom^i(OZ(e), OZ(f)) = H^i(Z, O(f-e)) + H^{i-1}(Z, O(f-e+m)),
       from the twist resolution 0 -> O(e-m) -> O(e) -> OZ(e) -> 0 and
       the fact that multiplication by the cone variable dies on Z.
+      Maps out of free sheaves reach only the H^0(Z, f-e+m) block of
+      degree 1 (ext1_h0_block); a chase that meets the n = 2 block
+      H^1(Z, f-e) is refused.
 * R4  Hom^i(OZ(e), O(b)) = H^{i-1}(Z, O(b-e+m)) for invertible O(b),
       from the local Ext^1(OZ(e), O(b)) = O_Z(b-e+m) of the twist
       resolution; it has the dimensions of the Serre dual of R2.
-* CP  cone presentation: Ext^1(OZ(e), T) as the cokernel of
-      multiplication by the cone variable on degree-0 Hom spaces; for
-      T = O^h' it is h' copies of one cached presentation.  Its size is
-      checked against R3/R4, which refuses the n = 2 gap; the maps the
-      chases need between presentations are onto, so none is built.
 
 Composition is multiplication of monomials: polynomial on the H^0
 bases, Laurent on the top-degree bases.
@@ -35,21 +33,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cone import (
-    Monomial,
     laurent_top_basis,
     section_laurent_basis,
     section_monomials,
     weighted_monomials,
 )
-from .linalg import (
-    DirectSpace,
-    DirectSum,
-    EngineError,
-    PresentedMap,
-    Subquotient,
-    map_from_columns,
-    zero_space,
-)
+from .linalg import DirectSpace, DirectSum, EngineError, zero_space
 
 CONE = "cone"
 SECTION = "section"
@@ -60,7 +49,11 @@ class OutOfValidity(EngineError):
 
 
 class PresentationMismatch(EngineError):
-    """A cone presentation disagrees with the closed-form dimension."""
+    """Ext^1(OZ(e), OZ(f)) has the n = 2 block H^1(Z, f-e) no onto map reaches.
+
+    The chases present Ext^1 out of free sheaves as R3's block
+    H^0(Z, f-e+m); the message compares that block with R3's total.
+    """
 
 
 @dataclass(frozen=True)
@@ -186,25 +179,8 @@ def hom_atoms(space, A, B):
 
 
 # ---------------------------------------------------------------------------
-# degree-0 Hom spaces between sums, and monomial arithmetic
+# monomial arithmetic, and the Ext^1 block the chases reach
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _basis(space, kind, d):
-    """The monomial basis of H^0(X, O(d)) (kind CONE) or H^0(Z, O(d)), once."""
-    if kind == CONE:
-        return DirectSpace(weighted_monomials(space, d))
-    return DirectSpace(section_monomials(space, d))
-
-
-def hom0_space(space, a, targets, name=""):
-    """Hom(O(a), sum_c T_c) in degree 0: a DirectSum, labels (c, monomial).
-
-    Cone targets use the reflexive rule R0, section targets R2; block c
-    is the cached basis of T_c twisted by -a.
-    """
-    return DirectSum([_basis(space, t.kind, t.twist - a) for t in targets], name)
-
 
 def laurent_class(mon):
     """The Laurent local-cohomology class of mon, or None if it vanishes."""
@@ -213,78 +189,18 @@ def laurent_class(mon):
     return None
 
 
-# ---------------------------------------------------------------------------
-# cone presentations of Ext^1(OZ(e), T)
-# ---------------------------------------------------------------------------
+def ext1_h0_block(space, e, f):
+    """R3's degree-1 block H^0(Z, f-e+m) of Ext^1(OZ(e), OZ(f)).
 
-@dataclass
-class ConePresentation:
-    """Ext^1(OZ(e), T) presented as a cokernel of cone-variable multiplication.
-
-    The generators live in Hom(O(e-m), T) in degree 0; the relations are
-    the image of multiplication by x_n from Hom(O(e), T).  The presented
-    dimension is cross-checked against the closed-form rules at
-    construction; a mismatch is an error (the query left the validity
-    domain), never a silent answer.
+    It is the x_n-cokernel on Hom(O(e-m), OZ(f)), the part of Ext^1 that
+    maps out of free sheaves reach.  The other block, H^1(Z, f-e), is
+    nonzero only for n = 2 and f - e <= -2; no onto argument covers it,
+    so that pair raises PresentationMismatch.
     """
-
-    e: int
-    targets: tuple
-    generators: DirectSpace
-    relation_source: DirectSpace
-    xn_map: PresentedMap
-    quotient: Subquotient
-
-    @property
-    def dim(self):
-        return self.quotient.dim
-
-
-def _xn_multiplication(space, e, targets):
-    """Multiplication by x_n: Hom(O(e), T) -> Hom(O(e-m), T), degree 0."""
-    src = hom0_space(space, e, targets, "Hom(O(%d),T)" % e)
-    tgt = hom0_space(space, e - space.m, targets, "Hom(O(%d),T)" % (e - space.m))
-    xn = Monomial((0,) * space.n + (1,))
-    columns = []
-    for t, block, offset, tblock in zip(targets, src.blocks, tgt.offsets, tgt.blocks):
-        if t.kind == CONE:
-            row = tblock._index
-            columns += [{offset + row[mon * xn]: 1} for mon in block.labels]
-        else:  # on a section target multiplication by x_n is zero
-            columns += [{} for _ in range(block.dim)]
-    return map_from_columns(src, tgt, columns, name="xn(e=%d)" % e)
-
-
-def cone_presentation(space, e, targets):
-    """Present Ext^1(OZ(e), T) for T a sum of invertible twists and OZ twists.
-
-    Raises PresentationMismatch when the presented dimension disagrees
-    with the closed-form degree-1 dimension (rules R3/R4): that signals
-    the pair left the validity domain.
-    """
-    targets = tuple(targets)
-    for t in targets:
-        if t.kind == CONE and not t.is_invertible(space):
-            raise OutOfValidity(
-                "cone presentation needs invertible cone twists, got %s" % (t,)
-            )
-    xmap = _xn_multiplication(space, e, targets)
-    quotient = Subquotient(
-        xmap.target,
-        None,  # full ambient span
-        xmap.columns,
-        name="Ext^1(OZ(%d),T)" % e,
-    )
-    expected = sum(hom_atoms(space, OZ(e), t).dims[1] for t in targets)
-    if quotient.dim != expected:
+    gap, reached = hom_atoms(space, OZ(e), OZ(f))[1].blocks
+    if gap.dim:
         raise PresentationMismatch(
-            "Ext^1(OZ(%d), %s): presentation gives %d, rules give %d"
-            % (e, "+".join(str(t) for t in targets), quotient.dim, expected)
+            "Ext^1(OZ(%d), OZ(%d)): presentation gives %d, rules give %d"
+            % (e, f, reached.dim, gap.dim + reached.dim)
         )
-    return ConePresentation(e, targets, xmap.target, xmap.source, xmap, quotient)
-
-
-@lru_cache(maxsize=None)
-def _one_copy(space, e):
-    """cone_presentation(space, e, (OX(0),)), once per (cone, e)."""
-    return cone_presentation(space, e, (OX(0),))
+    return reached

@@ -1,23 +1,118 @@
-"""Explicit multiplication matrices for maps the engine takes as onto.
+"""Explicit cone presentations and multiplication matrices for onto maps.
 
-The covariant chase reads the rank of each map
-beta_i: Hom^i(A, O^h') -> Hom^i(A, OZ(e')) off its target without
-building it.  The functions here realize every beta_i as an exact matrix
-over the monomial bases, so tests can compare those ranks with an
-elimination that shares nothing with the argument for ontoness.
+The chases read Ext^1(OZ(e), -) off R3 and R4 and read the rank of each
+map beta_i: Hom^i(A, O^h') -> Hom^i(A, OZ(e')) off its target without
+building it.  The functions here present Ext^1(OZ(e), T) as the cokernel
+of multiplication by the cone variable x_n, and realize every beta_i as
+an exact matrix over the monomial bases, so tests can compare those
+dimensions and ranks with an elimination that shares nothing with the
+rules or the argument for ontoness.
 """
 
-from conetilt.cone import Monomial
-from conetilt.linalg import DirectSum, PresentedMap, Subquotient
+from dataclasses import dataclass
+from functools import lru_cache
+
+from conetilt.cone import Monomial, section_monomials, weighted_monomials
+from conetilt.linalg import (
+    DirectSpace,
+    DirectSum,
+    PresentedMap,
+    Subquotient,
+    map_from_columns,
+)
 from conetilt.rules import (
     CONE,
     OX,
     OZ,
-    cone_presentation,
-    hom0_space,
+    OutOfValidity,
+    PresentationMismatch,
     hom_atoms,
     laurent_class,
 )
+
+
+@lru_cache(maxsize=None)
+def _basis(space, kind, d):
+    """The monomial basis of H^0(X, O(d)) (kind CONE) or H^0(Z, O(d)), once."""
+    if kind == CONE:
+        return DirectSpace(weighted_monomials(space, d))
+    return DirectSpace(section_monomials(space, d))
+
+
+def hom0_space(space, a, targets, name=""):
+    """Hom(O(a), sum_c T_c) in degree 0: a DirectSum, labels (c, monomial).
+
+    Cone targets use the reflexive rule R0, section targets R2; block c
+    is the cached basis of T_c twisted by -a.
+    """
+    return DirectSum([_basis(space, t.kind, t.twist - a) for t in targets], name)
+
+
+@dataclass
+class ConePresentation:
+    """Ext^1(OZ(e), T) presented as a cokernel of cone-variable multiplication.
+
+    The generators live in Hom(O(e-m), T) in degree 0; the relations are
+    the image of multiplication by x_n from Hom(O(e), T).  The presented
+    dimension is cross-checked against the closed-form rules at
+    construction; a mismatch is an error (the query left the validity
+    domain), never a silent answer.
+    """
+
+    e: int
+    targets: tuple
+    generators: DirectSpace
+    relation_source: DirectSpace
+    xn_map: PresentedMap
+    quotient: Subquotient
+
+    @property
+    def dim(self):
+        return self.quotient.dim
+
+
+def _xn_multiplication(space, e, targets):
+    """Multiplication by x_n: Hom(O(e), T) -> Hom(O(e-m), T), degree 0."""
+    src = hom0_space(space, e, targets, "Hom(O(%d),T)" % e)
+    tgt = hom0_space(space, e - space.m, targets, "Hom(O(%d),T)" % (e - space.m))
+    xn = Monomial((0,) * space.n + (1,))
+    columns = []
+    for t, block, offset, tblock in zip(targets, src.blocks, tgt.offsets, tgt.blocks):
+        if t.kind == CONE:
+            row = tblock._index
+            columns += [{offset + row[mon * xn]: 1} for mon in block.labels]
+        else:  # on a section target multiplication by x_n is zero
+            columns += [{} for _ in range(block.dim)]
+    return map_from_columns(src, tgt, columns, name="xn(e=%d)" % e)
+
+
+def cone_presentation(space, e, targets):
+    """Present Ext^1(OZ(e), T) for T a sum of invertible twists and OZ twists.
+
+    Raises PresentationMismatch when the presented dimension disagrees
+    with the closed-form degree-1 dimension (rules R3/R4): that signals
+    the pair left the validity domain.
+    """
+    targets = tuple(targets)
+    for t in targets:
+        if t.kind == CONE and not t.is_invertible(space):
+            raise OutOfValidity(
+                "cone presentation needs invertible cone twists, got %s" % (t,)
+            )
+    xmap = _xn_multiplication(space, e, targets)
+    quotient = Subquotient(
+        xmap.target,
+        None,  # full ambient span
+        xmap.columns,
+        name="Ext^1(OZ(%d),T)" % e,
+    )
+    expected = sum(hom_atoms(space, OZ(e), t).dims[1] for t in targets)
+    if quotient.dim != expected:
+        raise PresentationMismatch(
+            "Ext^1(OZ(%d), %s): presentation gives %d, rules give %d"
+            % (e, "+".join(str(t) for t in targets), quotient.dim, expected)
+        )
+    return ConePresentation(e, targets, xmap.target, xmap.source, xmap, quotient)
 
 
 def restrict(mon):

@@ -8,6 +8,7 @@ import itertools
 import random
 
 import pytest
+from explicit_maps import cone_presentation
 
 from conetilt.cone import make_space, weighted_monomials
 from conetilt.objects import (
@@ -19,7 +20,7 @@ from conetilt.objects import (
     les_hom_contra,
     les_hom_cov,
 )
-from conetilt.rules import OX, OZ, cone_presentation, hom_atoms
+from conetilt.rules import OX, OZ, hom_atoms
 from conetilt.tilting import (
     check_sod,
     end_blocks,

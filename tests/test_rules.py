@@ -9,7 +9,7 @@ import random
 from math import comb
 
 import pytest
-from explicit_maps import ext1_map, sections_map
+from explicit_maps import cone_presentation, ext1_map, hom0_space, sections_map
 
 from conetilt.cone import (
     Monomial,
@@ -28,8 +28,6 @@ from conetilt.rules import (
     OZ,
     OutOfValidity,
     PresentationMismatch,
-    cone_presentation,
-    hom0_space,
     hom_atoms,
 )
 
@@ -260,8 +258,6 @@ def test_serre_symmetry_of_hom_dims(space):
 
 def test_r0_r1_degree_zero_consistency():
     """Where both the reflexive rule and the full rule apply, bases agree."""
-    from conetilt.rules import hom0_space
-
     for a in (-6, -3, 0, 3, 6):
         for b in range(-6, 7):
             full = hom_atoms(X, OX(a), OX(b))
