@@ -2,15 +2,14 @@
 
 Representation.  A matrix is a list of sparse columns, one per source
 basis vector: column j is a dict {row index: coefficient} that holds
-only the nonzero entries, each an int or a Fraction.  The maps of the
-engine are monomial maps with a handful of nonzeros per column, so
-nothing of size rows x columns is ever built on the engine path.  Their
-coefficients come from the evaluations of the kernel bundles; a
-canonical bundle implies its identity evaluation without storing it,
-so its maps hold ints only and no Fraction arithmetic runs on them.
-`map_from_columns` builds a map from columns keyed by row index; it
-keeps an int an int, turns an integral Fraction into one and drops
-zeros.
+only the nonzero entries, each an int or a Fraction.  Sparse columns
+handed to a PresentedMap or a Subquotient are normalized on the way in:
+zeros are dropped, an int stays an int and an integral Fraction becomes
+one.  The Hom chase reads every rank off the rules and builds no map;
+PresentedMap and Subquotient serve the public API, the benchmark
+tracer and the explicit reference maps of the tests.  The engine's
+one elimination is `mat_rank` on the evaluation of a custom kernel
+bundle, to check that it spans.
 Vector spaces are presented either directly (a finite tuple of basis
 labels) or as subquotients span(cycles)/span(boundaries) inside a
 direct space; cycles=None means the whole ambient and is never
@@ -274,18 +273,33 @@ def nullspace(M):
 # presented spaces
 # ---------------------------------------------------------------------------
 
+def _normalized(col):
+    """A sparse column without zeros, an integral Fraction made an int."""
+    out = {}
+    for r, x in col.items():
+        if type(x) is not int:
+            x = Fraction(x)
+            if x.denominator == 1:
+                x = x.numerator
+        if x:
+            out[r] = x
+    return out
+
+
 def _as_columns(M, nrows, what):
-    """Sparse columns over `nrows` rows, from sparse columns or a list of rows."""
+    """Sparse columns over `nrows` rows, from sparse columns or a list of rows.
+
+    Sparse columns are normalized: a stored zero would become a pivot.
+    """
     if not M:
         return []
     if isinstance(M[0], dict):
-        cols = list(M)
-        filled = [col for col in cols if col]
+        filled = [col for col in M if col]
         if filled and (min(map(min, filled)) < 0 or max(map(max, filled)) >= nrows):
             raise ShapeMismatch(
                 "%s: a row index lies outside 0..%d" % (what, nrows - 1)
             )
-        return cols
+        return [_normalized(col) for col in M]
     rows_in, cols = _columns(M)
     if rows_in != nrows:
         raise ShapeMismatch("%s: %d rows, the ambient has %d" % (what, rows_in, nrows))
@@ -505,22 +519,3 @@ class PresentedMap:
 
     def __repr__(self):
         return "PresentedMap(%s: %r -> %r)" % (self.name or "?", self.source, self.target)
-
-
-def map_from_columns(source, target, columns, name=""):
-    """Build a map from sparse columns {target row index: coeff}, one per
-    source ambient basis vector in order.  An int stays an int, an
-    integral Fraction becomes one, and zero entries are dropped."""
-    cols = []
-    for column in columns:
-        col = {}
-        for r, coeff in column.items():
-            if type(coeff) is not int:
-                if type(coeff) is not Fraction:
-                    coeff = Fraction(coeff)
-                if coeff.denominator == 1:
-                    coeff = coeff.numerator
-            if coeff:
-                col[r] = coeff
-        cols.append(col)
-    return PresentedMap(source, target, cols, name=name)

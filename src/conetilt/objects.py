@@ -4,11 +4,12 @@ Objects are atoms, finite direct sums, or kernel bundles: the locally
 free kernels of evaluation maps O_X^h -> OZ(e).  Graded Hom between
 objects is computed by resolving kernel bundles along their defining
 sequences: the left argument first (contravariant sequences with atom
-targets), then the right argument (covariant sequences), with every
-induced rank realized by an explicit matrix, read off the target of a
-map shown to be onto, or read off the two exact rows of a ladder.  When
-a rank is genuinely not determined by the diagrams, the engine raises
-IndeterminateRank naming the unresolved map; it never guesses.
+targets), then the right argument (covariant sequences).  Every
+induced rank is read off the rules: off the source of a map shown to
+be injective, off the target of a map shown to be onto, or off the two
+exact rows of a ladder; no matrix is built.  When a rank is genuinely
+not determined by the diagrams, the engine raises IndeterminateRank
+naming the unresolved map; it never guesses.
 """
 
 from __future__ import annotations
@@ -17,24 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cone import Monomial, section_monomials
-from .linalg import (
-    DirectSum,
-    EngineError,
-    ShapeMismatch,
-    map_from_columns,
-    mat_rank,
-)
-from .rules import (
-    CONE,
-    SECTION,
-    Atom,
-    OX,
-    OZ,
-    ext1_h0_block,
-    hom_atoms,
-    laurent_class,
-)
+from .cone import section_monomials
+from .linalg import EngineError, ShapeMismatch, mat_rank
+from .rules import CONE, SECTION, Atom, OX, OZ, ext1_h0_block, hom_atoms
 
 
 class IndeterminateRank(EngineError):
@@ -128,7 +114,7 @@ def _component_terms(space, K):
             )
     if K.canonical:
         return tuple(((mu, 1),) for mu in basis)
-    # exactness of 0 -> K -> O^h -> OZ(e) -> 0 and both onto verticals need this
+    # exactness of 0 -> K -> O^h -> OZ(e) -> 0 and every injective or onto map need this
     if not _spans(K.columns, len(basis)):
         raise ShapeMismatch(
             "%s does not live on %s: its evaluation does not span H^0(Z, O(%d))"
@@ -213,15 +199,13 @@ def _atom_list(B):
 class LESTerm:
     name: str
     dim: int  # None until solve_les pins it
-    space: object = None
 
 
 @dataclass
 class LESMap:
     name: str
     rank: int  # None until solve_les pins it
-    how: str  # "matrix" | "onto" | "exactness" | "ladder" | "zero-side"
-    matrix: object = None
+    how: str  # "injective" | "onto" | "exactness" | "ladder" | "zero-side"
 
 
 @dataclass
@@ -286,55 +270,30 @@ def solve_les(origin, terms, maps):
     return les
 
 
-def _term_space_section_source(space, e, B_atoms, i, name):
-    """Hom^i(OZ(e), sum B): labels (component, rule label)."""
-    basis = {a: hom_atoms(space, OZ(e), a)[i] for a in dict.fromkeys(B_atoms)}
-    return DirectSum([basis[a] for a in B_atoms], name)
+def _contra_alpha(space, K, B_atoms, i):
+    """The known-to-known map Hom^i(OZ(e), B) -> Hom^i(O_X^h, B), by rank.
 
-
-def _term_space_free_source(space, h, B_atoms, i, name):
-    """Hom^i(O_X^h, sum B): labels (component, (copy, rule label))."""
-    copies = {
-        a: DirectSum([hom_atoms(space, OX(0), a)[i]] * h) for a in dict.fromkeys(B_atoms)
-    }
-    return DirectSum([copies[a] for a in B_atoms], name)
-
-
-def _contra_alpha(space, K, B_atoms, i, qspace, pspace):
-    """The known-to-known map Hom^i(OZ(e), B) -> Hom^i(O_X^h, B).
-
-    Every component acts by multiplication with the evaluation sections
-    (Laurent classes in higher degree).  An invertible cone component
-    O(b) is zero below the top degree; in top degree R4's
-    H^{n-1}(Z, b-e+m) is multiplied into H^{n-1}(Z, b+m) and carried to
-    H^n(X, O(b)) by the connecting map, multiplication by x_n^-1.
+    Each component multiplies by the evaluation sections s_j of K, which
+    span H^0(Z, e), so it is injective on the part of its source that
+    survives restriction, or its target is zero; no matrix is built.
+    * B = OZ(f), degree 0: u -> (u s_j) is injective.
+    * B = OZ(f), degree n-1: the map is dual to (g_j) -> sum g_j s_j
+      from H^0(Z, -f-n)^h, which is onto H^0(Z, e-f-n) when -f-n >= 0;
+      otherwise the target H^{n-1}(Z, f) is zero.
+    * B = OZ(f): R3's block 1, H^{i-1}(Z, f-e+m), restricts to zero, so
+      only block 0, H^i(Z, f-e), counts.
+    * B = O(b) invertible, degree n: R4's H^{n-1}(Z, b-e+m) is multiplied
+      into H^{n-1}(Z, b+m)^h, then carried to H^n(X, O(b))^h by the
+      connecting map, which is injective as H^{n-1}(X, O(b+m)) = 0.
+      Both targets vanish exactly when -b-n-m < 0.  In other degrees
+      H^i(X, O(b)) or R4's space is zero.
     """
-    comps = K.component_terms(space)
-    columns = [{} for _ in range(qspace.dim)]
-    for c, atom in enumerate(B_atoms):
-        cone = atom.kind == CONE
-        if cone and i < space.n:
-            continue  # below the top degree R4 or H^i(X, O(b)) vanishes
-        block, copies = qspace.blocks[c], pspace.blocks[c]
-        if not cone:
-            block = block.blocks[0]  # only R3's H^i(Z, f-e) block survives restriction
-        shifts = [pspace.offsets[c] + s for s in copies.offsets]
-        rows = copies.blocks[0]._index  # Hom^i(O, atom)
-        for k, u in enumerate(block.labels):
-            col = columns[qspace.offsets[c] + k]
-            for s, terms in zip(shifts, comps):
-                for mu, coeff in terms:
-                    prod = u * mu
-                    if i > 0:
-                        prod = laurent_class(prod)
-                        if prod is None:
-                            continue
-                        if cone:  # the connecting map appends the exponent -1
-                            prod = Monomial(prod.exps + (-1,))
-                    r = s + rows[prod]
-                    col[r] = col.get(r, 0) + coeff
-    pmap = map_from_columns(qspace, pspace, columns, name="alpha_%d" % i)
-    return LESMap("alpha_%d" % i, pmap.rank(), "matrix", pmap)
+    rank = 0
+    for a in B_atoms:
+        if hom_atoms(space, OX(0), a).dims[i]:
+            source = hom_atoms(space, OZ(K.e), a)[i]
+            rank += (source.blocks[0] if a.kind == SECTION else source).dim
+    return LESMap("alpha_%d" % i, rank, "injective")
 
 
 def les_hom_contra(space, K, B):
@@ -342,7 +301,7 @@ def les_hom_contra(space, K, B):
 
     B must be an atom or a finite sum of atoms inside the rule validity
     domain.  Every unknown dimension Hom^i(K, B) is pinned by exactness
-    from the explicit ranks of the known-to-known maps.
+    from the ranks of the injective known-to-known maps.
     """
     K = as_object(K)
     if not isinstance(K, KernelBundle):
@@ -362,14 +321,15 @@ def _contra_names(space, K, B_atoms):
 @lru_cache(maxsize=None)
 def _les_hom_contra_cached(space, K, B_atoms):
     origin, names = _contra_names(space, K, B_atoms)
+    # OutOfValidity for a non-invertible O(b), before any other rule is read
+    fromQ = [hom_atoms(space, OZ(K.e), a).dims for a in B_atoms]
+    fromP = [hom_atoms(space, OX(0), a).dims for a in B_atoms]
     terms, maps = [], []
     for i in range(space.n + 1):
-        qs = _term_space_section_source(space, K.e, B_atoms, i, names[3 * i])
-        ps = _term_space_free_source(space, K.h, B_atoms, i, names[3 * i + 1])
-        terms.append(LESTerm(qs.name, qs.dim, qs))
-        terms.append(LESTerm(ps.name, ps.dim, ps))
+        terms.append(LESTerm(names[3 * i], sum(d[i] for d in fromQ)))
+        terms.append(LESTerm(names[3 * i + 1], K.h * sum(d[i] for d in fromP)))
         terms.append(LESTerm(names[3 * i + 2], None))
-        maps.append(_contra_alpha(space, K, B_atoms, i, qs, ps))
+        maps.append(_contra_alpha(space, K, B_atoms, i))
         maps.append(LESMap("res_%d" % i, None, "exactness"))
         if i < space.n:
             maps.append(LESMap("delta_%d" % i, None, "exactness"))
@@ -389,7 +349,7 @@ def _free_row(space, K, hp):
     return row
 
 
-def _cov_beta(space, A, Kp, i, pspace, qspace):
+def _cov_beta(space, A, Kp, i, pdim, qdim):
     """The known-to-known map Hom^i(A, O_X^h') -> Hom^i(A, OZ(e')), by rank.
 
     The map multiplies by the evaluation sections s_c of K', which span
@@ -410,10 +370,11 @@ def _cov_beta(space, A, Kp, i, pspace, qspace):
     A section source reaches only R3's block 1: O^h' maps nothing into
     its block 0, H^i(Z, e'-d).
     """
-    reached = qspace
     if A.kind == SECTION:
-        reached = ext1_h0_block(space, A.twist, Kp.e) if i == 1 else qspace.blocks[1]
-    return LESMap("beta_%d" % i, reached.dim if pspace.dim else 0, "onto")
+        if i == 1:
+            ext1_h0_block(space, A.twist, Kp.e)  # refuses the n = 2 gap
+        qdim = hom_atoms(space, A, OZ(Kp.e))[i].blocks[1].dim
+    return LESMap("beta_%d" % i, qdim if pdim else 0, "onto")
 
 
 def les_hom_cov(space, A, Kp):
@@ -443,13 +404,12 @@ def _les_hom_cov_cached(space, A, Kp):
 
     terms, maps = [], []
     for i in range(n + 1):
-        ps = DirectSum([ghP[i]] * Kp.h, "Hom^%d(%s, O^%d)" % (i, A, Kp.h))
-        qs = ghQ[i]
+        pdim, qdim = Kp.h * ghP.dims[i], ghQ.dims[i]
         terms.append(LESTerm("Hom^%d(%s, %s)" % (i, A, kname), None))
-        terms.append(LESTerm(ps.name, ps.dim, ps))
-        terms.append(LESTerm("Hom^%d(%s, OZ(%d))" % (i, A, Kp.e), qs.dim, qs))
+        terms.append(LESTerm("Hom^%d(%s, O^%d)" % (i, A, Kp.h), pdim))
+        terms.append(LESTerm("Hom^%d(%s, OZ(%d))" % (i, A, Kp.e), qdim))
         maps.append(LESMap("inc_%d" % i, None, "exactness"))
-        maps.append(_cov_beta(space, A, Kp, i, ps, qs))
+        maps.append(_cov_beta(space, A, Kp, i, pdim, qdim))
         if i < n:
             maps.append(LESMap("delta_%d" % i, None, "exactness"))
     return solve_les(
@@ -525,9 +485,9 @@ def _hom_kernel_kernel(space, K, Kp):
 
     The top row Hom(-, O^h') is h' copies of the row Hom(-, O), so
     `_free_row` scales that cached row, solved once per (cone, K).  The
-    ladder reads ranks only, so its maps carry no matrix.  Its map
-    T3 -> T4 lands in Hom^1(O^h, O^h') = H^1(X, O)^{hh'} = 0 for n >= 2;
-    were it nonzero, the ladder would refuse.  The left vertical is h
+    ladder reads ranks only.  Its map T3 -> T4 lands in
+    Hom^1(O^h, O^h') = H^1(X, O)^{hh'} = 0 for n >= 2; were it nonzero,
+    the ladder would refuse.  The left vertical is h
     copies of the evaluation of K' (H^0(X, O) = k), which
     `component_terms` checked spans H^0(Z, O(e')), so it is onto.
 

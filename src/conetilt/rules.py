@@ -23,8 +23,10 @@ guessing.  The tags attached to every degree name the rule used:
       from the local Ext^1(OZ(e), O(b)) = O_Z(b-e+m) of the twist
       resolution; it has the dimensions of the Serre dual of R2.
 
-Composition is multiplication of monomials: polynomial on the H^0
-bases, Laurent on the top-degree bases.
+The chases use composition with the evaluation sections of a kernel
+bundle only through its rank, never as a matrix: out of OZ(e) it is
+injective on R3's block 0 and on R4 (objects._contra_alpha), and into
+OZ(e') it is onto R3's block 1 (objects._cov_beta).
 """
 
 from __future__ import annotations
@@ -179,15 +181,8 @@ def hom_atoms(space, A, B):
 
 
 # ---------------------------------------------------------------------------
-# monomial arithmetic, and the Ext^1 block the chases reach
+# the Ext^1 block the chases reach
 # ---------------------------------------------------------------------------
-
-def laurent_class(mon):
-    """The Laurent local-cohomology class of mon, or None if it vanishes."""
-    if all(e <= -1 for e in mon.exps):
-        return mon
-    return None
-
 
 def ext1_h0_block(space, e, f):
     """R3's degree-1 block H^0(Z, f-e+m) of Ext^1(OZ(e), OZ(f)).

@@ -1,25 +1,21 @@
-"""Explicit cone presentations and multiplication matrices for onto maps.
+"""Explicit cone presentations and multiplication matrices for the chases.
 
-The chases read Ext^1(OZ(e), -) off R3 and R4 and read the rank of each
-map beta_i: Hom^i(A, O^h') -> Hom^i(A, OZ(e')) off its target without
-building it.  The functions here present Ext^1(OZ(e), T) as the cokernel
-of multiplication by the cone variable x_n, and realize every beta_i as
-an exact matrix over the monomial bases, so tests can compare those
-dimensions and ranks with an elimination that shares nothing with the
-rules or the argument for ontoness.
+The chases read Ext^1(OZ(e), -) off R3 and R4, the rank of each map
+alpha_i: Hom^i(OZ(e), B) -> Hom^i(O^h, B) off its source and that of
+each beta_i: Hom^i(A, O^h') -> Hom^i(A, OZ(e')) off its target, without
+building any of them.  The functions here present Ext^1(OZ(e), T) as
+the cokernel of multiplication by the cone variable x_n, and realize
+every alpha_i and beta_i as an exact matrix over the monomial bases, so
+tests can compare those dimensions and ranks with an elimination that
+shares nothing with the rules or the arguments for injectivity and
+ontoness.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 from conetilt.cone import Monomial, section_monomials, weighted_monomials
-from conetilt.linalg import (
-    DirectSpace,
-    DirectSum,
-    PresentedMap,
-    Subquotient,
-    map_from_columns,
-)
+from conetilt.linalg import DirectSpace, DirectSum, PresentedMap, Subquotient
 from conetilt.rules import (
     CONE,
     OX,
@@ -27,7 +23,6 @@ from conetilt.rules import (
     OutOfValidity,
     PresentationMismatch,
     hom_atoms,
-    laurent_class,
 )
 
 
@@ -83,7 +78,7 @@ def _xn_multiplication(space, e, targets):
             columns += [{offset + row[mon * xn]: 1} for mon in block.labels]
         else:  # on a section target multiplication by x_n is zero
             columns += [{} for _ in range(block.dim)]
-    return map_from_columns(src, tgt, columns, name="xn(e=%d)" % e)
+    return PresentedMap(src, tgt, columns, name="xn(e=%d)" % e)
 
 
 def cone_presentation(space, e, targets):
@@ -113,6 +108,13 @@ def cone_presentation(space, e, targets):
             % (e, "+".join(str(t) for t in targets), quotient.dim, expected)
         )
     return ConePresentation(e, targets, xmap.target, xmap.source, xmap, quotient)
+
+
+def laurent_class(mon):
+    """The Laurent local-cohomology class of mon, or None if it vanishes."""
+    if all(e <= -1 for e in mon.exps):
+        return mon
+    return None
 
 
 def restrict(mon):
@@ -217,3 +219,56 @@ def beta_map(space, A, Kp, i):
     elif i == space.n:
         return _laurent_map(space, A.twist, components, Kp)
     return PresentedMap(source, target, [])
+
+
+def section_source(space, e, B_atoms, i, name=""):
+    """Hom^i(OZ(e), sum B): labels (component, rule label)."""
+    basis = {a: hom_atoms(space, OZ(e), a)[i] for a in dict.fromkeys(B_atoms)}
+    return DirectSum([basis[a] for a in B_atoms], name)
+
+
+def free_source(space, h, B_atoms, i, name=""):
+    """Hom^i(O_X^h, sum B): labels (component, (copy, rule label))."""
+    copies = {
+        a: DirectSum([hom_atoms(space, OX(0), a)[i]] * h) for a in dict.fromkeys(B_atoms)
+    }
+    return DirectSum([copies[a] for a in B_atoms], name)
+
+
+def alpha_map(space, K, B_atoms, i):
+    """alpha_i: Hom^i(OZ(e), B) -> Hom^i(O_X^h, B) of Hom(-, B), explicitly.
+
+    Every component acts by multiplication with the evaluation sections
+    (Laurent classes in higher degree).  An invertible cone component
+    O(b) is zero below the top degree; in top degree R4's
+    H^{n-1}(Z, b-e+m) is multiplied into H^{n-1}(Z, b+m) and carried to
+    H^n(X, O(b)) by the connecting map, multiplication by x_n^-1.
+    Raises OutOfValidity for a cone twist in B that is not invertible.
+    """
+    qspace = section_source(space, K.e, B_atoms, i)
+    pspace = free_source(space, K.h, B_atoms, i)
+    comps = K.component_terms(space)
+    columns = [{} for _ in range(qspace.dim)]
+    for c, atom in enumerate(B_atoms):
+        cone = atom.kind == CONE
+        if cone and i < space.n:
+            continue  # below the top degree R4 or H^i(X, O(b)) vanishes
+        block, copies = qspace.blocks[c], pspace.blocks[c]
+        if not cone:
+            block = block.blocks[0]  # only R3's H^i(Z, f-e) block survives restriction
+        shifts = [pspace.offsets[c] + s for s in copies.offsets]
+        rows = copies.blocks[0]._index  # Hom^i(O, atom)
+        for k, u in enumerate(block.labels):
+            col = columns[qspace.offsets[c] + k]
+            for s, terms in zip(shifts, comps):
+                for mu, coeff in terms:
+                    prod = u * mu
+                    if i > 0:
+                        prod = laurent_class(prod)
+                        if prod is None:
+                            continue
+                        if cone:  # the connecting map appends the exponent -1
+                            prod = Monomial(prod.exps + (-1,))
+                    r = s + rows[prod]
+                    col[r] = col.get(r, 0) + coeff
+    return PresentedMap(qspace, pspace, columns, name="alpha_%d" % i)

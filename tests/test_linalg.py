@@ -13,7 +13,6 @@ from conetilt.linalg import (
     ShapeMismatch,
     Subquotient,
     identity,
-    map_from_columns,
     mat_mul,
     mat_rank,
     nullspace,
@@ -207,7 +206,7 @@ def test_zero_dimensional_edge_cases():
 def test_map_from_entries_roundtrip():
     V = space("a", "b")
     W = space("x", "y")
-    f = map_from_columns(V, W, [{0: 1}, {1: Fraction(1, 2)}])
+    f = PresentedMap(V, W, [{0: 1}, {1: Fraction(1, 2)}])
     assert f.matrix[0][0] == 1 and f.matrix[1][1] == Fraction(1, 2)
     assert f.rank() == 2
 
@@ -215,11 +214,23 @@ def test_map_from_entries_roundtrip():
 def test_map_from_columns_normalizes_coefficients():
     V = space("a", "b", "c")
     W = space("x", "y")
-    f = map_from_columns(
+    f = PresentedMap(
         V, W, [{0: 2, 1: Fraction(4, 2)}, {0: 0, 1: Fraction(1, 3)}, {1: Fraction(0)}]
     )
     assert f.columns == [{0: 2, 1: 2}, {1: Fraction(1, 3)}, {}]
     assert [type(x) for col in f.columns for x in col.values()] == [int, int, Fraction]
+
+
+def test_stored_zeros_in_sparse_columns_are_not_pivots():
+    """A zero stored in a sparse column is no entry: it never becomes a pivot."""
+    V = space("a", "b")
+    W = space("x", "y")
+    assert PresentedMap(V, W, [{1: 0}, {0: 1, 1: 2}]).rank() == 1
+    f = PresentedMap(V, W, [{0: 0, 1: 0}, {0: 1}])
+    assert f.rank() == 1
+    assert f.kernel().dim == 1 and f.cokernel().dim == 1
+    assert Subquotient(W, None, [{1: 0}, {0: 1}]).dim == 1
+    assert Subquotient(W, [{0: 1, 1: Fraction(0)}], []).dim == 1
 
 
 def test_ragged_rank_input_is_refused():

@@ -13,21 +13,21 @@ from math import comb
 
 import pytest
 from explicit_maps import (
+    alpha_map,
     beta_map,
     cone_presentation,
     ext1_map,
+    free_source,
     restrict,
     sections_map,
 )
 
 from conetilt.cone import Monomial, make_space, section_monomials
 from conetilt.linalg import (
-    DirectSpace,
     DirectSum,
     EngineError,
     PresentedMap,
     ShapeMismatch,
-    map_from_columns,
 )
 from conetilt.objects import (
     IndeterminateRank,
@@ -49,7 +49,6 @@ from conetilt.objects import (
     solve_les,
     _free_row,
     _les_hom_contra_cached,
-    _term_space_free_source,
 )
 from conetilt.rules import (
     OX,
@@ -418,15 +417,14 @@ def test_left_vertical_restricts_nothing(monkeypatch):
     assert calls == []
 
 
-def _explicit_v1(space, K, Kp, bottom):
+def _explicit_v1(space, K, Kp, tgt):
     """The left vertical Hom^0(O^h, O^h') -> Hom^0(O^h, OZ(e')) as a matrix.
 
     The image of a label (c, (j, u)) depends only on the copy c of K'
     and on u, so it is restricted and multiplied once and shifted to
-    every copy j of K.
+    every copy j of K.  `tgt` is the target of the explicit alpha_0.
     """
-    src = _term_space_free_source(space, K.h, (OX(0),) * Kp.h, 0, "Hom^0(O^h, O^h')")
-    tgt = bottom.terms[1].space
+    src = free_source(space, K.h, (OX(0),) * Kp.h, 0, "Hom^0(O^h, O^h')")
     units = src.blocks[0].blocks[0].labels  # the basis of Hom^0(O, O)
     (copies,) = tgt.blocks
     row = copies.blocks[0]._index
@@ -437,7 +435,7 @@ def _explicit_v1(space, K, Kp, bottom):
             ubar = restrict(u)
             images.append(() if ubar is None else [(row[ubar * mu], x) for mu, x in terms])
         columns += [{s + r: x for r, x in image} for s in copies.offsets for image in images]
-    return map_from_columns(src, tgt, columns, name="v1")
+    return PresentedMap(src, tgt, columns, name="v1")
 
 
 def _custom_bundles(space, rng):
@@ -507,8 +505,9 @@ def test_onto_left_vertical_matches_the_explicit_one(n, m, custom):
     """The explicit v1 reaches rank(B1 -> B2), the rank the ladder reads off B."""
     cases, tried = _ladder_cases(n, m, custom)
     for space, K, Kp, top, bottom, v3 in cases:
-        explicit = _explicit_v1(space, K, Kp, bottom)
-        b1_mod_ker = bottom.maps[0].matrix.cokernel()
+        alpha_0 = alpha_map(space, K, [OZ(Kp.e)], 0)
+        explicit = _explicit_v1(space, K, Kp, alpha_0.target)
+        b1_mod_ker = alpha_0.cokernel()
         r_c = PresentedMap(explicit.source, b1_mod_ker, explicit.columns, name="v1").rank()
         assert r_c == bottom.maps[1].rank, (K, Kp)
         expected = _middle_rank(top, bottom, r_c, v3.rank())
@@ -543,12 +542,13 @@ def _count_presented_maps(monkeypatch):
 
 
 def test_chase_builds_no_ext1_postcomposition(monkeypatch):
-    """Neither chase builds a map on Ext^1: both take it as onto.
+    """No chase builds a map, on Ext^1 or anywhere else.
 
     The kernel-kernel chase reads the rank of v3 off the bottom row, the
-    covariant chase the rank of beta_1 off its target; both take Ext^1
-    from R3 and R4.  Once the sequence caches are warm, neither builds
-    any map at all.
+    covariant chase the rank of beta_1 off its target, and the
+    contravariant chase the rank of each alpha_i off its source; all take
+    Ext^1 from R3 and R4.  Even with cold sequence caches, none of them
+    builds any map at all.
     """
     import conetilt.objects as objects
 
@@ -557,14 +557,14 @@ def test_chase_builds_no_ext1_postcomposition(monkeypatch):
     expected = [hom_objects(X7, K, Kp) for K, Kp in pairs]
     built = _count_presented_maps(monkeypatch)
     objects._hom_kernel_kernel.cache_clear()
+    objects._les_hom_contra_cached.cache_clear()
     assert [hom_objects(X7, K, Kp) for K, Kp in pairs] == expected
     assert built == []
     # the covariant chase from a section twist builds no Ext^1 map either
-    del built[:]
     objects._les_hom_cov_cached.cache_clear()
     beta_1 = les_hom_cov(X7, OZ(2), pairs[0][1]).maps[4]
     assert built == []
-    assert (beta_1.name, beta_1.how, beta_1.matrix) == ("beta_1", "onto", None)
+    assert (beta_1.name, beta_1.how) == ("beta_1", "onto")
 
 
 GAP_CONES = [(2, m) for m in range(3, 10)] + [(3, 3), (3, 4), (3, 5), (4, 3), (5, 3)]
@@ -613,24 +613,31 @@ def test_ext1_from_the_rules_matches_the_explicit_presentation(n, m):
 
 
 COVARIANT_CONES = [(2, 5), (2, 7), (3, 4), (3, 5), (4, 3), (5, 3)]
-# Fraction elimination of an explicit beta_i costs seconds once its target
-# passes a few dozen rows; larger targets are checked on canonical
-# bundles, and on one Fraction bundle in the P(1^4, 3) test below
+# Fraction elimination of an explicit alpha_i or beta_i costs seconds once
+# its target passes a few dozen rows; larger targets are checked on
+# canonical bundles, and on one Fraction bundle in the P(1^4, 3) test below
 FRACTION_TARGET_ROWS = 40
 
 
 @pytest.mark.parametrize("n, m", COVARIANT_CONES)
 def test_covariant_ranks_match_explicit_multiplication(n, m):
-    """Each beta_i the covariant chase reads off its target has that rank.
+    """Each alpha_i and beta_i the chases read off the rules has that rank.
 
     For every atom O(d), OZ(d) with -m-n <= d <= 2m+n and every kernel
     bundle, canonical or with a Fraction evaluation (up to
     FRACTION_TARGET_ROWS target rows), the rank of the explicit
-    multiplication matrix of beta_i is the chase's rank; a refused pair
-    is refused by beta_map too.  The sweep includes OZ(d) with
-    m < d <= m+e', where beta_1 has a zero source and a nonzero target,
-    so its rank is 0, and for n >= 3 also d >= m+n+e', where the
+    multiplication matrix of beta_i is the covariant chase's rank; a
+    refused pair is refused by beta_map too.  The sweep includes OZ(d)
+    with m < d <= m+e', where beta_1 has a zero source and a nonzero
+    target, so its rank is 0, and for n >= 3 also d >= m+n+e', where the
     Laurent beta_n has a nonzero target.
+
+    The same holds for alpha_i of the contravariant chase into every
+    atom with -2m-n <= d <= 2m+n and into one sum.  At -m-n no
+    invertible O(b) reaches the nonzero H^n(X, O(b)) unless m divides
+    n, so the sweep goes down to -2m-n; every cone meets a nonzero
+    alpha_n into a cone twist and a nonzero alpha_{n-1} into a section
+    twist.
     """
     space = make_space(n, m)
     bundles = [kernel_bundle(space, e) for e in range(1, m)]
@@ -647,7 +654,7 @@ def test_covariant_ranks_match_explicit_multiplication(n, m):
                 continue
             for i in range(n + 1):
                 beta = les.maps[3 * i + 1]
-                assert (beta.how, beta.matrix) == ("onto", None)
+                assert beta.how == "onto"
                 source, target = les.terms[3 * i + 1].dim, les.terms[3 * i + 2].dim
                 zero_source += not source and target > 0
                 top += i == n and target > 0
@@ -657,6 +664,25 @@ def test_covariant_ranks_match_explicit_multiplication(n, m):
     assert compared >= len(bundles) * (n + 1) and zero_source
     # for n = 2 those pairs have R3's H^1(Z, e'-d) block: the n = 2 gap refuses them
     assert top or n == 2
+    targets = [[atom(d)] for d in range(-2 * m - n, 2 * m + n + 1) for atom in (OX, OZ)]
+    targets.append([OZ(0), OX(-(n + m) // m * m), OZ(-n)])
+    cone_top = section_top = 0
+    for K in bundles:
+        for B in targets:
+            try:
+                les = les_hom_contra(space, K, B)
+            except OutOfValidity:
+                with pytest.raises(OutOfValidity):
+                    alpha_map(space, K, B, 0)
+                continue
+            for i in range(n + 1):
+                alpha = les.maps[3 * i]
+                assert alpha.how == "injective"
+                if K.canonical or les.terms[3 * i + 1].dim <= FRACTION_TARGET_ROWS:
+                    assert alpha_map(space, K, B, i).rank() == alpha.rank, (K, B, i)
+                    cone_top += i == n and alpha.rank > 0
+                    section_top += i == n - 1 and alpha.rank > 0
+    assert cone_top and section_top
 
 
 def test_fraction_bundle_covariant_chase_matches_the_canonical_one(monkeypatch):
@@ -783,10 +809,6 @@ def test_sums_of_copies_are_indexed_by_offset(monkeypatch):
     assert built == []
 
 
-def _mini_space(dim, tag):
-    return DirectSpace(tuple("%s%d" % (tag, i) for i in range(dim)), tag)
-
-
 def _mini_les(dims, ranks):
     terms = [LESTerm("t%d" % i, d) for i, d in enumerate(dims)]
     maps = [LESMap("m%d" % j, r, "exactness") for j, r in enumerate(ranks)]
@@ -797,29 +819,27 @@ def _mini_les(dims, ranks):
 
 def test_solve_les_completes_a_synthetic_sequence():
     # 0 -> k -> k^3 -> ? -> k^2 -> 0 with only the first map known
-    t0, t1, t3 = _mini_space(1, "a"), _mini_space(3, "b"), _mini_space(2, "d")
-    m0 = PresentedMap(t0, t1, [[1], [0], [0]])
     les = solve_les(
         "synthetic",
-        [LESTerm("a", 1, t0), LESTerm("b", 3, t1), LESTerm("c", None), LESTerm("d", 2, t3)],
+        [LESTerm("a", 1), LESTerm("b", 3), LESTerm("c", None), LESTerm("d", 2)],
         [
-            LESMap("m0", m0.rank(), "matrix", m0),
+            LESMap("m0", 1, "injective"),
             LESMap("m1", None, "exactness"),
             LESMap("m2", None, "exactness"),
         ],
     )
     assert [t.dim for t in les.terms] == [1, 3, 4, 2]
     assert [m.rank for m in les.maps] == [1, 2, 2]
-    assert [m.how for m in les.maps] == ["matrix", "exactness", "exactness"]
+    assert [m.how for m in les.maps] == ["injective", "exactness", "exactness"]
 
 
 def test_solve_les_refuses_adjacent_unknown_maps():
     terms = [LESTerm("t%d" % i, d) for i, d in enumerate([1, None, 2, None, 1])]
     maps = [
-        LESMap("m0", 1, "matrix"),
+        LESMap("m0", 1, "injective"),
         LESMap("m1", None, "exactness"),
         LESMap("m2", None, "exactness"),
-        LESMap("m3", 1, "matrix"),
+        LESMap("m3", 1, "injective"),
     ]
     with pytest.raises(IndeterminateRank, match="synthetic: .* rank of m1$"):
         solve_les("synthetic", terms, maps)
@@ -853,9 +873,7 @@ def test_scaled_top_row_equals_the_explicit_row(n, m):
             assert [(f.name, f.rank, f.how) for f in scaled.maps] == [
                 (f.name, f.rank, f.how) for f in explicit.maps
             ]
-            assert all(t.space is None for t in scaled.terms)
-            assert all(f.matrix is None for f in scaled.maps)
-            # it lands in Hom^1(O^h, O^h') = 0, so the ladder needs no matrix
+            # it lands in Hom^1(O^h, O^h') = 0, so the ladder does not refuse
             assert scaled.maps[3].rank == 0
 
 
@@ -873,7 +891,7 @@ def test_top_degree_dual_rank_keeps_chase_determined():
     les = les_hom_contra(X, F, OX(-6))
     assert les.solved_dims(2) == (0, 0, 0, 0)
     alpha3 = les.maps[9]  # the degree-3 known-to-known map
-    assert alpha3.how == "matrix" and alpha3.rank == 3
+    assert alpha3.how == "injective" and alpha3.rank == 3
     # sweep: the duality symmetry holds for the solved bundle dims too
     for b in (-9, -6, -3, 0, 3):
         left = les_hom_contra(X, F, OX(b)).solved_dims(2)
