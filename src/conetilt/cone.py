@@ -6,7 +6,8 @@ cone over P^{n-1} embedded by O(m).  The hyperplane section at infinity
 Z = {x_n = 0} is a P^{n-1} sitting in |O_X(m)|, with normal bundle of
 degree m.  The canonical twist of X is -(n+m).
 
-Cohomology of a twist O_X(d) is modelled by explicit monomial bases:
+Cohomology of a twist O_X(d) is counted in closed form and modelled by
+monomial bases, which are listed only on request:
 
 * H^0(X, O(d)) is spanned by the monomials with nonnegative exponents
   and weighted degree d;
@@ -17,31 +18,88 @@ Cohomology of a twist O_X(d) is modelled by explicit monomial bases:
   fact about weighted projective spaces is encoded as a rule, not
   recomputed.
 
-All bases are ordered lexicographically on exponent vectors, and every
-downstream matrix depends on that order, so it is part of the contract.
+The counts (cone_cohomology_dim, section_cohomology_dim) are closed
+forms, so a twist of any size is answered at once.  All bases are
+ordered lexicographically on exponent vectors, and every downstream
+matrix depends on that order, so it is part of the contract.
+
+The value types of the engine (ConeSpace here, the atoms and sheaf
+objects elsewhere) derive from FrozenValue and its records from
+Record: plain classes with the equality and repr of a dataclass, which
+keep `dataclasses` (and the `inspect` it imports) out of the import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 from operator import add
 from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ConeSpace:
+class Record:
+    """A plain record whose fields are the names in `_fields`, in order.
+
+    Like a dataclass it compares field by field with records of its own
+    class, is unhashable, and shows its fields in its repr.
+    """
+
+    _fields = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self._fields
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields),
+        )
+
+
+class FrozenValue(Record):
+    """A record fixed at construction, hashed once, usable as a cache key.
+
+    A subclass's __init__ writes its fields into `__dict__`, and `_hash`,
+    the hash of the tuple of their values in `_fields` order.  Assigning
+    or deleting a field raises AttributeError.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__  # the fields and their hash
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __reduce__(self):  # rebuilt from its fields, so the hash is this process's
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+
+class ConeSpace(FrozenValue):
     """The cone P(1^n, m): n weight-one variables and one of weight m."""
 
-    n: int
-    m: int
+    _fields = ("n", "m")
 
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need n >= 2 weight-one variables, got %d" % self.n)
-        if self.m < 1:
-            raise ValueError("cone variable weight must be >= 1, got %d" % self.m)
+    def __init__(self, n, m):
+        if n < 2:
+            raise ValueError("need n >= 2 weight-one variables, got %d" % n)
+        if m < 1:
+            raise ValueError("cone variable weight must be >= 1, got %d" % m)
+        attrs = self.__dict__
+        attrs["n"], attrs["m"] = n, m
+        attrs["_hash"] = hash((n, m))
 
     @property
     def dim(self):
@@ -164,10 +222,22 @@ def cone_cohomology_dim(space, d, i):
         d = -d - space.n - space.m  # Serre duality: the dual twist in degree 0
     elif i != 0:
         return 0
-    # count, never list: x_n^j times the degree d - jm monomials in n
-    # weight-one variables; the range is empty for d < 0
+    if d < 0:
+        return 0
+    # count, never list: with d = qm + r, x_n^(q-k) times the degree r + km
+    # monomials in n weight-one variables, summed over k = 0..q.  That sum
+    # S(q) is a polynomial of degree n in q, so its first n+1 values fix
+    # it and Newton's forward form gives S(q) in integers.
     n1, m = space.n - 1, space.m
-    return sum(comb(d - j * m + n1, n1) for j in range(d // m + 1))
+    q, r = divmod(d, m)
+    values = list(accumulate(comb(r + k * m + n1, n1) for k in range(n1 + 2)))
+    if q <= n1 + 1:
+        return values[q]
+    total = 0
+    for t in range(n1 + 2):
+        total += values[0] * comb(q, t)
+        values = [b - a for a, b in zip(values, values[1:])]
+    return total
 
 
 def section_cohomology_dim(space, e, i):

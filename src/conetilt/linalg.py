@@ -15,7 +15,9 @@ labels) or as subquotients span(cycles)/span(boundaries) inside a
 direct space; cycles=None means the whole ambient and is never
 expanded into an identity matrix.  A space that is a sum of copies of
 a basis is a `DirectSum`: it is indexed by block offset plus base
-index, and its labels are built only on request.
+index, and its labels are built only on request.  A `CountedSpace`
+knows its dimension up front and lists its labels on first read, so a
+space that only serves as a dimension is never listed.
 
 Elimination.  One routine, `_Echelon`, reduces columns one at a time
 against the pivots found so far.  The pivot of a reduced column is its
@@ -349,7 +351,42 @@ class DirectSpace:
         return "%s(%s, dim=%d)" % (type(self).__name__, self.name or "?", self.dim)
 
 
-class DirectSum(DirectSpace):
+class CountedSpace(DirectSpace):
+    """A direct space of a known dimension whose labels are listed on request.
+
+    `lister()` returns the labels; `labels` and `_index` are built on
+    first read and kept.  A listed count other than `dim` raises
+    EngineError, as do duplicate labels.
+    """
+
+    def __init__(self, dim, lister, name=""):
+        self._dim = dim
+        self._lister = lister
+        self.name = name
+
+    @property
+    def dim(self):
+        return self._dim
+
+    @cached_property
+    def labels(self):
+        labels = tuple(self._lister())
+        if len(labels) != self._dim:
+            raise EngineError(
+                "%r: %d basis labels listed, dimension %d counted"
+                % (self.name, len(labels), self._dim)
+            )
+        return labels
+
+    @cached_property
+    def _index(self):
+        index = dict(zip(self.labels, range(self._dim)))
+        if len(index) != self._dim:
+            raise EngineError("duplicate basis labels in %r" % (self.name,))
+        return index
+
+
+class DirectSum(CountedSpace):
     """The direct sum of direct spaces, labels (block index, block label).
 
     Its dimension and the offset of each block are fixed at construction;
@@ -365,17 +402,9 @@ class DirectSum(DirectSpace):
         ends = (0, *accumulate(b.dim for b in self.blocks))
         self.offsets, self._dim = ends[:-1], ends[-1]
 
-    @property
-    def dim(self):
-        return self._dim
-
     @cached_property
     def labels(self):
         return tuple((c, lbl) for c, b in enumerate(self.blocks) for lbl in b.labels)
-
-    @cached_property
-    def _index(self):
-        return dict(zip(self.labels, range(self._dim)))
 
 
 class Subquotient:

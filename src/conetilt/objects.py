@@ -14,11 +14,10 @@ naming the unresolved map; it never guesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .cone import section_monomials
+from .cone import FrozenValue, Record, section_monomials
 from .linalg import EngineError, ShapeMismatch, mat_rank
 from .rules import CONE, SECTION, Atom, OX, OZ, ext1_h0_block, hom_atoms
 
@@ -31,17 +30,25 @@ class IndeterminateRank(EngineError):
 # sheaf objects
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AtomObject:
-    atom: Atom
+class AtomObject(FrozenValue):
+    _fields = ("atom",)
+
+    def __init__(self, atom):
+        attrs = self.__dict__
+        attrs["atom"] = atom
+        attrs["_hash"] = hash((atom,))
 
     def __str__(self):
         return str(self.atom)
 
 
-@dataclass(frozen=True)
-class SumObject:
-    parts: tuple  # pairs (object, multiplicity)
+class SumObject(FrozenValue):
+    _fields = ("parts",)  # pairs (object, multiplicity)
+
+    def __init__(self, parts):
+        attrs = self.__dict__
+        attrs["parts"] = parts
+        attrs["_hash"] = hash((parts,))
 
     def __str__(self):
         return " + ".join(
@@ -49,8 +56,7 @@ class SumObject:
         )
 
 
-@dataclass(frozen=True)
-class KernelBundle:
+class KernelBundle(FrozenValue):
     """ker(O_X^h -> OZ(e)) for an evaluation spanning H^0(Z, O(e)).
 
     The canonical bundle F_e of the complete linear system evaluates
@@ -62,9 +68,12 @@ class KernelBundle:
     H^0(Z, O(e)).
     """
 
-    e: int
-    h: int
-    columns: tuple = None
+    _fields = ("e", "h", "columns")
+
+    def __init__(self, e, h, columns=None):
+        attrs = self.__dict__
+        attrs["e"], attrs["h"], attrs["columns"] = e, h, columns
+        attrs["_hash"] = hash((e, h, columns))
 
     @property
     def canonical(self):
@@ -195,24 +204,30 @@ def _atom_list(B):
 # long exact sequences
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LESTerm:
-    name: str
-    dim: int  # None until solve_les pins it
+class LESTerm(Record):
+    _fields = ("name", "dim")
+
+    def __init__(self, name, dim):
+        self.name = name
+        self.dim = dim  # None until solve_les pins it
 
 
-@dataclass
-class LESMap:
-    name: str
-    rank: int  # None until solve_les pins it
-    how: str  # "injective" | "onto" | "exactness" | "ladder" | "zero-side"
+class LESMap(Record):
+    _fields = ("name", "rank", "how")
+
+    def __init__(self, name, rank, how):
+        self.name = name
+        self.rank = rank  # None until solve_les pins it
+        self.how = how  # "injective" | "onto" | "exactness" | "ladder" | "zero-side"
 
 
-@dataclass
-class LongExactSequence:
-    origin: str
-    terms: list
-    maps: list
+class LongExactSequence(Record):
+    _fields = ("origin", "terms", "maps")
+
+    def __init__(self, origin, terms, maps):
+        self.origin = origin
+        self.terms = terms
+        self.maps = maps
 
     def check_exactness(self):
         """rank(incoming) + rank(outgoing) = dim at every term, ranks sane."""
@@ -424,10 +439,12 @@ def _les_hom_cov_cached(space, A, Kp):
 # two-row ladder rank propagation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LadderResult:
-    rank: int
-    certificate: str
+class LadderResult(Record):
+    _fields = ("rank", "certificate")
+
+    def __init__(self, rank, certificate):
+        self.rank = rank
+        self.certificate = certificate
 
 
 def ladder_propagate(top, bottom):
@@ -471,12 +488,14 @@ def ladder_propagate(top, bottom):
 # the orchestrator
 # ---------------------------------------------------------------------------
 
-@dataclass
-class HomComputation:
-    dims: tuple
-    notes: list = field(default_factory=list)
-    ladders: list = field(default_factory=list)
-    sequences: list = field(default_factory=list)
+class HomComputation(Record):
+    _fields = ("dims", "notes", "ladders", "sequences")
+
+    def __init__(self, dims, notes=None, ladders=None, sequences=None):
+        self.dims = dims
+        self.notes = [] if notes is None else notes
+        self.ladders = [] if ladders is None else ladders
+        self.sequences = [] if sequences is None else sequences
 
 
 @lru_cache(maxsize=None)

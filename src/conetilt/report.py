@@ -11,9 +11,8 @@ rank-identity verdicts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
-from .cone import make_space
+from .cone import Record, make_space
 from .objects import SumObject, as_object, hom_objects, kernel_bundle
 from .rules import OX, OZ
 from .tilting import (
@@ -24,14 +23,16 @@ from .tilting import (
 )
 
 
-@dataclass
-class InstanceConfig:
+class InstanceConfig(Record):
     """A named geometry with named objects and ordered collections."""
 
-    name: str
-    space: object
-    objects: dict  # name -> SheafObject
-    collections: dict  # name -> list of object names
+    _fields = ("name", "space", "objects", "collections")
+
+    def __init__(self, name, space, objects, collections):
+        self.name = name
+        self.space = space
+        self.objects = objects  # name -> SheafObject
+        self.collections = collections  # name -> list of object names
 
     def object(self, name):
         if name not in self.objects:
@@ -217,25 +218,30 @@ def get_instance(name):
     return parse_config(BUILTIN_INSTANCES[name], name=name)
 
 
-@dataclass
-class ReportRow:
-    section: str
-    label: str
-    expected: tuple
-    computed: tuple
+class ReportRow(Record):
+    _fields = ("section", "label", "expected", "computed")
+
+    def __init__(self, section, label, expected, computed):
+        self.section = section
+        self.label = label
+        self.expected = expected
+        self.computed = computed
 
     @property
     def ok(self):
         return self.expected == self.computed
 
 
-@dataclass
-class Report:
-    instance: str
-    space: str
-    rows: list = field(default_factory=list)
-    verdicts: list = field(default_factory=list)  # (label, expected, got, ok)
-    notes: list = field(default_factory=list)
+class Report(Record):
+    _fields = ("instance", "space", "rows", "verdicts", "notes")
+
+    def __init__(self, instance, space, rows=None, verdicts=None, notes=None):
+        self.instance = instance
+        self.space = space
+        self.rows = [] if rows is None else rows
+        # verdicts are (label, expected, got, ok)
+        self.verdicts = [] if verdicts is None else verdicts
+        self.notes = [] if notes is None else notes
 
     def add(self, section, label, expected, computed):
         self.rows.append(ReportRow(section, label, tuple(expected), tuple(computed)))

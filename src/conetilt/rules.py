@@ -1,4 +1,4 @@
-"""Closed-form graded Hom spaces between atom sheaves, with explicit bases.
+"""Closed-form graded Hom spaces between atom sheaves, with bases on request.
 
 The atoms are the twists O(d) on the cone and the twists OZ(e) on the
 section Z ~ P^{n-1}.  Each Hom computation is carried out by one of a
@@ -31,16 +31,19 @@ OZ(e') it is onto R3's block 1 (objects._cov_beta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .cone import (
+    FrozenValue,
+    Record,
+    cone_cohomology_dim,
     laurent_top_basis,
+    section_cohomology_dim,
     section_laurent_basis,
     section_monomials,
     weighted_monomials,
 )
-from .linalg import DirectSpace, DirectSum, EngineError, zero_space
+from .linalg import CountedSpace, DirectSum, EngineError, zero_space
 
 CONE = "cone"
 SECTION = "section"
@@ -58,12 +61,15 @@ class PresentationMismatch(EngineError):
     """
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(FrozenValue):
     """A generator sheaf: a twist O(d) on the cone or OZ(e) on the section."""
 
-    kind: str
-    twist: int
+    _fields = ("kind", "twist")
+
+    def __init__(self, kind, twist):
+        attrs = self.__dict__
+        attrs["kind"], attrs["twist"] = kind, twist
+        attrs["_hash"] = hash((kind, twist))
 
     def is_invertible(self, space):
         """O(d) is invertible iff d = 0 mod m; OZ twists never are on X."""
@@ -83,14 +89,16 @@ def OZ(e):
     return Atom(SECTION, e)
 
 
-@dataclass
-class GradedHom:
+class GradedHom(Record):
     """Degree-indexed family of presented spaces for Hom^*(A, B)."""
 
-    source: Atom
-    target: Atom
-    spaces: tuple
-    rules: tuple
+    _fields = ("source", "target", "spaces", "rules")
+
+    def __init__(self, source, target, spaces, rules):
+        self.source = source
+        self.target = target
+        self.spaces = spaces
+        self.rules = rules
 
     @property
     def dims(self):
@@ -101,25 +109,29 @@ class GradedHom:
 
 
 # ---------------------------------------------------------------------------
-# cohomology spaces with their canonical bases
+# cohomology spaces: counted, with their canonical bases listed on request
 # ---------------------------------------------------------------------------
 
 def cone_h_space(space, d, i, name=""):
-    """H^i(X, O(d)) with its monomial or Laurent basis."""
+    """H^i(X, O(d)); its monomial or Laurent basis is listed on first read."""
     if i == 0:
-        return DirectSpace(weighted_monomials(space, d), name)
-    if i == space.n:
-        return DirectSpace(laurent_top_basis(space, d), name)
-    return zero_space(name)
+        lister = partial(weighted_monomials, space, d)
+    elif i == space.n:
+        lister = partial(laurent_top_basis, space, d)
+    else:
+        return zero_space(name)
+    return CountedSpace(cone_cohomology_dim(space, d, i), lister, name)
 
 
 def section_h_space(space, e, i, name=""):
-    """H^i(Z, O(e)) with its monomial or Laurent basis; zero for any other i."""
+    """H^i(Z, O(e)), basis listed on first read; zero for any other i."""
     if i == 0:
-        return DirectSpace(section_monomials(space, e), name)
-    if i == space.n - 1:
-        return DirectSpace(section_laurent_basis(space, e), name)
-    return zero_space(name)
+        lister = partial(section_monomials, space, e)
+    elif i == space.n - 1:
+        lister = partial(section_laurent_basis, space, e)
+    else:
+        return zero_space(name)
+    return CountedSpace(section_cohomology_dim(space, e, i), lister, name)
 
 
 def _r3_space(space, e, f, i, name=""):

@@ -9,18 +9,18 @@ are verified computationally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .cone import cone_cohomology_dim, regime_notes
+from .cone import Record, cone_cohomology_dim, regime_notes
 from .linalg import EngineError
 from .objects import as_object, hom_objects, rank_of, SumObject
 
 
-@dataclass
-class TiltingVerdict:
-    ok: bool
-    end_dim: int
-    dims: tuple
+class TiltingVerdict(Record):
+    _fields = ("ok", "end_dim", "dims")
+
+    def __init__(self, ok, end_dim, dims):
+        self.ok = ok
+        self.end_dim = end_dim
+        self.dims = dims
 
     def __str__(self):
         if self.ok:
@@ -28,12 +28,14 @@ class TiltingVerdict:
         return "not tilting: higher self-extensions %s" % (self.dims[1:],)
 
 
-@dataclass
-class EndBlocks:
-    names: list
-    ranks: list
-    matrix: list  # matrix[i][j] = dim Hom(T_i, T_j) in degree 0
-    total: int
+class EndBlocks(Record):
+    _fields = ("names", "ranks", "matrix", "total")
+
+    def __init__(self, names, ranks, matrix, total):
+        self.names = names
+        self.ranks = ranks
+        self.matrix = matrix  # matrix[i][j] = dim Hom(T_i, T_j) in degree 0
+        self.total = total
 
 
 def end_blocks(space, summands, names=None):
@@ -62,20 +64,49 @@ def end_blocks(space, summands, names=None):
     return EndBlocks(list(names), [rank_of(o) for o in summands], matrix, total)
 
 
-@dataclass
-class SODReport:
-    space: object
-    names: list
-    objects: list
-    pairwise: list  # pairwise[i][j] = graded dims of Hom^*(P_i, P_j)
-    tilting: list
-    blocks: list  # dim End(P_i)
-    block_detail: list  # EndBlocks per slot (None when not available)
-    ranks: list
-    ok: bool
-    first_violation: str = None
-    generation_note: str = ""
-    notes: list = field(default_factory=list)
+class SODReport(Record):
+    _fields = (
+        "space",
+        "names",
+        "objects",
+        "pairwise",
+        "tilting",
+        "blocks",
+        "block_detail",
+        "ranks",
+        "ok",
+        "first_violation",
+        "generation_note",
+        "notes",
+    )
+
+    def __init__(
+        self,
+        space,
+        names,
+        objects,
+        pairwise,
+        tilting,
+        blocks,
+        block_detail,
+        ranks,
+        ok,
+        first_violation=None,
+        generation_note="",
+        notes=None,
+    ):
+        self.space = space
+        self.names = names
+        self.objects = objects
+        self.pairwise = pairwise  # pairwise[i][j] = graded dims of Hom^*(P_i, P_j)
+        self.tilting = tilting
+        self.blocks = blocks  # dim End(P_i)
+        self.block_detail = block_detail  # EndBlocks per slot (None when not available)
+        self.ranks = ranks
+        self.ok = ok
+        self.first_violation = first_violation
+        self.generation_note = generation_note
+        self.notes = [] if notes is None else notes
 
     def summary(self):
         verdict = "PASS" if self.ok else "FAIL (%s)" % self.first_violation
@@ -160,11 +191,13 @@ def check_sod(space, named_objects, generation_assumed=True):
     )
 
 
-@dataclass
-class StackWindowReport:
-    window: tuple
-    ok: bool
-    first_violation: str = None
+class StackWindowReport(Record):
+    _fields = ("window", "ok", "first_violation")
+
+    def __init__(self, window, ok, first_violation=None):
+        self.window = window
+        self.ok = ok
+        self.first_violation = first_violation
 
 
 def stack_hom_dims(space, a, b):
@@ -202,11 +235,13 @@ def stack_exceptional_check(space, lo, hi):
     return StackWindowReport((lo, hi), first is None, first)
 
 
-@dataclass
-class IdentityCheck:
-    holds: bool
-    total: int
-    sum_of_squares: int
+class IdentityCheck(Record):
+    _fields = ("holds", "total", "sum_of_squares")
+
+    def __init__(self, holds, total, sum_of_squares):
+        self.holds = holds
+        self.total = total
+        self.sum_of_squares = sum_of_squares
 
     def __str__(self):
         rel = "=" if self.holds else "!="

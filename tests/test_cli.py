@@ -262,6 +262,57 @@ def test_python_dash_m_runs_the_cli():
     assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_SHA256["P112"]
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh isolated interpreter imports the engine and the CLI without
+    `dataclasses` or `inspect`; -I ignores PYTHONPATH, so the code puts
+    src on sys.path itself."""
+    code = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, %r); "
+        "import conetilt, conetilt.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))" % SRC
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_huge_twists_are_answered_at_once():
+    """A valid twist of any size is counted in closed form, never listed.
+
+    On P(1,1,1,3), sum_{k<=q} C(3k + r + 2, 2) is (q+1)(3q^2 + 6q + 2)/2
+    for r = 0 and 3(q+1)^2 (q+2)/2 for r = 1.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
+
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "conetilt"] + list(argv),
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        return proc.stdout.splitlines()
+
+    d = 99999999999999999999  # H^3(X, O(-d)) = H^0(X, O(d - 6)), d - 6 = 3q
+    q = (d - 6) // 3
+    out = run("hom", "O(%d)" % d, "O(0)", "--space", "3,3")
+    top = (q + 1) * (3 * q * q + 6 * q + 2) // 2
+    assert out[0].endswith("deg0: 0  deg1: 0  deg2: 0  deg3: %d" % top)
+    d, q = 10**20, 10**20 // 3
+    out = run("cohomology", "--space", "3,3", "--twist-min", str(d), "--twist-max", str(d))
+    assert out[-1].split() == ["O(%d)" % d, str(3 * (q + 1) ** 2 * (q + 2) // 2), "0", "0", "0"]
+
+
 def test_paper_report_row_count(capsys):
     main(["paper-report", "P1113", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)

@@ -124,6 +124,21 @@ def test_cone_cohomology_dim_counts_the_bases():
                 assert cone_cohomology_dim(X, -d - n - m, n) == count
 
 
+def test_closed_form_count_equals_the_direct_sum():
+    """The closed form equals the sum over powers of the cone variable.
+
+    sum_j C(d - jm + n-1, n-1) counts x_n^j times the monomials of degree
+    d - jm in the n weight-one variables.
+    """
+    for n in range(2, 9):
+        for m in range(1, 10):
+            X = make_space(n, m)
+            for d in range(-5, 201):
+                direct = sum(comb(d - j * m + n - 1, n - 1) for j in range(d // m + 1))
+                assert cone_cohomology_dim(X, d, 0) == direct
+                assert cone_cohomology_dim(X, -d - n - m, n) == direct
+
+
 def test_cone_cohomology_examples():
     X = make_space(3, 3)
     assert cone_cohomology_dim(X, 2, 0) == 6

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conetilt.linalg import (
+    CountedSpace,
     DirectSpace,
     EngineError,
     IllDefinedMap,
@@ -278,3 +279,25 @@ def test_sparse_boundary_row_outside_the_ambient_is_refused(row):
         Subquotient(W, None, [{}, {row: 1}])
     with pytest.raises(ShapeMismatch, match=r"cycles: a row index lies outside 0\.\.1"):
         Subquotient(W, [{row: 1, 0: 1}], [])
+
+
+def test_counted_space_lists_its_labels_once_and_checks_the_count():
+    calls = []
+
+    def lister():
+        calls.append(1)
+        return ("a", "b", "c")
+
+    V = CountedSpace(3, lister, "V")
+    assert V.dim == 3 and not calls  # counted, not listed
+    assert V.labels == ("a", "b", "c") and V._index == {"a": 0, "b": 1, "c": 2}
+    assert V.labels == ("a", "b", "c") and len(calls) == 1
+    assert V == space("a", "b", "c")
+    for wrong in (2, 4):
+        W = CountedSpace(wrong, lister, "W")
+        with pytest.raises(EngineError, match="3 basis labels listed, dimension %d" % wrong):
+            W.labels
+        with pytest.raises(EngineError, match="3 basis labels listed"):
+            W._index
+    with pytest.raises(EngineError, match="duplicate basis labels"):
+        CountedSpace(2, lambda: ("a", "a"), "D")._index

@@ -6,6 +6,7 @@ this file for the surface case, alternating-sum and exactness checks
 for every assembled sequence, and duality/Euler cross-checks.
 """
 
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -22,7 +23,7 @@ from explicit_maps import (
     sections_map,
 )
 
-from conetilt.cone import Monomial, make_space, section_monomials
+from conetilt.cone import ConeSpace, Monomial, make_space, section_monomials
 from conetilt.linalg import (
     DirectSum,
     EngineError,
@@ -30,11 +31,14 @@ from conetilt.linalg import (
     ShapeMismatch,
 )
 from conetilt.objects import (
+    AtomObject,
     IndeterminateRank,
     KernelBundle,
     LESMap,
     LESTerm,
     LongExactSequence,
+    SumObject,
+    _atom_list,
     as_object,
     direct_sum,
     euler_form,
@@ -51,6 +55,7 @@ from conetilt.objects import (
     _les_hom_contra_cached,
 )
 from conetilt.rules import (
+    Atom,
     OX,
     OZ,
     OutOfValidity,
@@ -98,6 +103,65 @@ def test_custom_kernel_bundle_hom_dims_shift_with_rank():
     # one extra free summand compared to the canonical bundle
     assert hom_objects(X, K, OX(0)) == (10, 0, 0, 0)
     assert hom_objects(X, OX(0), K) == (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "make, other, field, text",
+    [
+        (lambda: ConeSpace(3, 3), ConeSpace(3, 4), "n", "ConeSpace(n=3, m=3)"),
+        (lambda: OX(2), OZ(2), "kind", "Atom(kind='cone', twist=2)"),
+        (
+            lambda: AtomObject(OZ(-1)),
+            AtomObject(OX(-1)),
+            "atom",
+            "AtomObject(atom=Atom(kind='section', twist=-1))",
+        ),
+        (
+            lambda: direct_sum(OX(0), OZ(1)),
+            direct_sum(OZ(1), OX(0)),
+            "parts",
+            "SumObject(parts=((AtomObject(atom=Atom(kind='cone', twist=0)), 1), "
+            "(AtomObject(atom=Atom(kind='section', twist=1)), 1)))",
+        ),
+        (
+            lambda: KernelBundle(1, 2, ((Fraction(1), Fraction(0)), (Fraction(1, 2), 1))),
+            KernelBundle(1, 2),
+            "columns",
+            "KernelBundle(e=1, h=2, columns=((Fraction(1, 1), Fraction(0, 1)), "
+            "(Fraction(1, 2), 1)))",
+        ),
+    ],
+)
+def test_value_types_compare_hash_and_print_by_their_fields(make, other, field, text):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b) and not a != b
+    assert a != other and other != a and a != (getattr(a, field),)
+    assert len({a, b, other}) == 2
+    assert repr(a) == text
+    assert pickle.loads(pickle.dumps(a)) == a
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b and hash(a) == hash(b)
+
+
+def test_value_type_constructors_keep_their_signatures():
+    assert ConeSpace(n=2, m=5) == make_space(2, 5)
+    assert Atom(kind="section", twist=3) == OZ(3)
+    assert AtomObject(atom=OX(1)) == as_object(OX(1))
+    assert KernelBundle(e=2, h=6) == KernelBundle(2, 6, None)
+    assert KernelBundle(2, 6).columns is None
+    with pytest.raises(ValueError, match="need n >= 2"):
+        ConeSpace(1, 3)
+    with pytest.raises(ValueError, match="weight must be >= 1"):
+        ConeSpace(3, 0)
+    # a sum is an object, not a tuple, so it flattens as one
+    assert _atom_list(direct_sum(OX(0), OZ(1))) == [OX(0), OZ(1)]
+    assert _atom_list([direct_sum(OX(0), OZ(1)), OX(3)]) == [OX(0), OZ(1), OX(3)]
+    assert not isinstance(direct_sum(OX(0)), tuple)
 
 
 def test_kernel_bundle_copies_are_equal_and_share_the_caches():

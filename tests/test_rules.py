@@ -22,13 +22,15 @@ from conetilt.cone import (
     weighted_monomials,
 )
 from conetilt.linalg import PresentedMap
-from conetilt.objects import kernel_bundle
+from conetilt.objects import direct_sum, hom_objects, kernel_bundle
 from conetilt.rules import (
     OX,
     OZ,
     OutOfValidity,
     PresentationMismatch,
+    cone_h_space,
     hom_atoms,
+    section_h_space,
 )
 
 X = make_space(3, 3)
@@ -294,3 +296,37 @@ def test_graded_hom_spaces_have_expected_bases():
     gh3 = hom_atoms(X, OZ(1), OX(0))
     assert gh3[1].labels == section_monomials(X, 2)
     assert gh3[1].dim == comb(4, 2)
+
+
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (3, 5), (4, 2)])
+def test_counted_spaces_list_the_eager_bases(n, m):
+    """Each rule space counts its dimension and lists, on request, the
+    basis the cone module enumerates."""
+    Y = make_space(n, m)
+    for d in range(-2 * (n + m), 2 * (n + m) + 1):
+        for i in range(-1, n + 2):
+            cone = cone_h_space(Y, d, i)
+            section = section_h_space(Y, d, i)
+            eager_cone = {0: weighted_monomials(Y, d), n: laurent_top_basis(Y, d)}
+            eager_section = {0: section_monomials(Y, d), n - 1: section_laurent_basis(Y, d)}
+            assert cone.labels == eager_cone.get(i, ())
+            assert section.labels == eager_section.get(i, ())
+            assert cone.dim == len(cone.labels) and section.dim == len(section.labels)
+            assert [cone._index[lbl] for lbl in cone.labels] == list(range(cone.dim))
+
+
+def test_the_chase_lists_no_rule_basis():
+    """Every chase reads only the dimensions of the rule spaces."""
+    listers = (weighted_monomials, laurent_top_basis, section_laurent_basis)
+    for lister in listers:
+        lister.cache_clear()
+    Y = make_space(3, 4)
+    F = [kernel_bundle(Y, e) for e in range(1, 4)]
+    atoms = [OX(d) for d in range(-8, 9, 4)] + [OZ(d) for d in range(-8, 9)]
+    for K in F:
+        for other in F + [direct_sum(*atoms)]:
+            hom_objects(Y, K, other)
+        for a in atoms:
+            hom_objects(Y, a, K)
+    assert hom_objects(Y, OZ(-3), OX(4)) == hom_atoms(Y, OZ(-3), OX(4)).dims
+    assert [lister.cache_info().currsize for lister in listers] == [0, 0, 0]

@@ -4,9 +4,13 @@ import pytest
 
 from conetilt.cone import make_space
 from conetilt.linalg import EngineError
-from conetilt.objects import SumObject, direct_sum, kernel_bundle
+from conetilt.objects import HomComputation, SumObject, direct_sum, kernel_bundle
+from conetilt.report import Report
 from conetilt.rules import OX, OZ
 from conetilt.tilting import (
+    SODReport,
+    StackWindowReport,
+    TiltingVerdict,
     check_sod,
     end_blocks,
     rank_square_identity,
@@ -177,3 +181,20 @@ def test_check_sod_on_p111111_6():
     for i in range(3):
         for j in range(i):
             assert rep.pairwise[i][j] == (0,) * 7
+
+
+def test_records_keep_their_fields_defaults_and_fresh_lists():
+    a, b = HomComputation((1, 0)), HomComputation(dims=(1, 0))
+    assert a == b and a.notes == a.ladders == a.sequences == []
+    a.notes.append("x")
+    assert b.notes == [] and a != b
+    assert Report("P1113", "P(1,1,1,3)").rows is not Report("P1113", "P(1,1,1,3)").rows
+    report = SODReport(X, ["T"], [OX(0)], [[(1, 0, 0, 0)]], [], [1], [None], [1], True)
+    assert (report.first_violation, report.generation_note, report.notes) == (None, "", [])
+    assert StackWindowReport((0, 1), ok=True).first_violation is None
+    verdict = TiltingVerdict(True, 1, (1, 0))
+    assert repr(verdict) == "TiltingVerdict(ok=True, end_dim=1, dims=(1, 0))"
+    assert verdict == TiltingVerdict(ok=True, end_dim=1, dims=(1, 0))
+    assert verdict != TiltingVerdict(True, 2, (2, 0)) and verdict != (True, 1, (1, 0))
+    with pytest.raises(TypeError):
+        hash(verdict)
