@@ -227,10 +227,12 @@ def cone_cohomology_dim(space, d, i):
     # count, never list: with d = qm + r, x_n^(q-k) times the degree r + km
     # monomials in n weight-one variables, summed over k = 0..q.  That sum
     # S(q) is a polynomial of degree n in q, so its first n+1 values fix
-    # it and Newton's forward form gives S(q) in integers.
+    # it and Newton's forward form gives S(q) in integers; a small q needs
+    # only its own q+1 terms.
     n1, m = space.n - 1, space.m
     q, r = divmod(d, m)
-    values = list(accumulate(comb(r + k * m + n1, n1) for k in range(n1 + 2)))
+    terms = min(q, n1 + 1) + 1
+    values = list(accumulate(comb(r + k * m + n1, n1) for k in range(terms)))
     if q <= n1 + 1:
         return values[q]
     total = 0

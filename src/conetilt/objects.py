@@ -15,11 +15,12 @@ naming the unresolved map; it never guesses.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import groupby
 
-from .cone import FrozenValue, Record, section_monomials
+from .cone import FrozenValue, Record, section_cohomology_dim, section_monomials
 from .linalg import EngineError, ShapeMismatch, mat_rank
-from .rules import CONE, SECTION, Atom, OX, OZ, ext1_h0_block, hom_atoms
+from .rules import CONE, SECTION, Atom, OX, OZ, ext1_h0_block, hom_atoms, r3_block_dims
 
 
 class IndeterminateRank(EngineError):
@@ -104,31 +105,42 @@ def _spans(columns, full):
 
 
 @lru_cache(maxsize=None)
-def _component_terms(space, K):
+def _check_bundle(space, K):
+    """Raise ShapeMismatch unless K lives on `space` and its evaluation spans.
+
+    A canonical bundle is checked by counting H^0(Z, O(e)), never
+    listing it; a stored evaluation also gets its spanning rank check.
+    """
     if not 0 < K.e < space.m:
         raise ShapeMismatch(
             "%s does not live on %s: its twist needs 0 < %d < m = %d"
             % (K, space, K.e, space.m)
         )
-    basis = section_monomials(space, K.e)
+    full = section_cohomology_dim(space, K.e, 0)
     if not K.canonical and len(K.columns) != K.h:
         raise ShapeMismatch(
             "%s has %d evaluation columns for h = %d" % (K, len(K.columns), K.h)
         )
     for length in (K.h,) if K.canonical else map(len, K.columns):
-        if length != len(basis):
+        if length != full:
             raise ShapeMismatch(
                 "%s does not live on %s: its evaluation has length %d, "
-                "H^0(Z, O(%d)) has dimension %d" % (K, space, length, K.e, len(basis))
+                "H^0(Z, O(%d)) has dimension %d" % (K, space, length, K.e, full)
             )
-    if K.canonical:
-        return tuple(((mu, 1),) for mu in basis)
     # exactness of 0 -> K -> O^h -> OZ(e) -> 0 and every injective or onto map need this
-    if not _spans(K.columns, len(basis)):
+    if not K.canonical and not _spans(K.columns, full):
         raise ShapeMismatch(
             "%s does not live on %s: its evaluation does not span H^0(Z, O(%d))"
             % (K, space, K.e)
         )
+
+
+@lru_cache(maxsize=None)
+def _component_terms(space, K):
+    _check_bundle(space, K)
+    basis = section_monomials(space, K.e)
+    if K.canonical:
+        return tuple(((mu, 1),) for mu in basis)
     return tuple(
         tuple((mu, c) for mu, c in zip(basis, col) if c) for col in K.columns
     )
@@ -140,7 +152,7 @@ def kernel_bundle(space, e):
         raise ValueError(
             "kernel bundle twist must satisfy 0 < e < m = %d, got %d" % (space.m, e)
         )
-    return KernelBundle(e, len(section_monomials(space, e)))
+    return KernelBundle(e, section_cohomology_dim(space, e, 0))
 
 
 def kernel_bundle_custom(space, e, columns):
@@ -204,49 +216,69 @@ def _atom_list(B):
 # long exact sequences
 # ---------------------------------------------------------------------------
 
+def _render(text):
+    """A name kept as (format, args) rendered; a str returned as it is."""
+    return text if text.__class__ is str else text[0] % text[1]
+
+
 class LESTerm(Record):
     _fields = ("name", "dim")
 
     def __init__(self, name, dim):
-        self.name = name
+        self._name = name  # a str, or (format, args) rendered on first read
         self.dim = dim  # None until solve_les pins it
+
+    @cached_property
+    def name(self):
+        return _render(self._name)
 
 
 class LESMap(Record):
     _fields = ("name", "rank", "how")
 
     def __init__(self, name, rank, how):
-        self.name = name
+        self._name = name  # a str, or (format, args) rendered on first read
         self.rank = rank  # None until solve_les pins it
         self.how = how  # "injective" | "onto" | "exactness" | "ladder" | "zero-side"
+
+    @cached_property
+    def name(self):
+        return _render(self._name)
 
 
 class LongExactSequence(Record):
     _fields = ("origin", "terms", "maps")
 
     def __init__(self, origin, terms, maps):
-        self.origin = origin
+        self._origin = origin  # a str, or (format, args) rendered on first read
         self.terms = terms
         self.maps = maps
 
+    @cached_property
+    def origin(self):
+        return _render(self._origin)
+
     def check_exactness(self):
         """rank(incoming) + rank(outgoing) = dim at every term, ranks sane."""
-        for j, term in enumerate(self.terms):
-            rin = self.maps[j - 1].rank if j > 0 else 0
-            rout = self.maps[j].rank if j < len(self.maps) else 0
-            if rin + rout != term.dim:
+        self._check([t.dim for t in self.terms], [0, *(m.rank for m in self.maps), 0])
+        return True
+
+    def _check(self, dims, ranks):
+        """check_exactness on the term dims and the map ranks padded by a
+        zero at each end, so that ranks[j + 1] is the rank of map j."""
+        for j, dim in enumerate(dims):
+            if ranks[j] + ranks[j + 1] != dim:
                 raise EngineError(
                     "%s: exactness fails at %s: %d + %d != %d"
-                    % (self.origin, term.name, rin, rout, term.dim)
+                    % (self.origin, self.terms[j].name, ranks[j], ranks[j + 1], dim)
                 )
         for j, m in enumerate(self.maps):
-            if m.rank < 0:
+            if ranks[j + 1] < 0:
                 raise EngineError("%s: negative rank at %s" % (self.origin, m.name))
-            if m.rank > min(self.terms[j].dim, self.terms[j + 1].dim):
+            if ranks[j + 1] > min(dims[j], dims[j + 1]):
                 raise EngineError(
                     "%s: rank of %s exceeds its term dimensions" % (self.origin, m.name)
                 )
-        return True
 
     def solved_dims(self, offset, stride=3):
         return tuple(t.dim for t in self.terms[offset::stride])
@@ -262,30 +294,28 @@ def solve_les(origin, terms, maps):
     is then the sum of its two adjacent ranks.  A rank that cannot be
     pinned raises IndeterminateRank naming the sequence and the map.
     """
-
-    def rank(j):
-        return maps[j].rank if 0 <= j < len(maps) else 0
-
+    les = LongExactSequence(origin, terms, maps)
+    dims = [t.dim for t in terms]
+    ranks = [0, *(m.rank for m in maps), 0]  # ranks[j + 1] is the rank of map j
     for j, m in enumerate(maps):
-        if m.rank is not None:
+        if ranks[j + 1] is not None:
             continue
-        if terms[j].dim is not None and rank(j - 1) is not None:
-            m.rank = terms[j].dim - rank(j - 1)
-        elif terms[j + 1].dim is not None and rank(j + 1) is not None:
-            m.rank = terms[j + 1].dim - rank(j + 1)
+        if dims[j] is not None and ranks[j] is not None:
+            ranks[j + 1] = m.rank = dims[j] - ranks[j]
+        elif dims[j + 1] is not None and ranks[j + 2] is not None:
+            ranks[j + 1] = m.rank = dims[j + 1] - ranks[j + 2]
         else:
             raise IndeterminateRank(
-                "%s: exactness does not pin the rank of %s" % (origin, m.name)
+                "%s: exactness does not pin the rank of %s" % (les.origin, m.name)
             )
     for j, t in enumerate(terms):
-        if t.dim is None:
-            t.dim = rank(j - 1) + rank(j)
-    les = LongExactSequence(origin, terms, maps)
-    les.check_exactness()
+        if dims[j] is None:
+            dims[j] = t.dim = ranks[j] + ranks[j + 1]
+    les._check(dims, ranks)
     return les
 
 
-def _contra_alpha(space, K, B_atoms, i):
+def _contra_alpha(space, K, runs, i):
     """The known-to-known map Hom^i(OZ(e), B) -> Hom^i(O_X^h, B), by rank.
 
     Each component multiplies by the evaluation sections s_j of K, which
@@ -302,13 +332,16 @@ def _contra_alpha(space, K, B_atoms, i):
       connecting map, which is injective as H^{n-1}(X, O(b+m)) = 0.
       Both targets vanish exactly when -b-n-m < 0.  In other degrees
       H^i(X, O(b)) or R4's space is zero.
+    B is given by its runs (atom, copies).
     """
     rank = 0
-    for a in B_atoms:
+    for a, k in runs:
         if hom_atoms(space, OX(0), a).dims[i]:
-            source = hom_atoms(space, OZ(K.e), a)[i]
-            rank += (source.blocks[0] if a.kind == SECTION else source).dim
-    return LESMap("alpha_%d" % i, rank, "injective")
+            if a.kind == SECTION:
+                rank += k * r3_block_dims(space, K.e, a.twist, i)[0]
+            else:
+                rank += k * hom_atoms(space, OZ(K.e), a).dims[i]
+    return LESMap(("alpha_%d", i), rank, "injective")
 
 
 def les_hom_contra(space, K, B):
@@ -321,47 +354,38 @@ def les_hom_contra(space, K, B):
     K = as_object(K)
     if not isinstance(K, KernelBundle):
         raise TypeError("left argument must be a kernel bundle, got %s" % (K,))
-    K.component_terms(space)  # ShapeMismatch for a bundle of another cone
-    return _les_hom_contra_cached(space, K, tuple(_atom_list(B)))
-
-
-def _contra_names(space, K, B_atoms):
-    """The origin and the term names of Hom(-, B) along K's sequence."""
-    bname = "+".join(str(a) for a in B_atoms)
-    src = ("OZ(%d)" % K.e, "O^%d" % K.h, "F[%d]" % K.e)
-    names = ["Hom^%d(%s, %s)" % (i, s, bname) for i in range(space.n + 1) for s in src]
-    return "Hom(-, %s) along 0 -> %s -> %s -> %s -> 0" % ((bname,) + src[::-1]), names
+    _check_bundle(space, K)
+    runs = tuple((a, len(list(copies))) for a, copies in groupby(_atom_list(B)))
+    return _les_hom_contra_cached(space, K, runs)
 
 
 @lru_cache(maxsize=None)
-def _les_hom_contra_cached(space, K, B_atoms):
-    origin, names = _contra_names(space, K, B_atoms)
+def _les_hom_contra_cached(space, K, runs):
+    """les_hom_contra on B given by its runs (atom, copies), named A^k for k > 1."""
+    bname = "+".join(str(a) if k == 1 else "%s^%d" % (a, k) for a, k in runs)
     # OutOfValidity for a non-invertible O(b), before any other rule is read
-    fromQ = [hom_atoms(space, OZ(K.e), a).dims for a in B_atoms]
-    fromP = [hom_atoms(space, OX(0), a).dims for a in B_atoms]
+    fromQ = [(k, hom_atoms(space, OZ(K.e), a).dims) for a, k in runs]
+    fromP = [(k, hom_atoms(space, OX(0), a).dims) for a, k in runs]
     terms, maps = [], []
     for i in range(space.n + 1):
-        terms.append(LESTerm(names[3 * i], sum(d[i] for d in fromQ)))
-        terms.append(LESTerm(names[3 * i + 1], K.h * sum(d[i] for d in fromP)))
-        terms.append(LESTerm(names[3 * i + 2], None))
-        maps.append(_contra_alpha(space, K, B_atoms, i))
-        maps.append(LESMap("res_%d" % i, None, "exactness"))
+        qdim = sum(k * d[i] for k, d in fromQ)
+        pdim = K.h * sum(k * d[i] for k, d in fromP)
+        terms.append(LESTerm(("Hom^%d(OZ(%d), %s)", (i, K.e, bname)), qdim))
+        terms.append(LESTerm(("Hom^%d(O^%d, %s)", (i, K.h, bname)), pdim))
+        terms.append(LESTerm(("Hom^%d(F[%d], %s)", (i, K.e, bname)), None))
+        maps.append(_contra_alpha(space, K, runs, i))
+        maps.append(LESMap(("res_%d", i), None, "exactness"))
         if i < space.n:
-            maps.append(LESMap("delta_%d" % i, None, "exactness"))
+            maps.append(LESMap(("delta_%d", i), None, "exactness"))
+    origin = (
+        "Hom(-, %s) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0", (bname, K.e, K.h, K.e)
+    )
     return solve_les(origin, terms, maps)
 
 
 def _free_row(space, K, hp):
-    """les_hom_contra(space, K, [OX(0)] * hp), scaled from the one-copy row."""
-    one = les_hom_contra(space, K, [OX(0)])
-    origin, names = _contra_names(space, K, (OX(0),) * hp)
-    row = LongExactSequence(
-        origin,
-        [LESTerm(name, hp * t.dim) for name, t in zip(names, one.terms)],
-        [LESMap(m.name, hp * m.rank, m.how) for m in one.maps],
-    )
-    row.check_exactness()
-    return row
+    """les_hom_contra(space, K, [OX(0)] * hp), without a list of hp copies."""
+    return _les_hom_contra_cached(space, K, ((OX(0), hp),))
 
 
 def _cov_beta(space, A, Kp, i, pdim, qdim):
@@ -388,8 +412,9 @@ def _cov_beta(space, A, Kp, i, pdim, qdim):
     if A.kind == SECTION:
         if i == 1:
             ext1_h0_block(space, A.twist, Kp.e)  # refuses the n = 2 gap
-        qdim = hom_atoms(space, A, OZ(Kp.e))[i].blocks[1].dim
-    return LESMap("beta_%d" % i, qdim if pdim else 0, "onto")
+        if pdim:
+            qdim = r3_block_dims(space, A.twist, Kp.e, i)[1]
+    return LESMap(("beta_%d", i), qdim if pdim else 0, "onto")
 
 
 def les_hom_cov(space, A, Kp):
@@ -405,34 +430,30 @@ def les_hom_cov(space, A, Kp):
     Kp = as_object(Kp)
     if not isinstance(Kp, KernelBundle):
         raise TypeError("right argument must be a kernel bundle, got %s" % (Kp,))
-    Kp.component_terms(space)  # ShapeMismatch for a bundle of another cone
+    _check_bundle(space, Kp)
     return _les_hom_cov_cached(space, A, Kp)
 
 
 @lru_cache(maxsize=None)
 def _les_hom_cov_cached(space, A, Kp):
     n = space.n
-    kname = "F[%d]" % Kp.e
-
     ghP = hom_atoms(space, A, OX(0))  # OutOfValidity for non-invertible twists
     ghQ = hom_atoms(space, A, OZ(Kp.e))
 
     terms, maps = [], []
     for i in range(n + 1):
         pdim, qdim = Kp.h * ghP.dims[i], ghQ.dims[i]
-        terms.append(LESTerm("Hom^%d(%s, %s)" % (i, A, kname), None))
-        terms.append(LESTerm("Hom^%d(%s, O^%d)" % (i, A, Kp.h), pdim))
-        terms.append(LESTerm("Hom^%d(%s, OZ(%d))" % (i, A, Kp.e), qdim))
-        maps.append(LESMap("inc_%d" % i, None, "exactness"))
+        terms.append(LESTerm(("Hom^%d(%s, F[%d])", (i, A, Kp.e)), None))
+        terms.append(LESTerm(("Hom^%d(%s, O^%d)", (i, A, Kp.h)), pdim))
+        terms.append(LESTerm(("Hom^%d(%s, OZ(%d))", (i, A, Kp.e)), qdim))
+        maps.append(LESMap(("inc_%d", i), None, "exactness"))
         maps.append(_cov_beta(space, A, Kp, i, pdim, qdim))
         if i < n:
-            maps.append(LESMap("delta_%d" % i, None, "exactness"))
-    return solve_les(
-        "Hom(%s, -) along 0 -> %s -> O^%d -> OZ(%d) -> 0"
-        % (A, kname, Kp.h, Kp.e),
-        terms,
-        maps,
+            maps.append(LESMap(("delta_%d", i), None, "exactness"))
+    origin = (
+        "Hom(%s, -) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0", (A, Kp.e, Kp.h, Kp.e)
     )
+    return solve_les(origin, terms, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +543,8 @@ def _hom_kernel_kernel(space, K, Kp):
     pair whose Ext^1 has the n = 2 block H^1(Z, e'-e).
     """
     n = space.n
-    Kp.component_terms(space)  # ShapeMismatch unless K' lives here and spans
+    _check_bundle(space, Kp)  # ShapeMismatch unless K' lives here and spans
+    _check_bundle(space, K)
     top = _free_row(space, K, Kp.h)
     bottom = les_hom_contra(space, K, [OZ(Kp.e)])
     ext1_h0_block(space, K.e, Kp.e)  # refuses the block the right vertical misses
@@ -542,22 +564,21 @@ def _hom_kernel_kernel(space, K, Kp):
 
     terms, maps = [], []
     for i in range(n + 1):
-        terms.append(LESTerm("Hom^%d(%s,%s)" % (i, kname, kpname), None))
-        terms.append(LESTerm("Hom^%d(%s,O^%d)" % (i, kname, Kp.h), dimsP[i]))
-        terms.append(LESTerm("Hom^%d(%s,OZ(%d))" % (i, kname, Kp.e), dimsQ[i]))
-        maps.append(LESMap("inc_%d" % i, None, "exactness"))
+        terms.append(LESTerm(("Hom^%d(F[%d],F[%d])", (i, K.e, Kp.e)), None))
+        terms.append(LESTerm(("Hom^%d(F[%d],O^%d)", (i, K.e, Kp.h)), dimsP[i]))
+        terms.append(LESTerm(("Hom^%d(F[%d],OZ(%d))", (i, K.e, Kp.e)), dimsQ[i]))
+        maps.append(LESMap(("inc_%d", i), None, "exactness"))
         if i == 0:
             maps.append(LESMap("gamma_0", ladder.rank, "ladder"))
         else:
-            maps.append(LESMap("gamma_%d" % i, 0, "zero-side"))
+            maps.append(LESMap(("gamma_%d", i), 0, "zero-side"))
         if i < n:
-            maps.append(LESMap("delta_%d" % i, None, "exactness"))
-    outer = solve_les(
-        "Hom(%s, -) along 0 -> %s -> O^%d -> OZ(%d) -> 0"
-        % (kname, kpname, Kp.h, Kp.e),
-        terms,
-        maps,
+            maps.append(LESMap(("delta_%d", i), None, "exactness"))
+    origin = (
+        "Hom(F[%d], -) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0",
+        (K.e, Kp.e, Kp.h, Kp.e),
     )
+    outer = solve_les(origin, terms, maps)
     dims = outer.solved_dims(0)
 
     comp = HomComputation(dims)

@@ -1,4 +1,4 @@
-"""Closed-form graded Hom spaces between atom sheaves, with bases on request.
+"""Closed-form graded Hom between atom sheaves: dims counted, bases on request.
 
 The atoms are the twists O(d) on the cone and the twists OZ(e) on the
 section Z ~ P^{n-1}.  Each Hom computation is carried out by one of a
@@ -18,20 +18,27 @@ guessing.  The tags attached to every degree name the rule used:
       the fact that multiplication by the cone variable dies on Z.
       Maps out of free sheaves reach only the H^0(Z, f-e+m) block of
       degree 1 (ext1_h0_block); a chase that meets the n = 2 block
-      H^1(Z, f-e) is refused.
+      H^1(Z, f-e) is refused.  r3_block_dims gives both block dims.
 * R4  Hom^i(OZ(e), O(b)) = H^{i-1}(Z, O(b-e+m)) for invertible O(b),
       from the local Ext^1(OZ(e), O(b)) = O_Z(b-e+m) of the twist
       resolution; it has the dimensions of the Serre dual of R2.
 
+Each rule is one entry of RULES: the blocks of its degree-i space, as
+cohomology of a twist on X or Z.  Applying a rule counts the dims of
+its blocks in closed form (cone_cohomology_dim, section_cohomology_dim);
+the spaces and their monomial or Laurent bases are built from the same
+blocks only when GradedHom.spaces or gh[i] is read.
+
 The chases use composition with the evaluation sections of a kernel
 bundle only through its rank, never as a matrix: out of OZ(e) it is
 injective on R3's block 0 and on R4 (objects._contra_alpha), and into
-OZ(e') it is onto R3's block 1 (objects._cov_beta).
+OZ(e') it is onto R3's block 1 (objects._cov_beta).  They read integers
+only: GradedHom.dims, GradedHom.block_dims and ext1_h0_block.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .cone import (
     FrozenValue,
@@ -89,25 +96,6 @@ def OZ(e):
     return Atom(SECTION, e)
 
 
-class GradedHom(Record):
-    """Degree-indexed family of presented spaces for Hom^*(A, B)."""
-
-    _fields = ("source", "target", "spaces", "rules")
-
-    def __init__(self, source, target, spaces, rules):
-        self.source = source
-        self.target = target
-        self.spaces = spaces
-        self.rules = rules
-
-    @property
-    def dims(self):
-        return tuple(sp.dim for sp in self.spaces)
-
-    def __getitem__(self, i):
-        return self.spaces[i]
-
-
 # ---------------------------------------------------------------------------
 # cohomology spaces: counted, with their canonical bases listed on request
 # ---------------------------------------------------------------------------
@@ -134,18 +122,80 @@ def section_h_space(space, e, i, name=""):
     return CountedSpace(section_cohomology_dim(space, e, i), lister, name)
 
 
-def _r3_space(space, e, f, i, name=""):
-    """R3 degree-i space: H^i(Z, f-e) block 0, then H^{i-1}(Z, f-e+m) block 1."""
-    blocks = (
-        section_h_space(space, f - e, i),
-        section_h_space(space, f - e + space.m, i - 1),
+def _h_space(space, sheaf, d, i, name=""):
+    """H^i(X, O(d)) or H^i(Z, O(d)) as a counted space."""
+    return (cone_h_space if sheaf == CONE else section_h_space)(space, d, i, name)
+
+
+def _h_column(space, sheaf, d, s):
+    """[dim H^{i+s}(X or Z, O(d)) for i = 0..n], counted in closed form.
+
+    Only H^0 and the top degree (n on X, n - 1 on Z) can be nonzero.
+    """
+    top, count = (
+        (space.n, cone_cohomology_dim)
+        if sheaf == CONE
+        else (space.n - 1, section_cohomology_dim)
     )
-    return DirectSum(blocks, name)
+    column = [0] * (space.n + 1)
+    for j in (0, top):
+        if 0 <= j - s <= space.n:
+            column[j - s] = count(space, d, j)
+    return column
 
 
 # ---------------------------------------------------------------------------
 # the graded Hom rules
 # ---------------------------------------------------------------------------
+
+# For Hom^i(A, B) with twists a, b, each block (sheaf, k, s) of a rule is
+# H^{i+s}(sheaf, O(b - a + km)); the degree-i space is their direct sum.
+RULES = {
+    (CONE, CONE): ("R1", ((CONE, 0, 0),)),
+    (CONE, SECTION): ("R2", ((SECTION, 0, 0),)),
+    (SECTION, SECTION): ("R3", ((SECTION, 0, 0), (SECTION, 1, -1))),
+    (SECTION, CONE): ("R4", ((SECTION, 1, -1),)),
+}
+
+
+class GradedHom(Record):
+    """Hom^*(A, B) by one rule: dims counted, spaces built on request.
+
+    `block_dims[i]` holds the dims of the rule's degree-i blocks (two for
+    R3, one otherwise) and `dims[i]` their sum; both are counted when the
+    rule is applied.  `spaces` and `gh[i]` build the counted spaces, a
+    DirectSum of the two blocks for R3, from the same blocks on first read.
+    """
+
+    _fields = ("source", "target", "dims", "rules")
+
+    def __init__(self, space, source, target, rule, blocks):
+        self.source = source
+        self.target = target
+        self.rules = (rule,) * (space.n + 1)
+        self._space = space
+        self._blocks = blocks
+        t = target.twist - source.twist
+        self.block_dims = tuple(zip(*[
+            _h_column(space, sheaf, t + k * space.m, s) for sheaf, k, s in blocks
+        ]))
+        self.dims = tuple(map(sum, self.block_dims))
+
+    @cached_property
+    def spaces(self):
+        X, t, out = self._space, self.target.twist - self.source.twist, []
+        for i in range(X.n + 1):
+            name = "Hom^%d(%s->%s)" % (i, self.source, self.target)
+            parts = [(sheaf, t + k * X.m, i + s) for sheaf, k, s in self._blocks]
+            if len(parts) == 1:
+                out.append(_h_space(X, *parts[0], name))
+            else:
+                out.append(DirectSum([_h_space(X, *part) for part in parts], name))
+        return tuple(out)
+
+    def __getitem__(self, i):
+        return self.spaces[i]
+
 
 @lru_cache(maxsize=None)
 def hom_atoms(space, A, B):
@@ -154,42 +204,22 @@ def hom_atoms(space, A, B):
     Raises OutOfValidity for pairs no rule justifies, e.g. the full
     graded Hom out of a non-invertible twist into another twist.
     """
-    n = space.n
-    tag = "%s->%s" % (A, B)
-    if A.kind == CONE and B.kind == CONE:
-        if not A.is_invertible(space):
-            raise OutOfValidity(
-                "graded Hom(%s, %s): source twist is not invertible; only the "
-                "degree-0 reflexive Hom is defined (rule R0)" % (A, B)
-            )
-        d = B.twist - A.twist
-        spaces = tuple(
-            cone_h_space(space, d, i, "Hom^%d(%s)" % (i, tag)) for i in range(n + 1)
+    if A.kind == CONE and B.kind == CONE and not A.is_invertible(space):
+        raise OutOfValidity(
+            "graded Hom(%s, %s): source twist is not invertible; only the "
+            "degree-0 reflexive Hom is defined (rule R0)" % (A, B)
         )
-        return GradedHom(A, B, spaces, ("R1",) * (n + 1))
-    if A.kind == CONE and B.kind == SECTION:
-        d = B.twist - A.twist
-        spaces = tuple(
-            section_h_space(space, d, i, "Hom^%d(%s)" % (i, tag)) for i in range(n + 1)
-        )
-        return GradedHom(A, B, spaces, ("R2",) * (n + 1))
-    if A.kind == SECTION and B.kind == SECTION:
-        spaces = tuple(
-            _r3_space(space, A.twist, B.twist, i, "Hom^%d(%s)" % (i, tag))
-            for i in range(n + 1)
-        )
-        return GradedHom(A, B, spaces, ("R3",) * (n + 1))
-    # section source into a cone twist
-    if not B.is_invertible(space):
+    if A.kind == SECTION and B.kind == CONE and not B.is_invertible(space):
         raise OutOfValidity(
             "graded Hom(%s, %s): target twist is not invertible; rule R4 "
             "does not apply" % (A, B)
         )
-    d = B.twist - A.twist + space.m
-    spaces = tuple(
-        section_h_space(space, d, i - 1, "Hom^%d(%s)" % (i, tag)) for i in range(n + 1)
-    )
-    return GradedHom(A, B, spaces, ("R4",) * (n + 1))
+    return GradedHom(space, A, B, *RULES[A.kind, B.kind])
+
+
+def r3_block_dims(space, e, f, i):
+    """R3's degree-i block dims: dim H^i(Z, f-e), dim H^{i-1}(Z, f-e+m)."""
+    return hom_atoms(space, OZ(e), OZ(f)).block_dims[i]
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +227,17 @@ def hom_atoms(space, A, B):
 # ---------------------------------------------------------------------------
 
 def ext1_h0_block(space, e, f):
-    """R3's degree-1 block H^0(Z, f-e+m) of Ext^1(OZ(e), OZ(f)).
+    """dim of R3's degree-1 block H^0(Z, f-e+m) of Ext^1(OZ(e), OZ(f)).
 
     It is the x_n-cokernel on Hom(O(e-m), OZ(f)), the part of Ext^1 that
     maps out of free sheaves reach.  The other block, H^1(Z, f-e), is
     nonzero only for n = 2 and f - e <= -2; no onto argument covers it,
     so that pair raises PresentationMismatch.
     """
-    gap, reached = hom_atoms(space, OZ(e), OZ(f))[1].blocks
-    if gap.dim:
+    gap, reached = r3_block_dims(space, e, f, 1)
+    if gap:
         raise PresentationMismatch(
             "Ext^1(OZ(%d), OZ(%d)): presentation gives %d, rules give %d"
-            % (e, f, reached.dim, gap.dim + reached.dim)
+            % (e, f, reached, gap + reached)
         )
     return reached

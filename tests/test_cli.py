@@ -313,6 +313,33 @@ def test_huge_twists_are_answered_at_once():
     assert out[-1].split() == ["O(%d)" % d, str(3 * (q + 1) ** 2 * (q + 2) // 2), "0", "0", "0"]
 
 
+def test_kernel_pair_on_a_cone_of_two_thousand_variables():
+    """Hom(F_1, F_2) on P(1^2000, 3) is counted, never listed or named copy by copy.
+
+    h' = C(2001, 2) = 2,001,000, and the higher degrees vanish, so
+    Hom^0 is the Euler form h'^2 + h - C(2003, 4) of the K-theory classes
+    F_e = O^h - OZ(e).  No basis in 2000 variables may be listed: its
+    recursive enumeration would pass the interpreter's recursion limit.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else SRC
+    proc = subprocess.run(
+        [sys.executable, "-m", "conetilt", "hom", "ker(1)", "ker(2)", "--space", "2000,3"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    degrees = proc.stdout.splitlines()[0].split(": ", 1)[1].split()
+    hp = 2001000
+    assert degrees[:2] == ["deg0:", str(hp * hp + 2000 - 2003 * 2002 * 2001 * 2000 // 24)]
+    assert degrees[2::2] == ["deg%d:" % i for i in range(1, 2001)]
+    assert set(degrees[3::2]) == {"0"}
+
+
 def test_paper_report_row_count(capsys):
     main(["paper-report", "P1113", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)

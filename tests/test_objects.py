@@ -6,6 +6,8 @@ this file for the surface case, alternating-sum and exactness checks
 for every assembled sequence, and duality/Euler cross-checks.
 """
 
+import hashlib
+import json
 import pickle
 import random
 import sys
@@ -663,7 +665,7 @@ def test_ext1_from_the_rules_matches_the_explicit_presentation(n, m):
             assert _refusal(lambda: ext1_h0_block(space, e, f)) == ref, (e, f)
             if ref is None:
                 pres = cone_presentation(space, e, (OZ(f),))
-                assert pres.dim == ext1_h0_block(space, e, f).dim, (e, f)
+                assert pres.dim == ext1_h0_block(space, e, f), (e, f)
     bundles = [kernel_bundle(space, e) for e in range(1, m)]
     queries = [(K, Kp) for K in bundles for Kp in bundles]
     queries += [(OZ(d), Kp) for d in twists for Kp in bundles]
@@ -978,6 +980,150 @@ def test_top_degree_dual_rank_keeps_chase_determined():
                 assert left.solved_dims(2) == tuple(reversed(right.solved_dims(0)))
                 cases += 1
     assert cases == 56
+
+
+def test_refusals_show_the_rendered_names():
+    """Names kept as (format, args) appear rendered in every message."""
+    origin = ("Hom(-, %s) along %s", ("O(0)^2", "a synthetic sequence"))
+    text = "Hom(-, O(0)^2) along a synthetic sequence"
+    terms = [LESTerm(("t%d", i), d) for i, d in enumerate([1, None, 2, None, 1])]
+    maps = [
+        LESMap(("m%d", 0), 1, "injective"),
+        LESMap(("m%d", 1), None, "exactness"),
+        LESMap(("m%d", 2), None, "exactness"),
+        LESMap(("m%d", 3), 1, "injective"),
+    ]
+    with pytest.raises(IndeterminateRank) as refused:
+        solve_les(origin, terms, maps)
+    assert str(refused.value) == text + ": exactness does not pin the rank of m1"
+    les = LongExactSequence(
+        origin,
+        [LESTerm(("t%d", 0), 1), LESTerm(("t%d", 1), 1)],
+        [LESMap(("m%d", 0), 0, "exactness")],
+    )
+    with pytest.raises(EngineError) as broken:
+        les.check_exactness()
+    assert str(broken.value) == text + ": exactness fails at t0: 0 + 0 != 1"
+    top = LongExactSequence(
+        origin,
+        [LESTerm(("t%d", i), d) for i, d in enumerate([0, 1, 2, 2, 1])],
+        [LESMap(("m%d", j), r, "exactness") for j, r in enumerate([0, 1, 1, 1])],
+    )
+    with pytest.raises(IndeterminateRank, match=r"onto right vertical out of t3 is"):
+        ladder_propagate(top, _mini_les([0, 1, 2, 1, 0], [0, 1, 1, 0]))
+    les = les_hom_cov(X, OZ(2), F)
+    assert les.origin == "Hom(OZ(2), -) along 0 -> F[1] -> O^3 -> OZ(1) -> 0"
+    assert [t.name for t in les.terms[:3]] == [
+        "Hom^0(OZ(2), F[1])", "Hom^0(OZ(2), O^3)", "Hom^0(OZ(2), OZ(1))",
+    ]
+
+
+def _derivation(space, A, B):
+    """hom_objects_detailed as plain data, or the refusal's class and text."""
+    try:
+        comp = hom_objects_detailed(space, A, B)
+    except EngineError as exc:
+        return ["refused", type(exc).__name__, str(exc)]
+    return [
+        list(comp.dims),
+        comp.notes,
+        [
+            [
+                les.origin,
+                [[t.name, t.dim] for t in les.terms],
+                [[f.name, f.rank, f.how] for f in les.maps],
+            ]
+            for les in comp.sequences
+        ],
+        [[ladder.rank, ladder.certificate] for ladder in comp.ladders],
+    ]
+
+
+def _derivations():
+    X7 = make_space(3, 7)
+    bundles = [kernel_bundle(X7, e) for e in range(1, 7)]
+    yield "F->F on P(1^3,7)", [_derivation(X7, K, Kp) for K in bundles for Kp in bundles]
+    for n, m in ((2, 7), (4, 3)):
+        space, records = make_space(n, m), []
+        for e in range(1, m):
+            K = kernel_bundle(space, e)
+            for d in range(-2 * m, 2 * m + 1):
+                for a in (OX(d), OZ(d)):
+                    records += [_derivation(space, K, a), _derivation(space, a, K)]
+        yield "atom<->F on P(1^%d,%d)" % (n, m), records
+
+
+# sha256 of the compact JSON of each family's records, with the number of
+# records and of refusals, as the engine gave them before names were
+# rendered lazily; the one edit is the rename of the top row's h' equal
+# atoms, "O(0)+O(0)+...+O(0)" before, "O(0)^h'" now
+DERIVATION_DIGESTS = {
+    "F->F on P(1^3,7)": (
+        36, 0, "e60f0d397b8f90ec186e436a4f8fb9d745a0c9bfe9d893a46aad65d2cf4d4c41"
+    ),
+    "atom<->F on P(1^2,7)": (
+        696, 345, "9204e5adff6823cab508b0cb52ad0861adacde67297946edbdd123a7b2652d7f"
+    ),
+    "atom<->F on P(1^4,3)": (
+        104, 32, "75890c875fb34ca07853e846e6109f81ca86183ad14e3dc542ea416e5cf7a583"
+    ),
+}
+
+
+def test_derivation_records_are_pinned():
+    """Notes, origins, term (name, dim), map (name, rank, how), ladder
+    certificates and refusal texts, unchanged but for the O(0)^h' rename."""
+    found = {}
+    for family, records in _derivations():
+        text = json.dumps(records, separators=(",", ":"))
+        refused = sum(r[0] == "refused" for r in records)
+        found[family] = (len(records), refused, hashlib.sha256(text.encode()).hexdigest())
+    assert found == DERIVATION_DIGESTS
+    X7 = make_space(3, 7)
+    F1 = kernel_bundle(X7, 1)
+    top = hom_objects_detailed(X7, F1, F1).sequences[0]
+    assert top.origin == "Hom(-, O(0)^3) along 0 -> F[1] -> O^3 -> OZ(1) -> 0"
+    assert top.terms[0].name == "Hom^0(OZ(1), O(0)^3)"
+
+
+def test_the_chase_builds_no_space(monkeypatch):
+    """hom_objects reads integers only: with cold caches no kernel-kernel,
+    atom -> kernel or kernel -> atom query builds a space of any kind."""
+    import conetilt.linalg as linalg
+
+    built = []
+
+    def counting(cls):
+        init = vars(cls)["__init__"]
+
+        def spy(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+
+        return spy
+
+    for cls in (linalg.DirectSpace, linalg.CountedSpace, linalg.DirectSum):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    for modname in ("conetilt.cone", "conetilt.rules", "conetilt.objects"):
+        for value in vars(sys.modules[modname]).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+    answered = 0
+    for n, m in ((2, 7), (3, 5), (4, 3)):
+        space = make_space(n, m)
+        bundles = [kernel_bundle(space, e) for e in range(1, m)]
+        queries = [(K, Kp) for K in bundles for Kp in bundles]
+        for d in range(-m, m + 1):
+            for a in (OX(d), OZ(d)):
+                queries += [(K, a) for K in bundles] + [(a, K) for K in bundles]
+        for A, B in queries:
+            try:
+                hom_objects(space, A, B)
+            except EngineError:
+                continue
+            answered += 1
+    assert answered > 300  # 399 with the rule domain of this engine
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

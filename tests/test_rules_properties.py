@@ -1,0 +1,74 @@
+"""Property tests of the rule table: counted dims against the built spaces.
+
+`hom_atoms` counts each degree's dims when it applies a rule and builds
+the spaces only when `spaces` or `gh[i]` is read; both readings come
+from the same rule blocks and must agree, as must the refusals.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from conetilt.cone import make_space  # noqa: E402
+from conetilt.rules import (  # noqa: E402
+    CONE,
+    SECTION,
+    Atom,
+    OutOfValidity,
+    hom_atoms,
+    r3_block_dims,
+)
+
+LISTED_UP_TO = 2000  # list a basis to count it again only when it is this small
+
+
+def _expected_refusal(space, A, B):
+    """The OutOfValidity text of the rule table, or None for a valid pair."""
+    if A.kind == CONE and B.kind == CONE and A.twist % space.m:
+        return (
+            "graded Hom(%s, %s): source twist is not invertible; only the "
+            "degree-0 reflexive Hom is defined (rule R0)" % (A, B)
+        )
+    if A.kind == SECTION and B.kind == CONE and B.twist % space.m:
+        return (
+            "graded Hom(%s, %s): target twist is not invertible; rule R4 "
+            "does not apply" % (A, B)
+        )
+    return None
+
+
+@st.composite
+def atom_pairs(draw):
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 7))
+    twists = st.integers(-2 * m, 2 * m)
+    kinds = st.sampled_from((CONE, SECTION))
+    A = Atom(draw(kinds), draw(twists))
+    B = Atom(draw(kinds), draw(twists))
+    return make_space(n, m), A, B
+
+
+@settings(max_examples=400, deadline=None)
+@given(atom_pairs())
+def test_counted_dims_agree_with_the_built_spaces(pair):
+    space, A, B = pair
+    refusal = _expected_refusal(space, A, B)
+    try:
+        gh = hom_atoms(space, A, B)
+    except OutOfValidity as exc:
+        assert str(exc) == refusal
+        return
+    assert refusal is None
+    assert gh.dims == tuple(sp.dim for sp in gh.spaces)
+    assert gh.dims == tuple(map(sum, gh.block_dims))
+    for sp in gh.spaces:
+        if sp.dim <= LISTED_UP_TO:
+            assert len(sp.labels) == sp.dim  # a listed count other than dim raises
+    if gh.rules[0] == "R3":
+        for i in range(space.n + 1):
+            blocks = gh[i].blocks
+            assert r3_block_dims(space, A.twist, B.twist, i) == (
+                blocks[0].dim,
+                blocks[1].dim,
+            )
