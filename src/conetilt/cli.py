@@ -264,6 +264,47 @@ def cmd_paper_report(args):
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
+_FORMAT = (("--format",), {"choices": ["text", "json", "markdown"], "default": "text"})
+_CONFIG = (("--config",), {"help": "instance config file"})
+_INSTANCE = (("--instance",), {"help": "built-in instance name"})
+
+# name -> (help, handler, arguments as (flags, options) pairs)
+COMMANDS = {
+    "cohomology": ("twist cohomology table", cmd_cohomology, [
+        (("--space",), {"required": True, "help": "n,m for P(1^n, m)"}),
+        (("--sheaf",), {"choices": ["O", "OZ"], "default": "O"}),
+        (("--twist-min",), {"type": int, "required": True}),
+        (("--twist-max",), {"type": int, "required": True}),
+        (("--i",), {"type": int, "default": None, "help": "single cohomological degree"}),
+        _FORMAT,
+    ]),
+    "hom": ("graded Hom between two objects", cmd_hom, [
+        (("A",), {"help": "object name or expression, e.g. O(3), OZ(1), ker(2)"}),
+        (("B",), {}),
+        _CONFIG,
+        _INSTANCE,
+        (("--space",), {"help": "n,m for inline expressions"}),
+        _FORMAT,
+    ]),
+    "verify-sod": ("check an ordered collection", cmd_verify_sod, [
+        (("collection",), {"nargs": "?", "help": "collection name (default: first)"}),
+        _CONFIG,
+        _INSTANCE,
+        _FORMAT,
+    ]),
+    "paper-report": ("full reference report", cmd_paper_report, [
+        (("instance",), {"help": "built-in instance name (P1113 or P112)"}),
+        _FORMAT,
+    ]),
+}
+
+
+def _add_arguments(parser, name):
+    for flags, options in COMMANDS[name][2]:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(func=COMMANDS[name][1])
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="conetilt",
@@ -271,42 +312,33 @@ def build_parser():
         "projective cones P(1,...,1,m)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cohomology", help="twist cohomology table")
-    p.add_argument("--space", required=True, help="n,m for P(1^n, m)")
-    p.add_argument("--sheaf", choices=["O", "OZ"], default="O")
-    p.add_argument("--twist-min", type=int, required=True)
-    p.add_argument("--twist-max", type=int, required=True)
-    p.add_argument("--i", type=int, default=None, help="single cohomological degree")
-    p.add_argument("--format", choices=["text", "json", "markdown"], default="text")
-    p.set_defaults(func=cmd_cohomology)
-
-    p = sub.add_parser("hom", help="graded Hom between two objects")
-    p.add_argument("A", help="object name or expression, e.g. O(3), OZ(1), ker(2)")
-    p.add_argument("B")
-    p.add_argument("--config", help="instance config file")
-    p.add_argument("--instance", help="built-in instance name")
-    p.add_argument("--space", help="n,m for inline expressions")
-    p.add_argument("--format", choices=["text", "json", "markdown"], default="text")
-    p.set_defaults(func=cmd_hom)
-
-    p = sub.add_parser("verify-sod", help="check an ordered collection")
-    p.add_argument("collection", nargs="?", help="collection name (default: first)")
-    p.add_argument("--config", help="instance config file")
-    p.add_argument("--instance", help="built-in instance name")
-    p.add_argument("--format", choices=["text", "json", "markdown"], default="text")
-    p.set_defaults(func=cmd_verify_sod)
-
-    p = sub.add_parser("paper-report", help="full reference report")
-    p.add_argument("instance", help="built-in instance name (P1113 or P112)")
-    p.add_argument("--format", choices=["text", "json", "markdown"], default="text")
-    p.set_defaults(func=cmd_paper_report)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse_args(argv=None):
+    """Parse a command line as build_parser() does, building one parser.
+
+    A known subcommand is parsed by a parser of its own, with the prog
+    `conetilt <name>` that build_parser() gives it, so its help and its
+    errors read the same.  The full parser takes over for anything
+    else: no or an unknown subcommand, a top-level option, or an
+    argument the subcommand leaves over, which the full parser reports.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog="conetilt %s" % argv[0])
+        _add_arguments(parser, argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     if args.command == "verify-sod" and not (args.config or args.instance):
         print("verify-sod needs --config or --instance", file=sys.stderr)
         return EXIT_USAGE

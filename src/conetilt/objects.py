@@ -10,6 +10,12 @@ be injective, off the target of a map shown to be onto, or off the two
 exact rows of a ladder; no matrix is built.  When a rank is genuinely
 not determined by the diagrams, the engine raises IndeterminateRank
 naming the unresolved map; it never guesses.
+
+Sequences are solved and checked on integers (`IntRow`): term dims and
+map ranks, with names kept as formats until a message or a record needs
+them.  The kernel-kernel chase never leaves the integers; its derivation
+records (notes, ladder result, the three LongExactSequence rows) are
+built on first read.  Atom-kernel queries build their records at once.
 """
 
 from __future__ import annotations
@@ -258,90 +264,145 @@ class LongExactSequence(Record):
     def origin(self):
         return _render(self._origin)
 
+    @property
+    def dims(self):
+        return [t.dim for t in self.terms]
+
+    @property
+    def ranks(self):
+        """The map ranks padded by a zero at each end: ranks[j + 1] is map j's."""
+        return [0, *(m.rank for m in self.maps), 0]
+
+    def records(self):
+        """The records of the row: a LongExactSequence is its own."""
+        return self
+
     def check_exactness(self):
         """rank(incoming) + rank(outgoing) = dim at every term, ranks sane."""
-        self._check([t.dim for t in self.terms], [0, *(m.rank for m in self.maps), 0])
+        _check(self.dims, self.ranks, self)
         return True
-
-    def _check(self, dims, ranks):
-        """check_exactness on the term dims and the map ranks padded by a
-        zero at each end, so that ranks[j + 1] is the rank of map j."""
-        for j, dim in enumerate(dims):
-            if ranks[j] + ranks[j + 1] != dim:
-                raise EngineError(
-                    "%s: exactness fails at %s: %d + %d != %d"
-                    % (self.origin, self.terms[j].name, ranks[j], ranks[j + 1], dim)
-                )
-        for j, m in enumerate(self.maps):
-            if ranks[j + 1] < 0:
-                raise EngineError("%s: negative rank at %s" % (self.origin, m.name))
-            if ranks[j + 1] > min(dims[j], dims[j + 1]):
-                raise EngineError(
-                    "%s: rank of %s exceeds its term dimensions" % (self.origin, m.name)
-                )
 
     def solved_dims(self, offset, stride=3):
         return tuple(t.dim for t in self.terms[offset::stride])
+
+
+class IntRow:
+    """An exact row of the chase as integers, named only when read.
+
+    `dims` holds the term dims and `ranks` the map ranks padded by a zero
+    at each end, so that ranks[j + 1] is the rank of map j.  `build` is a
+    (builder, args) pair: builder(row, *args) gives the LongExactSequence
+    the row stands for.  It runs only when `records()` is called, by a
+    reader of the derivation or for the names in an error message.
+    """
+
+    __slots__ = ("dims", "ranks", "_build")
+
+    def __init__(self, dims, ranks, build):
+        self.dims, self.ranks, self._build = dims, ranks, build
+
+    def records(self):
+        builder, args = self._build
+        return builder(self, *args)
+
+    def solved_dims(self, offset, stride=3):
+        return self.dims[offset::stride]
+
+
+def _check(dims, ranks, row):
+    """Exactness at every term, and every rank in [0, min of its term dims].
+
+    `ranks` is padded by a zero at each end; the records of `row` name
+    the sequence, its terms and its maps in a message.
+    """
+    for j, dim in enumerate(dims):
+        if ranks[j] + ranks[j + 1] != dim:
+            les = row.records()
+            raise EngineError(
+                "%s: exactness fails at %s: %d + %d != %d"
+                % (les.origin, les.terms[j].name, ranks[j], ranks[j + 1], dim)
+            )
+    for j in range(len(dims) - 1):
+        rank = ranks[j + 1]
+        if rank < 0:
+            les = row.records()
+            raise EngineError("%s: negative rank at %s" % (les.origin, les.maps[j].name))
+        if rank > dims[j] or rank > dims[j + 1]:
+            les = row.records()
+            raise EngineError(
+                "%s: rank of %s exceeds its term dimensions"
+                % (les.origin, les.maps[j].name)
+            )
+
+
+def _solve(dims, ranks, row):
+    """Complete the lists `dims` and padded `ranks` in place, then check them.
+
+    None marks an unknown.  Each unknown rank is pinned, in map order, at
+    an adjacent term of known dimension whose other map is known (the
+    padding stands for the zero maps beyond either end); each unknown
+    dimension is then the sum of its two adjacent ranks.  A rank that
+    cannot be pinned raises IndeterminateRank naming the map of `row`.
+    """
+    for j in range(len(dims) - 1):
+        if ranks[j + 1] is not None:
+            continue
+        if dims[j] is not None and ranks[j] is not None:
+            ranks[j + 1] = dims[j] - ranks[j]
+        elif dims[j + 1] is not None and ranks[j + 2] is not None:
+            ranks[j + 1] = dims[j + 1] - ranks[j + 2]
+        else:
+            les = row.records()
+            raise IndeterminateRank(
+                "%s: exactness does not pin the rank of %s"
+                % (les.origin, les.maps[j].name)
+            )
+    for j, dim in enumerate(dims):
+        if dim is None:
+            dims[j] = ranks[j] + ranks[j + 1]
+    _check(dims, ranks, row)
 
 
 def solve_les(origin, terms, maps):
     """Complete a long exact sequence by exactness and check it.
 
     Map j runs from terms[j] to terms[j+1].  A term with dim None or a
-    map with rank None is unknown.  Each unknown rank is pinned, in map
-    order, at an adjacent term of known dimension whose other map is
-    known (the maps beyond either end are zero); each unknown dimension
-    is then the sum of its two adjacent ranks.  A rank that cannot be
-    pinned raises IndeterminateRank naming the sequence and the map.
+    map with rank None is unknown; `_solve` pins them on integers and the
+    records take the solved values.  A rank that cannot be pinned raises
+    IndeterminateRank naming the sequence and the map.
     """
     les = LongExactSequence(origin, terms, maps)
-    dims = [t.dim for t in terms]
-    ranks = [0, *(m.rank for m in maps), 0]  # ranks[j + 1] is the rank of map j
-    for j, m in enumerate(maps):
-        if ranks[j + 1] is not None:
-            continue
-        if dims[j] is not None and ranks[j] is not None:
-            ranks[j + 1] = m.rank = dims[j] - ranks[j]
-        elif dims[j + 1] is not None and ranks[j + 2] is not None:
-            ranks[j + 1] = m.rank = dims[j + 1] - ranks[j + 2]
-        else:
-            raise IndeterminateRank(
-                "%s: exactness does not pin the rank of %s" % (les.origin, m.name)
-            )
-    for j, t in enumerate(terms):
-        if dims[j] is None:
-            dims[j] = t.dim = ranks[j] + ranks[j + 1]
-    les._check(dims, ranks)
+    dims, ranks = les.dims, les.ranks
+    _solve(dims, ranks, les)
+    for t, dim in zip(terms, dims):
+        t.dim = dim
+    for m, rank in zip(maps, ranks[1:]):
+        m.rank = rank
     return les
 
 
-def _contra_alpha(space, K, runs, i):
-    """The known-to-known map Hom^i(OZ(e), B) -> Hom^i(O_X^h, B), by rank.
-
-    Each component multiplies by the evaluation sections s_j of K, which
-    span H^0(Z, e), so it is injective on the part of its source that
-    survives restriction, or its target is zero; no matrix is built.
-    * B = OZ(f), degree 0: u -> (u s_j) is injective.
-    * B = OZ(f), degree n-1: the map is dual to (g_j) -> sum g_j s_j
-      from H^0(Z, -f-n)^h, which is onto H^0(Z, e-f-n) when -f-n >= 0;
-      otherwise the target H^{n-1}(Z, f) is zero.
-    * B = OZ(f): R3's block 1, H^{i-1}(Z, f-e+m), restricts to zero, so
-      only block 0, H^i(Z, f-e), counts.
-    * B = O(b) invertible, degree n: R4's H^{n-1}(Z, b-e+m) is multiplied
-      into H^{n-1}(Z, b+m)^h, then carried to H^n(X, O(b))^h by the
-      connecting map, which is injective as H^{n-1}(X, O(b+m)) = 0.
-      Both targets vanish exactly when -b-n-m < 0.  In other degrees
-      H^i(X, O(b)) or R4's space is zero.
-    B is given by its runs (atom, copies).
-    """
-    rank = 0
-    for a, k in runs:
-        if hom_atoms(space, OX(0), a).dims[i]:
-            if a.kind == SECTION:
-                rank += k * r3_block_dims(space, K.e, a.twist, i)[0]
-            else:
-                rank += k * hom_atoms(space, OZ(K.e), a).dims[i]
-    return LESMap(("alpha_%d", i), rank, "injective")
+def _contra_records(row, K, runs):
+    """The records of the row Hom(-, B) along K's sequence, B given by its runs."""
+    bname = "+".join(str(a) if k == 1 else "%s^%d" % (a, k) for a, k in runs)
+    dims, ranks = row.dims, row.ranks
+    terms, maps = [], []
+    for i in range(len(dims) // 3):
+        j = 3 * i
+        terms += (
+            LESTerm(("Hom^%d(OZ(%d), %s)", (i, K.e, bname)), dims[j]),
+            LESTerm(("Hom^%d(O^%d, %s)", (i, K.h, bname)), dims[j + 1]),
+            LESTerm(("Hom^%d(F[%d], %s)", (i, K.e, bname)), dims[j + 2]),
+        )
+        maps += (
+            LESMap(("alpha_%d", i), ranks[j + 1], "injective"),
+            LESMap(("res_%d", i), ranks[j + 2], "exactness"),
+            LESMap(("delta_%d", i), ranks[j + 3], "exactness"),
+        )
+    maps.pop()  # no delta_n
+    origin = (
+        "Hom(-, %s) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0", (bname, K.e, K.h, K.e)
+    )
+    return LongExactSequence(origin, terms, maps)
 
 
 def les_hom_contra(space, K, B):
@@ -362,30 +423,68 @@ def les_hom_contra(space, K, B):
 @lru_cache(maxsize=None)
 def _les_hom_contra_cached(space, K, runs):
     """les_hom_contra on B given by its runs (atom, copies), named A^k for k > 1."""
-    bname = "+".join(str(a) if k == 1 else "%s^%d" % (a, k) for a, k in runs)
+    return _contra_row(space, K, runs).records()
+
+
+@lru_cache(maxsize=None)
+def _contra_row(space, K, runs):
+    """The solved and checked row Hom(-, B) along K's sequence, as integers.
+
+    B is given by its runs (atom, copies).  The known-to-known map
+    alpha_i: Hom^i(OZ(e), B) -> Hom^i(O_X^h, B) multiplies by the
+    evaluation sections s_j of K, which span H^0(Z, e), so it is
+    injective on the part of its source that survives restriction, or
+    its target is zero; its rank is read off the rules, no matrix built.
+    * B = OZ(f), degree 0: u -> (u s_j) is injective.
+    * B = OZ(f), degree n-1: the map is dual to (g_j) -> sum g_j s_j
+      from H^0(Z, -f-n)^h, which is onto H^0(Z, e-f-n) when -f-n >= 0;
+      otherwise the target H^{n-1}(Z, f) is zero.
+    * B = OZ(f): R3's block 1, H^{i-1}(Z, f-e+m), restricts to zero, so
+      only block 0, H^i(Z, f-e), counts.
+    * B = O(b) invertible, degree n: R4's H^{n-1}(Z, b-e+m), its only
+      block, is multiplied into H^{n-1}(Z, b+m)^h, then carried to
+      H^n(X, O(b))^h by the connecting map, which is injective as
+      H^{n-1}(X, O(b+m)) = 0.  Both targets vanish exactly when
+      -b-n-m < 0.  In other degrees H^i(X, O(b)) or R4's space is zero.
+    So rank alpha_i is block 0 of Hom^i(OZ(e), B) wherever Hom^i(O, B)
+    is nonzero, and 0 elsewhere.
+    """
     # OutOfValidity for a non-invertible O(b), before any other rule is read
-    fromQ = [(k, hom_atoms(space, OZ(K.e), a).dims) for a, k in runs]
-    fromP = [(k, hom_atoms(space, OX(0), a).dims) for a, k in runs]
-    terms, maps = [], []
+    fromQ = [hom_atoms(space, OZ(K.e), a) for a, _ in runs]
+    fromP = [hom_atoms(space, OX(0), a) for a, _ in runs]
+    dims, ranks = [], [0]
     for i in range(space.n + 1):
-        qdim = sum(k * d[i] for k, d in fromQ)
-        pdim = K.h * sum(k * d[i] for k, d in fromP)
-        terms.append(LESTerm(("Hom^%d(OZ(%d), %s)", (i, K.e, bname)), qdim))
-        terms.append(LESTerm(("Hom^%d(O^%d, %s)", (i, K.h, bname)), pdim))
-        terms.append(LESTerm(("Hom^%d(F[%d], %s)", (i, K.e, bname)), None))
-        maps.append(_contra_alpha(space, K, runs, i))
-        maps.append(LESMap(("res_%d", i), None, "exactness"))
-        if i < space.n:
-            maps.append(LESMap(("delta_%d", i), None, "exactness"))
-    origin = (
-        "Hom(-, %s) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0", (bname, K.e, K.h, K.e)
+        qdim = pdim = alpha = 0
+        for (_, k), ghQ, ghP in zip(runs, fromQ, fromP):
+            qdim += k * ghQ.dims[i]
+            if ghP.dims[i]:
+                pdim += k * ghP.dims[i]
+                alpha += k * ghQ.block_dims[i][0]
+        dims += (qdim, K.h * pdim, None)
+        ranks += (alpha, None, None)
+    ranks[-1] = 0  # past the last term; no delta_n
+    row = IntRow(dims, ranks, (_contra_records, (K, runs)))
+    _solve(dims, ranks, row)
+    row.dims, row.ranks = tuple(dims), tuple(ranks)
+    return row
+
+
+def _top_row(space, K, hp):
+    """The row Hom(-, O^h') along K's sequence: h' times the cached row
+    Hom(-, O), which `_contra_row` solves and checks once per (cone, K).
+    Scaling by h' > 0 keeps exactness and every rank bound."""
+    one = _contra_row(space, K, ((OX(0), 1),))
+    return IntRow(
+        tuple(hp * d for d in one.dims),
+        tuple(hp * r for r in one.ranks),
+        (_contra_records, (K, ((OX(0), hp),))),
     )
-    return solve_les(origin, terms, maps)
 
 
 def _free_row(space, K, hp):
-    """les_hom_contra(space, K, [OX(0)] * hp), without a list of hp copies."""
-    return _les_hom_contra_cached(space, K, ((OX(0), hp),))
+    """les_hom_contra(space, K, [OX(0)] * hp) as records of the scaled row
+    Hom(-, O), without a list of hp copies or a second solve."""
+    return _top_row(space, K, hp).records()
 
 
 def _cov_beta(space, A, Kp, i, pdim, qdim):
@@ -471,38 +570,49 @@ class LadderResult(Record):
 def ladder_propagate(top, bottom):
     """Rank of the middle vertical T2 -> B2 of a commutative two-row ladder.
 
-    `top` and `bottom` are exact rows (LongExactSequence) whose terms 1,
-    2, 3 are T1, T2, T3 and B1, B2, B3; both outer verticals are onto
-    their bottom terms.  The left one then has rank
-    dim B1 - rank(B0 -> B1) = rank(B1 -> B2) into B1 / ker(B1 -> B2), so
-    through T1 the middle vertical reaches all of im(B1 -> B2).  When
-    T1 -> T2 covers T2 that is the whole rank.  Otherwise the quotient
-    part adds the rank of the right vertical on ker(T3 -> T4), which is
-    dim B3 when T3 -> T4 is zero; with any other T3 -> T4 it is not
-    pinned and IndeterminateRank is raised.  The rank is returned with a
-    determination certificate; the engine never guesses.
+    `top` and `bottom` are exact rows whose terms 1, 2, 3 are T1, T2, T3
+    and B1, B2, B3; both outer verticals are onto their bottom terms.
+    The left one then has rank dim B1 - rank(B0 -> B1) = rank(B1 -> B2)
+    into B1 / ker(B1 -> B2), so through T1 the middle vertical reaches
+    all of im(B1 -> B2).  When T1 -> T2 covers T2 that is the whole rank.
+    Otherwise the quotient part adds the rank of the right vertical on
+    ker(T3 -> T4), which is dim B3 when T3 -> T4 is zero; with any other
+    T3 -> T4 it is not pinned and IndeterminateRank is raised.  The
+    engine never guesses.
+
+    The rows are read as integers.  Two LongExactSequence rows give a
+    LadderResult with its determination certificate; two IntRows give
+    the pair (rank, detail), which `_certificate` renders when the
+    derivation is read.
     """
-    bottom_first = bottom.maps[1]  # B1 -> B2
-    r_kb = bottom_first.rank
-    if top.maps[1].rank == top.terms[2].dim:
-        return LadderResult(
-            r_kb,
-            "middle term is covered by the first map; rank forced to %d" % r_kb,
-        )
-    nxt = top.maps[3]  # T3 -> T4
-    if nxt.rank:
+    tdims, tranks, branks = top.dims, top.ranks, bottom.ranks
+    r_kb = branks[2]  # B1 -> B2
+    if tranks[2] == tdims[2]:
+        rank, detail = r_kb, (r_kb,)
+    elif tranks[4]:  # T3 -> T4
         raise IndeterminateRank(
             "ladder: the onto right vertical out of %s is not pinned on the "
-            "kernel of its outgoing map of rank %d" % (top.terms[3].name, nxt.rank)
+            "kernel of its outgoing map of rank %d"
+            % (top.records().terms[3].name, tranks[4])
         )
-    r_v3 = bottom.terms[3].dim
-    rank = r_kb + r_v3
-    cert = (
+    else:
+        r_v3 = bottom.dims[3]
+        rank, detail = r_kb + r_v3, (r_kb, bottom, r_v3)
+    if top.__class__ is IntRow:
+        return rank, detail
+    return LadderResult(rank, _certificate(rank, detail))
+
+
+def _certificate(rank, detail):
+    """The ladder's determination certificate, from the detail it kept."""
+    if len(detail) == 1:
+        return "middle term is covered by the first map; rank forced to %d" % rank
+    r_kb, bottom, r_v3 = detail
+    return (
         "image part saturated (rank %d = rank of %s); quotient part "
         "contributes %d through the right vertical; middle rank %d"
-        % (r_kb, bottom_first.name, r_v3, rank)
+        % (r_kb, bottom.records().maps[1].name, r_v3, rank)
     )
-    return LadderResult(rank, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -510,26 +620,98 @@ def ladder_propagate(top, bottom):
 # ---------------------------------------------------------------------------
 
 class HomComputation(Record):
+    """Graded Hom dims and the derivation behind them.
+
+    A computation made with `derive`, a (builder, args) pair, builds its
+    notes, ladders and sequences together on the first read of any of
+    them; the dims are there at once.
+    """
+
     _fields = ("dims", "notes", "ladders", "sequences")
 
-    def __init__(self, dims, notes=None, ladders=None, sequences=None):
+    def __init__(self, dims, notes=None, ladders=None, sequences=None, derive=None):
         self.dims = dims
+        if derive is not None:
+            self._derive = derive
+            return
         self.notes = [] if notes is None else notes
         self.ladders = [] if ladders is None else ladders
         self.sequences = [] if sequences is None else sequences
+
+    def __getattr__(self, name):
+        # only reached for an attribute not yet set: a derivation field of
+        # a computation made with `derive`, on its first read
+        derive = self.__dict__.pop("_derive", None) if name in self._fields else None
+        if derive is None:
+            raise AttributeError(name)
+        builder, args = derive
+        self.notes, self.ladders, self.sequences = builder(*args)
+        return self.__dict__[name]
+
+
+def _joined(parts):
+    """The derivation of a sum: the derivations of its summands in order."""
+    notes, ladders, sequences = [], [], []
+    for part in parts:
+        notes += part.notes
+        ladders += part.ladders
+        sequences += part.sequences
+    return notes, ladders, sequences
+
+
+def _outer_records(row, K, Kp):
+    """The records of the outer row Hom(K, -) along the sequence of K'."""
+    dims, ranks = row.dims, row.ranks
+    terms, maps = [], []
+    for i in range(len(dims) // 3):
+        j = 3 * i
+        terms += (
+            LESTerm(("Hom^%d(F[%d],F[%d])", (i, K.e, Kp.e)), dims[j]),
+            LESTerm(("Hom^%d(F[%d],O^%d)", (i, K.e, Kp.h)), dims[j + 1]),
+            LESTerm(("Hom^%d(F[%d],OZ(%d))", (i, K.e, Kp.e)), dims[j + 2]),
+        )
+        maps += (
+            LESMap(("inc_%d", i), ranks[j + 1], "exactness"),
+            LESMap(("gamma_%d", i), ranks[j + 2], "zero-side" if i else "ladder"),
+            LESMap(("delta_%d", i), ranks[j + 3], "exactness"),
+        )
+    maps.pop()  # no delta_n
+    origin = (
+        "Hom(F[%d], -) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0",
+        (K.e, Kp.e, Kp.h, Kp.e),
+    )
+    return LongExactSequence(origin, terms, maps)
+
+
+def _kernel_derivation(space, K, Kp, ladder, outer):
+    """Notes, ladder and the top, bottom and outer records of a kernel pair."""
+    rank, detail = ladder
+    ladder = LadderResult(rank, _certificate(rank, detail))
+    top = _free_row(space, K, Kp.h)
+    bottom = _les_hom_contra_cached(space, K, ((OZ(Kp.e), 1),))
+    outer = outer.records()
+    note = "resolved F[%d] contravariantly, then F[%d] covariantly; ladder: %s" % (
+        K.e, Kp.e, ladder.certificate
+    )
+    return [note], [ladder], [top, bottom, outer]
 
 
 @lru_cache(maxsize=None)
 def _hom_kernel_kernel(space, K, Kp):
     """Hom^*(K, K') for two kernel bundles, via the covariant outer chase.
 
-    The top row Hom(-, O^h') is h' copies of the row Hom(-, O), so
-    `_free_row` scales that cached row, solved once per (cone, K).  The
-    ladder reads ranks only.  Its map T3 -> T4 lands in
+    The chase reads integers only.  The top row Hom(-, O^h') is h' times
+    the cached row Hom(-, O), solved once per (cone, K) by `_top_row`;
+    the bottom row Hom(-, OZ(e')) comes from the same cached `_contra_row`
+    as les_hom_contra's records, the ladder reads their ranks, and the
+    outer row is solved and checked on integers.  The notes, the ladder
+    result and the three sequence records are built on first read.
+
+    The ladder's map T3 -> T4 lands in
     Hom^1(O^h, O^h') = H^1(X, O)^{hh'} = 0 for n >= 2; were it nonzero,
     the ladder would refuse.  The left vertical is h
     copies of the evaluation of K' (H^0(X, O) = k), which
-    `component_terms` checked spans H^0(Z, O(e')), so it is onto.
+    `_check_bundle` checked spans H^0(Z, O(e')), so it is onto.
 
     The right vertical Ext^1(OZ(e), O^h') -> Ext^1(OZ(e), OZ(e')) is
     onto too, for 0 < e, e' < m.  Its source is presented by the
@@ -545,50 +727,31 @@ def _hom_kernel_kernel(space, K, Kp):
     n = space.n
     _check_bundle(space, Kp)  # ShapeMismatch unless K' lives here and spans
     _check_bundle(space, K)
-    top = _free_row(space, K, Kp.h)
-    bottom = les_hom_contra(space, K, [OZ(Kp.e)])
+    top = _top_row(space, K, Kp.h)
+    bottom = _contra_row(space, K, ((OZ(Kp.e), 1),))
     ext1_h0_block(space, K.e, Kp.e)  # refuses the block the right vertical misses
 
-    ladder = ladder_propagate(top, bottom)
+    ladder = ladder_propagate(top, bottom)  # (rank, detail) on IntRows
 
     dimsP = top.solved_dims(2)  # Hom^i(K, O^h')
     dimsQ = bottom.solved_dims(2)  # Hom^i(K, OZ(e'))
-    kname, kpname = "F[%d]" % K.e, "F[%d]" % Kp.e
     for i in range(1, n + 1):
         if dimsP[i] and dimsQ[i]:
             raise IndeterminateRank(
-                "rank of Hom^%d(%s, O^%d) -> Hom^%d(%s, OZ(%d)) is not "
-                "determined by the available diagrams"
-                % (i, kname, Kp.h, i, kname, Kp.e)
+                "rank of Hom^%d(F[%d], O^%d) -> Hom^%d(F[%d], OZ(%d)) is not "
+                "determined by the available diagrams" % (i, K.e, Kp.h, i, K.e, Kp.e)
             )
 
-    terms, maps = [], []
+    dims, ranks = [], [0]
     for i in range(n + 1):
-        terms.append(LESTerm(("Hom^%d(F[%d],F[%d])", (i, K.e, Kp.e)), None))
-        terms.append(LESTerm(("Hom^%d(F[%d],O^%d)", (i, K.e, Kp.h)), dimsP[i]))
-        terms.append(LESTerm(("Hom^%d(F[%d],OZ(%d))", (i, K.e, Kp.e)), dimsQ[i]))
-        maps.append(LESMap(("inc_%d", i), None, "exactness"))
-        if i == 0:
-            maps.append(LESMap("gamma_0", ladder.rank, "ladder"))
-        else:
-            maps.append(LESMap(("gamma_%d", i), 0, "zero-side"))
-        if i < n:
-            maps.append(LESMap(("delta_%d", i), None, "exactness"))
-    origin = (
-        "Hom(F[%d], -) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0",
-        (K.e, Kp.e, Kp.h, Kp.e),
+        dims += (None, dimsP[i], dimsQ[i])
+        ranks += (None, ladder[0] if i == 0 else 0, None)  # gamma_i, zero-side for i > 0
+    ranks[-1] = 0  # past the last term; no delta_n
+    outer = IntRow(dims, ranks, (_outer_records, (K, Kp)))
+    _solve(dims, ranks, outer)
+    return HomComputation(
+        tuple(dims[0::3]), derive=(_kernel_derivation, (space, K, Kp, ladder, outer))
     )
-    outer = solve_les(origin, terms, maps)
-    dims = outer.solved_dims(0)
-
-    comp = HomComputation(dims)
-    comp.notes.append(
-        "resolved %s contravariantly, then %s covariantly; ladder: %s"
-        % (kname, kpname, ladder.certificate)
-    )
-    comp.ladders.append(ladder)
-    comp.sequences.extend([top, bottom, outer])
-    return comp
 
 
 def hom_objects_detailed(space, A, B):
@@ -602,14 +765,12 @@ def hom_objects_detailed(space, A, B):
             summands = [(o, B, k) for o, k in A.parts]
         else:
             summands = [(A, o, k) for o, k in B.parts]
-        total = HomComputation((0,) * (n + 1))
+        dims, parts = (0,) * (n + 1), []
         for a, b, k in summands:
             part = hom_objects_detailed(space, a, b)
-            total.dims = tuple(x + k * y for x, y in zip(total.dims, part.dims))
-            total.notes.extend(part.notes)
-            total.ladders.extend(part.ladders)
-            total.sequences.extend(part.sequences)
-        return total
+            dims = tuple(x + k * y for x, y in zip(dims, part.dims))
+            parts.append(part)
+        return HomComputation(dims, derive=(_joined, (parts,)))
 
     if isinstance(A, AtomObject) and isinstance(B, AtomObject):
         gh = hom_atoms(space, A.atom, B.atom)

@@ -388,3 +388,95 @@ def test_config_multiplicity_and_inline_kernel(capsys, tmp_path):
     code = main(["hom", "--config", str(path), "D", "O(0)"])
     out = capsys.readouterr().out
     assert code == EXIT_OK and "deg0: 18" in out
+
+
+# every subcommand: help, a missing argument, a bad choice, extra arguments,
+# valid calls; and the command lines that only the full parser takes
+PARSER_CASES = {
+    "cohomology": [
+        ["cohomology", "-h"],
+        ["cohomology", "--space", "3,3", "--twist-min", "0"],
+        ["cohomology", "--space", "3,3", "--twist-min", "0", "--twist-max", "2",
+         "--sheaf", "OX"],
+        ["cohomology", "--space", "3,3", "--twist-min", "0", "--twist-max", "x"],
+        ["cohomology", "--space", "3,3", "--twist-min", "0", "--twist-max", "2", "extra"],
+        ["cohomology", "--space", "3,3", "--twist-min", "-1", "--twist-max", "2"],
+        ["cohomology", "--space", "3,3", "--sheaf", "OZ", "--twist-min", "0",
+         "--twist-max", "2", "--i", "1", "--format", "json"],
+    ],
+    "hom": [
+        ["hom", "--help"],
+        ["hom", "O(0)"],
+        ["hom", "O(0)", "O(3)", "--space", "3,3", "--format", "yaml"],
+        ["hom", "O(0)", "O(3)", "C", "--space", "3,3"],
+        ["hom", "O(0)", "O(3)", "--space", "3,3", "--bogus"],
+        ["hom", "ker(1)", "ker(2)", "--space", "3,3"],
+        ["hom", "F", "G", "--instance", "P1113", "--format", "json"],
+        ["hom", "O(1)", "O(0)", "--space", "3,3"],
+    ],
+    "verify-sod": [
+        ["verify-sod", "-h"],
+        ["verify-sod"],
+        ["verify-sod", "--instance", "P1113", "--format", "csv"],
+        ["verify-sod", "main", "other", "--instance", "P1113"],
+        ["verify-sod", "--instance", "P1113"],
+        ["verify-sod", "--instance", "P1113", "--format", "markdown"],
+    ],
+    "paper-report": [
+        ["paper-report", "-h"],
+        ["paper-report"],
+        ["paper-report", "P1113", "--format", "xml"],
+        ["paper-report", "P1113", "extra"],
+        ["paper-report", "P112"],
+        ["paper-report", "P112", "--format", "json"],
+        ["paper-report", "--format", "markdown", "P1113"],
+    ],
+    "full parser": [[], ["-h"], ["nope"], ["--format", "json", "hom"], ["Hom", "O(0)"]],
+}
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv), a usage exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", sorted(PARSER_CASES))
+def test_one_subcommand_parser_answers_as_the_full_parser(command, capsys, monkeypatch):
+    """A subcommand parsed by its own parser gives the exit code, stdout and
+    stderr of build_parser(); extra arguments fall back to the full parser,
+    which names them in its usage error."""
+    import conetilt.cli as cli
+
+    ours = [_outcome(argv, capsys) for argv in PARSER_CASES[command]]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: full().parse_args(argv))
+    assert ours == [_outcome(argv, capsys) for argv in PARSER_CASES[command]]
+    assert {code for code, _, _ in ours} >= ({0, 2} if command != "full parser" else {2})
+
+
+def test_a_subcommand_builds_one_parser(capsys, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["paper-report", "P112", "--format", "json"]) == EXIT_OK
+    assert built == ["conetilt paper-report"]
+    capsys.readouterr()
+    built.clear()
+    code, out, err = _outcome(["paper-report", "P1113", "extra"], capsys)
+    # the leftover goes to the full parser, which reports it with the top-level usage
+    assert (code, out) == (EXIT_USAGE, "")
+    assert built[:2] == ["conetilt paper-report", "conetilt"]
+    assert err.startswith("usage: conetilt [-h]")
+    assert err.endswith("conetilt: error: unrecognized arguments: extra\n")

@@ -53,6 +53,7 @@ from conetilt.objects import (
     les_hom_cov,
     rank_of,
     solve_les,
+    _check_bundle,
     _free_row,
     _les_hom_contra_cached,
 )
@@ -1011,6 +1012,22 @@ def test_refusals_show_the_rendered_names():
     )
     with pytest.raises(IndeterminateRank, match=r"onto right vertical out of t3 is"):
         ladder_propagate(top, _mini_les([0, 1, 2, 1, 0], [0, 1, 1, 0]))
+    # an integer row takes the names in a message from the records it stands for
+    import conetilt.objects as objects
+
+    row = objects._contra_row(X, F, ((OZ(1), 1),))
+    dims = list(row.dims)
+    dims[4] += 1  # Hom^1(O^3, OZ(1))
+    bad = objects.IntRow(dims, row.ranks, (objects._contra_records, (F, ((OZ(1), 1),))))
+    with pytest.raises(EngineError) as broken:
+        objects._check(dims, row.ranks, bad)
+    assert str(broken.value) == (
+        "Hom(-, OZ(1)) along 0 -> F[1] -> O^3 -> OZ(1) -> 0: "
+        "exactness fails at Hom^1(O^3, OZ(1)): 0 + 0 != 1"
+    )
+    with pytest.raises(EngineError) as from_records:
+        bad.records().check_exactness()
+    assert str(from_records.value) == str(broken.value)
     les = les_hom_cov(X, OZ(2), F)
     assert les.origin == "Hom(OZ(2), -) along 0 -> F[1] -> O^3 -> OZ(1) -> 0"
     assert [t.name for t in les.terms[:3]] == [
@@ -1124,6 +1141,190 @@ def test_the_chase_builds_no_space(monkeypatch):
             answered += 1
     assert answered > 300  # 399 with the rule domain of this engine
     assert built == []
+
+
+def _clear_caches():
+    for modname in ("conetilt.cone", "conetilt.rules", "conetilt.objects"):
+        for value in vars(sys.modules[modname]).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+def test_the_kernel_chase_builds_no_record(monkeypatch):
+    """A kernel pair is answered from integers: with cold caches hom_objects
+    builds no sequence, term, map or ladder record, on a pair or a sum of
+    pairs, answered or refused.  Reading the derivation builds them."""
+    import conetilt.objects as objects
+
+    built = []
+
+    def counting(cls):
+        init = vars(cls)["__init__"]
+
+        def spy(self, *args, **kwargs):
+            built.append(cls.__name__)
+            init(self, *args, **kwargs)
+
+        return spy
+
+    for cls in (LESTerm, LESMap, LongExactSequence, objects.LadderResult):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    _clear_caches()
+    comps, refused = [], 0
+    for n, m in ((2, 7), (3, 5), (4, 3), (2, 9)):
+        space = make_space(n, m)
+        bundles = [kernel_bundle(space, e) for e in range(1, m)]
+        for K in bundles:
+            for Kp in bundles:
+                try:
+                    hom_objects(space, K, Kp)
+                except PresentationMismatch:
+                    refused += 1
+                    continue
+                comps.append(hom_objects_detailed(space, K, Kp))
+    X5 = make_space(3, 5)
+    pair = direct_sum(kernel_bundle(X5, 1), kernel_bundle(X5, 4))
+    sums = [hom_objects_detailed(X5, pair, kernel_bundle(X5, 2)),
+            hom_objects_detailed(X5, kernel_bundle(X5, 3), pair)]
+    assert (len(comps), refused) == (89, 31)  # 10 refused on P(1,1,7), 21 on P(1,1,9)
+    assert built == []
+    for comp in comps:
+        assert [len(les.terms) for les in comp.sequences] == [3 * len(comp.dims)] * 3
+        assert comp.sequences[2].solved_dims(0) == comp.dims
+        assert len(comp.ladders) == len(comp.notes) == 1
+    assert built.count("LadderResult") == len(comps)
+    assert built.count("LongExactSequence") >= 2 * len(comps)
+    for comp in sums:
+        assert len(comp.sequences) == 6 and len(comp.ladders) == 2
+
+
+def _record_chase(space, K, Kp):
+    """The kernel-kernel chase on records, as the engine ran it before its
+    rows were integers: the top row solved for h' copies of O, the ladder
+    on the two LongExactSequence rows and the outer row by solve_les.
+    Returns the derivation in the form of _derivation."""
+    _check_bundle(space, Kp)
+    top = les_hom_contra(space, K, [OX(0)] * Kp.h)
+    bottom = les_hom_contra(space, K, [OZ(Kp.e)])
+    ext1_h0_block(space, K.e, Kp.e)
+    ladder = ladder_propagate(top, bottom)
+    dimsP, dimsQ = top.solved_dims(2), bottom.solved_dims(2)
+    for i in range(1, space.n + 1):
+        if dimsP[i] and dimsQ[i]:
+            raise IndeterminateRank(
+                "rank of Hom^%d(F[%d], O^%d) -> Hom^%d(F[%d], OZ(%d)) is not "
+                "determined by the available diagrams" % (i, K.e, Kp.h, i, K.e, Kp.e)
+            )
+    terms, maps = [], []
+    for i in range(space.n + 1):
+        terms += [
+            LESTerm("Hom^%d(F[%d],F[%d])" % (i, K.e, Kp.e), None),
+            LESTerm("Hom^%d(F[%d],O^%d)" % (i, K.e, Kp.h), dimsP[i]),
+            LESTerm("Hom^%d(F[%d],OZ(%d))" % (i, K.e, Kp.e), dimsQ[i]),
+        ]
+        maps += [
+            LESMap("inc_%d" % i, None, "exactness"),
+            LESMap("gamma_%d" % i, ladder.rank, "ladder")
+            if i == 0
+            else LESMap("gamma_%d" % i, 0, "zero-side"),
+            LESMap("delta_%d" % i, None, "exactness"),
+        ]
+    maps.pop()
+    origin = "Hom(F[%d], -) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0" % (
+        K.e, Kp.e, Kp.h, Kp.e
+    )
+    outer = solve_les(origin, terms, maps)
+    note = "resolved F[%d] contravariantly, then F[%d] covariantly; ladder: %s" % (
+        K.e, Kp.e, ladder.certificate
+    )
+    return [
+        list(outer.solved_dims(0)),
+        [note],
+        [
+            [les.origin, [[t.name, t.dim] for t in les.terms],
+             [[f.name, f.rank, f.how] for f in les.maps]]
+            for les in (top, bottom, outer)
+        ],
+        [[ladder.rank, ladder.certificate]],
+    ]
+
+
+def _expected(space, A, B):
+    """_record_chase on a kernel pair, added up over the summands of a sum."""
+    if isinstance(A, SumObject) or isinstance(B, SumObject):
+        parts = [(o, B) for o, _ in A.parts] if isinstance(A, SumObject) else [
+            (A, o) for o, _ in B.parts
+        ]
+        records = [_expected(space, a, b) for a, b in parts]
+        refusals = [r for r in records if r[0] == "refused"]
+        if refusals:
+            return refusals[0]
+        return [
+            [sum(dims) for dims in zip(*(r[0] for r in records))],
+            *([x for r in records for x in r[k]] for k in (1, 2, 3)),
+        ]
+    try:
+        return _record_chase(space, A, B)
+    except EngineError as exc:
+        return ["refused", type(exc).__name__, str(exc)]
+
+
+def _parity_queries():
+    for n in range(2, 6):
+        for m in range(2, 8):
+            space = make_space(n, m)
+            bundles = [kernel_bundle(space, e) for e in range(1, m)]
+            yield space, [(K, Kp) for K in bundles for Kp in bundles]
+    X9 = make_space(2, 9)
+    bundles = [kernel_bundle(X9, e) for e in range(1, 9)]
+    yield X9, [(K, Kp) for K in bundles for Kp in bundles]
+    for n, m in ((2, 4), (3, 4)):
+        space = make_space(n, m)
+        odd = _custom_bundles(space, random.Random(11))
+        bundles = [kernel_bundle(space, e) for e in range(1, m)]
+        pairs = [(K, Kp) for K in odd for Kp in odd + bundles]
+        pairs += [(K, Kp) for K in bundles for Kp in odd]
+        pairs += [(direct_sum(*bundles), Kp) for Kp in bundles]
+        pairs += [(K, direct_sum(odd[0], bundles[-1], odd[-1])) for K in bundles]
+        yield space, pairs
+    X3 = make_space(3, 3)
+    yield X3, [(kernel_bundle(X3, 1), kernel_bundle(make_space(3, 4), 3))]
+
+
+def _dims_or_refusal(space, A, B):
+    try:
+        return hom_objects(space, A, B)
+    except EngineError as exc:
+        return ["refused", type(exc).__name__, str(exc)]
+
+
+def test_the_integer_chase_matches_the_record_chase():
+    """On every kernel pair of n = 2..5 with m <= 7, every pair of P(1,1,9)
+    (21 refused for their n = 2 block), Fraction bundles, sums and a
+    bundle of another cone: the dims of hom_objects and the derivation,
+    whichever is read first on cold caches, equal the chase run on
+    records, or refuse with its class and text."""
+    counts = {}
+    for space, pairs in _parity_queries():
+        for A, B in pairs:
+            expected = _expected(space, A, B)
+            _clear_caches()
+            dims_first = _dims_or_refusal(space, A, B)
+            assert _derivation(space, A, B) == expected, (space, A, B)
+            _clear_caches()
+            assert _derivation(space, A, B) == expected, (space, A, B)
+            assert _dims_or_refusal(space, A, B) == dims_first
+            if expected[0] == "refused":
+                assert dims_first == expected
+                outcome = expected[1]
+            else:
+                outers = expected[2][2::3]  # the outer row of each kernel pair
+                assert list(dims_first) == expected[0] == [
+                    sum(les[1][3 * i][1] for les in outers) for i in range(space.n + 1)
+                ]
+                outcome = "answered"
+            counts[outcome] = counts.get(outcome, 0) + 1
+    assert counts == {"answered": 533, "PresentationMismatch": 51, "ShapeMismatch": 1}
 
 
 # ---------------------------------------------------------------------------
