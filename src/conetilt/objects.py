@@ -11,9 +11,11 @@ exact rows of a ladder; no matrix is built.  When a rank is genuinely
 not determined by the diagrams, the engine raises IndeterminateRank
 naming the unresolved map; it never guesses.
 
-Sequences are solved and checked on integers (`IntRow`): term dims and
-map ranks, with names kept as formats until a message or a record needs
-them.  The kernel-kernel chase never leaves the integers; its derivation
+Every sequence is an `IntRow`: term dims and padded map ranks, solved
+and checked by `_solve`, with names kept as formats until a message or
+a record needs them.  `IntRow.records()` is the one builder of
+LongExactSequence records, and `ladder_propagate` reads two IntRows.
+The kernel-kernel chase never leaves the integers; its derivation
 records (notes, ladder result, the three LongExactSequence rows) are
 built on first read.  Atom-kernel queries build their records at once.
 """
@@ -21,10 +23,10 @@ built on first read.  Atom-kernel queries build their records at once.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import groupby
 
-from .cone import FrozenValue, Record, section_cohomology_dim, section_monomials
+from .cone import FrozenValue, Record, section_cohomology_dim
 from .linalg import EngineError, ShapeMismatch, mat_rank
 from .rules import CONE, SECTION, Atom, OX, OZ, ext1_h0_block, hom_atoms, r3_block_dims
 
@@ -93,17 +95,6 @@ class KernelBundle(FrozenValue):
             "" if self.canonical else " [non-canonical]",
         )
 
-    def component_terms(self, space):
-        """For each copy j, the (monomial, coefficient) pairs of its evaluation.
-
-        Computed once per (space, bundle).  The canonical terms are
-        ((mu_j, 1),) with int coefficients; a stored evaluation keeps
-        its Fractions.  Raises ShapeMismatch when the bundle does not
-        live on `space`, or when it does not have h columns of the
-        length of that basis.
-        """
-        return _component_terms(space, self)
-
 
 def _spans(columns, full):
     """Whether the evaluation columns span a space of dimension `full`."""
@@ -139,17 +130,6 @@ def _check_bundle(space, K):
             "%s does not live on %s: its evaluation does not span H^0(Z, O(%d))"
             % (K, space, K.e)
         )
-
-
-@lru_cache(maxsize=None)
-def _component_terms(space, K):
-    _check_bundle(space, K)
-    basis = section_monomials(space, K.e)
-    if K.canonical:
-        return tuple(((mu, 1),) for mu in basis)
-    return tuple(
-        tuple((mu, c) for mu, c in zip(basis, col) if c) for col in K.columns
-    )
 
 
 def kernel_bundle(space, e):
@@ -232,7 +212,7 @@ class LESTerm(Record):
 
     def __init__(self, name, dim):
         self._name = name  # a str, or (format, args) rendered on first read
-        self.dim = dim  # None until solve_les pins it
+        self.dim = dim
 
     @cached_property
     def name(self):
@@ -244,7 +224,7 @@ class LESMap(Record):
 
     def __init__(self, name, rank, how):
         self._name = name  # a str, or (format, args) rendered on first read
-        self.rank = rank  # None until solve_les pins it
+        self.rank = rank
         self.how = how  # "injective" | "onto" | "exactness" | "ladder" | "zero-side"
 
     @cached_property
@@ -264,60 +244,65 @@ class LongExactSequence(Record):
     def origin(self):
         return _render(self._origin)
 
-    @property
-    def dims(self):
-        return [t.dim for t in self.terms]
-
-    @property
-    def ranks(self):
-        """The map ranks padded by a zero at each end: ranks[j + 1] is map j's."""
-        return [0, *(m.rank for m in self.maps), 0]
-
-    def records(self):
-        """The records of the row: a LongExactSequence is its own."""
-        return self
-
     def check_exactness(self):
         """rank(incoming) + rank(outgoing) = dim at every term, ranks sane."""
-        _check(self.dims, self.ranks, self)
+        ranks = [0, *(m.rank for m in self.maps), 0]
+        _check([t.dim for t in self.terms], ranks, lambda: self)
         return True
 
-    def solved_dims(self, offset, stride=3):
-        return tuple(t.dim for t in self.terms[offset::stride])
+    def solved_dims(self, offset):
+        return tuple(t.dim for t in self.terms[offset::3])
 
 
 class IntRow:
     """An exact row of the chase as integers, named only when read.
 
     `dims` holds the term dims and `ranks` the map ranks padded by a zero
-    at each end, so that ranks[j + 1] is the rank of map j.  `build` is a
-    (builder, args) pair: builder(row, *args) gives the LongExactSequence
-    the row stands for.  It runs only when `records()` is called, by a
-    reader of the derivation or for the names in an error message.
+    at each end, so that ranks[j + 1] is the rank of map j.  `names()`
+    gives (origin, terms, maps, hows), from which `records()` builds the
+    LongExactSequence the row stands for; it runs only then.
     """
 
-    __slots__ = ("dims", "ranks", "_build")
+    __slots__ = ("dims", "ranks", "names")
 
-    def __init__(self, dims, ranks, build):
-        self.dims, self.ranks, self._build = dims, ranks, build
+    def __init__(self, dims, ranks, names):
+        self.dims, self.ranks, self.names = dims, ranks, names
 
     def records(self):
-        builder, args = self._build
-        return builder(self, *args)
+        """The LongExactSequence of the row, for a reader of the derivation
+        or for the names in an error message.
 
-    def solved_dims(self, offset, stride=3):
-        return self.dims[offset::stride]
+        The row runs in degrees i of p terms and p maps, p = len(terms).
+        Term j is named by the format terms[j % p] of i, map j by the
+        format maps[j % p] of i; `hows` holds the how-tag of every map in
+        order and `origin` is a (format, args) name.  Names are rendered
+        on first read.
+        """
+        origin, terms, maps, hows = self.names()
+        dims, ranks, p = self.dims, self.ranks, len(terms)
+        les_terms, les_maps = [], []
+        for i in range(len(dims) // p):
+            for k in range(p):
+                j = p * i + k
+                les_terms.append(LESTerm((terms[k], i), dims[j]))
+                if j < len(dims) - 1:  # no map out of the last term
+                    les_maps.append(LESMap((maps[k], i), ranks[j + 1], hows[j]))
+        return LongExactSequence(origin, les_terms, les_maps)
+
+    def solved_dims(self, offset):
+        return self.dims[offset::3]
 
 
-def _check(dims, ranks, row):
+def _check(dims, ranks, records):
     """Exactness at every term, and every rank in [0, min of its term dims].
 
-    `ranks` is padded by a zero at each end; the records of `row` name
-    the sequence, its terms and its maps in a message.
+    `ranks` is padded by a zero at each end; records() gives the
+    LongExactSequence that names the sequence, its terms and its maps in
+    a message.
     """
     for j, dim in enumerate(dims):
         if ranks[j] + ranks[j + 1] != dim:
-            les = row.records()
+            les = records()
             raise EngineError(
                 "%s: exactness fails at %s: %d + %d != %d"
                 % (les.origin, les.terms[j].name, ranks[j], ranks[j + 1], dim)
@@ -325,25 +310,27 @@ def _check(dims, ranks, row):
     for j in range(len(dims) - 1):
         rank = ranks[j + 1]
         if rank < 0:
-            les = row.records()
+            les = records()
             raise EngineError("%s: negative rank at %s" % (les.origin, les.maps[j].name))
         if rank > dims[j] or rank > dims[j + 1]:
-            les = row.records()
+            les = records()
             raise EngineError(
                 "%s: rank of %s exceeds its term dimensions"
                 % (les.origin, les.maps[j].name)
             )
 
 
-def _solve(dims, ranks, row):
-    """Complete the lists `dims` and padded `ranks` in place, then check them.
+def _solve(row):
+    """Complete the row's lists `dims` and padded `ranks`, check them, and
+    keep them as tuples; returns the row.
 
     None marks an unknown.  Each unknown rank is pinned, in map order, at
     an adjacent term of known dimension whose other map is known (the
     padding stands for the zero maps beyond either end); each unknown
     dimension is then the sum of its two adjacent ranks.  A rank that
-    cannot be pinned raises IndeterminateRank naming the map of `row`.
+    cannot be pinned raises IndeterminateRank naming the map.
     """
+    dims, ranks = row.dims, row.ranks
     for j in range(len(dims) - 1):
         if ranks[j + 1] is not None:
             continue
@@ -360,49 +347,24 @@ def _solve(dims, ranks, row):
     for j, dim in enumerate(dims):
         if dim is None:
             dims[j] = ranks[j] + ranks[j + 1]
-    _check(dims, ranks, row)
+    _check(dims, ranks, row.records)
+    row.dims, row.ranks = tuple(dims), tuple(ranks)
+    return row
 
 
-def solve_les(origin, terms, maps):
-    """Complete a long exact sequence by exactness and check it.
-
-    Map j runs from terms[j] to terms[j+1].  A term with dim None or a
-    map with rank None is unknown; `_solve` pins them on integers and the
-    records take the solved values.  A rank that cannot be pinned raises
-    IndeterminateRank naming the sequence and the map.
-    """
-    les = LongExactSequence(origin, terms, maps)
-    dims, ranks = les.dims, les.ranks
-    _solve(dims, ranks, les)
-    for t, dim in zip(terms, dims):
-        t.dim = dim
-    for m, rank in zip(maps, ranks[1:]):
-        m.rank = rank
-    return les
-
-
-def _contra_records(row, K, runs):
-    """The records of the row Hom(-, B) along K's sequence, B given by its runs."""
-    bname = "+".join(str(a) if k == 1 else "%s^%d" % (a, k) for a, k in runs)
-    dims, ranks = row.dims, row.ranks
-    terms, maps = [], []
-    for i in range(len(dims) // 3):
-        j = 3 * i
-        terms += (
-            LESTerm(("Hom^%d(OZ(%d), %s)", (i, K.e, bname)), dims[j]),
-            LESTerm(("Hom^%d(O^%d, %s)", (i, K.h, bname)), dims[j + 1]),
-            LESTerm(("Hom^%d(F[%d], %s)", (i, K.e, bname)), dims[j + 2]),
-        )
-        maps += (
-            LESMap(("alpha_%d", i), ranks[j + 1], "injective"),
-            LESMap(("res_%d", i), ranks[j + 2], "exactness"),
-            LESMap(("delta_%d", i), ranks[j + 3], "exactness"),
-        )
-    maps.pop()  # no delta_n
-    origin = (
-        "Hom(-, %s) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0", (bname, K.e, K.h, K.e)
+def _contra_names(n, K, runs):
+    """The names of the row Hom(-, B) along K's sequence, B given by its runs."""
+    b = "+".join([str(a) if k == 1 else "%s^%d" % (a, k) for a, k in runs])
+    return (
+        ("Hom(-, %s) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0", (b, K.e, K.h, K.e)),
+        (
+            "Hom^%%d(OZ(%d), %s)" % (K.e, b),
+            "Hom^%%d(O^%d, %s)" % (K.h, b),
+            "Hom^%%d(F[%d], %s)" % (K.e, b),
+        ),
+        ("alpha_%d", "res_%d", "delta_%d"),
+        ("injective", "exactness", "exactness") * (n + 1),
     )
-    return LongExactSequence(origin, terms, maps)
 
 
 def les_hom_contra(space, K, B):
@@ -463,10 +425,7 @@ def _contra_row(space, K, runs):
         dims += (qdim, K.h * pdim, None)
         ranks += (alpha, None, None)
     ranks[-1] = 0  # past the last term; no delta_n
-    row = IntRow(dims, ranks, (_contra_records, (K, runs)))
-    _solve(dims, ranks, row)
-    row.dims, row.ranks = tuple(dims), tuple(ranks)
-    return row
+    return _solve(IntRow(dims, ranks, partial(_contra_names, space.n, K, runs)))
 
 
 def _top_row(space, K, hp):
@@ -477,14 +436,8 @@ def _top_row(space, K, hp):
     return IntRow(
         tuple(hp * d for d in one.dims),
         tuple(hp * r for r in one.ranks),
-        (_contra_records, (K, ((OX(0), hp),))),
+        partial(_contra_names, space.n, K, ((OX(0), hp),)),
     )
-
-
-def _free_row(space, K, hp):
-    """les_hom_contra(space, K, [OX(0)] * hp) as records of the scaled row
-    Hom(-, O), without a list of hp copies or a second solve."""
-    return _top_row(space, K, hp).records()
 
 
 def _cov_beta(space, A, Kp, i, pdim, qdim):
@@ -513,7 +466,22 @@ def _cov_beta(space, A, Kp, i, pdim, qdim):
             ext1_h0_block(space, A.twist, Kp.e)  # refuses the n = 2 gap
         if pdim:
             qdim = r3_block_dims(space, A.twist, Kp.e, i)[1]
-    return LESMap(("beta_%d", i), qdim if pdim else 0, "onto")
+    return qdim if pdim else 0
+
+
+def _cov_names(n, A, Kp):
+    """The names of the row Hom(A, -) along the sequence of K'."""
+    a = str(A)
+    return (
+        ("Hom(%s, -) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0", (a, Kp.e, Kp.h, Kp.e)),
+        (
+            "Hom^%%d(%s, F[%d])" % (a, Kp.e),
+            "Hom^%%d(%s, O^%d)" % (a, Kp.h),
+            "Hom^%%d(%s, OZ(%d))" % (a, Kp.e),
+        ),
+        ("inc_%d", "beta_%d", "delta_%d"),
+        ("exactness", "onto", "exactness") * (n + 1),
+    )
 
 
 def les_hom_cov(space, A, Kp):
@@ -535,24 +503,15 @@ def les_hom_cov(space, A, Kp):
 
 @lru_cache(maxsize=None)
 def _les_hom_cov_cached(space, A, Kp):
-    n = space.n
     ghP = hom_atoms(space, A, OX(0))  # OutOfValidity for non-invertible twists
     ghQ = hom_atoms(space, A, OZ(Kp.e))
-
-    terms, maps = [], []
-    for i in range(n + 1):
+    dims, ranks = [], [0]
+    for i in range(space.n + 1):
         pdim, qdim = Kp.h * ghP.dims[i], ghQ.dims[i]
-        terms.append(LESTerm(("Hom^%d(%s, F[%d])", (i, A, Kp.e)), None))
-        terms.append(LESTerm(("Hom^%d(%s, O^%d)", (i, A, Kp.h)), pdim))
-        terms.append(LESTerm(("Hom^%d(%s, OZ(%d))", (i, A, Kp.e)), qdim))
-        maps.append(LESMap(("inc_%d", i), None, "exactness"))
-        maps.append(_cov_beta(space, A, Kp, i, pdim, qdim))
-        if i < n:
-            maps.append(LESMap(("delta_%d", i), None, "exactness"))
-    origin = (
-        "Hom(%s, -) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0", (A, Kp.e, Kp.h, Kp.e)
-    )
-    return solve_les(origin, terms, maps)
+        dims += (None, pdim, qdim)
+        ranks += (None, _cov_beta(space, A, Kp, i, pdim, qdim), None)
+    ranks[-1] = 0  # past the last term; no delta_n
+    return _solve(IntRow(dims, ranks, partial(_cov_names, space.n, A, Kp))).records()
 
 
 # ---------------------------------------------------------------------------
@@ -580,27 +539,22 @@ def ladder_propagate(top, bottom):
     T3 -> T4 it is not pinned and IndeterminateRank is raised.  The
     engine never guesses.
 
-    The rows are read as integers.  Two LongExactSequence rows give a
-    LadderResult with its determination certificate; two IntRows give
-    the pair (rank, detail), which `_certificate` renders when the
-    derivation is read.
+    The rows are IntRows, read as integers.  Returns the pair
+    (rank, detail), which `_certificate` renders when the derivation is
+    read.
     """
-    tdims, tranks, branks = top.dims, top.ranks, bottom.ranks
-    r_kb = branks[2]  # B1 -> B2
+    tdims, tranks = top.dims, top.ranks
+    r_kb = bottom.ranks[2]  # B1 -> B2
     if tranks[2] == tdims[2]:
-        rank, detail = r_kb, (r_kb,)
-    elif tranks[4]:  # T3 -> T4
+        return r_kb, (r_kb,)
+    if tranks[4]:  # T3 -> T4
         raise IndeterminateRank(
             "ladder: the onto right vertical out of %s is not pinned on the "
             "kernel of its outgoing map of rank %d"
             % (top.records().terms[3].name, tranks[4])
         )
-    else:
-        r_v3 = bottom.dims[3]
-        rank, detail = r_kb + r_v3, (r_kb, bottom, r_v3)
-    if top.__class__ is IntRow:
-        return rank, detail
-    return LadderResult(rank, _certificate(rank, detail))
+    r_v3 = bottom.dims[3]
+    return r_kb + r_v3, (r_kb, bottom, r_v3)
 
 
 def _certificate(rank, detail):
@@ -659,35 +613,25 @@ def _joined(parts):
     return notes, ladders, sequences
 
 
-def _outer_records(row, K, Kp):
-    """The records of the outer row Hom(K, -) along the sequence of K'."""
-    dims, ranks = row.dims, row.ranks
-    terms, maps = [], []
-    for i in range(len(dims) // 3):
-        j = 3 * i
-        terms += (
-            LESTerm(("Hom^%d(F[%d],F[%d])", (i, K.e, Kp.e)), dims[j]),
-            LESTerm(("Hom^%d(F[%d],O^%d)", (i, K.e, Kp.h)), dims[j + 1]),
-            LESTerm(("Hom^%d(F[%d],OZ(%d))", (i, K.e, Kp.e)), dims[j + 2]),
-        )
-        maps += (
-            LESMap(("inc_%d", i), ranks[j + 1], "exactness"),
-            LESMap(("gamma_%d", i), ranks[j + 2], "zero-side" if i else "ladder"),
-            LESMap(("delta_%d", i), ranks[j + 3], "exactness"),
-        )
-    maps.pop()  # no delta_n
-    origin = (
-        "Hom(F[%d], -) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0",
-        (K.e, Kp.e, Kp.h, Kp.e),
+def _outer_names(n, K, Kp):
+    """The names of the outer row Hom(K, -) along the sequence of K'."""
+    return (
+        ("Hom(F[%d], -) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0", (K.e, Kp.e, Kp.h, Kp.e)),
+        (
+            "Hom^%%d(F[%d],F[%d])" % (K.e, Kp.e),
+            "Hom^%%d(F[%d],O^%d)" % (K.e, Kp.h),
+            "Hom^%%d(F[%d],OZ(%d))" % (K.e, Kp.e),
+        ),
+        ("inc_%d", "gamma_%d", "delta_%d"),
+        ("exactness", "ladder", "exactness") + ("exactness", "zero-side", "exactness") * n,
     )
-    return LongExactSequence(origin, terms, maps)
 
 
 def _kernel_derivation(space, K, Kp, ladder, outer):
     """Notes, ladder and the top, bottom and outer records of a kernel pair."""
     rank, detail = ladder
     ladder = LadderResult(rank, _certificate(rank, detail))
-    top = _free_row(space, K, Kp.h)
+    top = _top_row(space, K, Kp.h).records()
     bottom = _les_hom_contra_cached(space, K, ((OZ(Kp.e), 1),))
     outer = outer.records()
     note = "resolved F[%d] contravariantly, then F[%d] covariantly; ladder: %s" % (
@@ -731,7 +675,7 @@ def _hom_kernel_kernel(space, K, Kp):
     bottom = _contra_row(space, K, ((OZ(Kp.e), 1),))
     ext1_h0_block(space, K.e, Kp.e)  # refuses the block the right vertical misses
 
-    ladder = ladder_propagate(top, bottom)  # (rank, detail) on IntRows
+    ladder = ladder_propagate(top, bottom)
 
     dimsP = top.solved_dims(2)  # Hom^i(K, O^h')
     dimsQ = bottom.solved_dims(2)  # Hom^i(K, OZ(e'))
@@ -747,10 +691,9 @@ def _hom_kernel_kernel(space, K, Kp):
         dims += (None, dimsP[i], dimsQ[i])
         ranks += (None, ladder[0] if i == 0 else 0, None)  # gamma_i, zero-side for i > 0
     ranks[-1] = 0  # past the last term; no delta_n
-    outer = IntRow(dims, ranks, (_outer_records, (K, Kp)))
-    _solve(dims, ranks, outer)
+    outer = _solve(IntRow(dims, ranks, partial(_outer_names, n, K, Kp)))
     return HomComputation(
-        tuple(dims[0::3]), derive=(_kernel_derivation, (space, K, Kp, ladder, outer))
+        outer.solved_dims(0), derive=(_kernel_derivation, (space, K, Kp, ladder, outer))
     )
 
 

@@ -112,8 +112,9 @@ def parse_space(text, what):
 def parse_config(text, name="config"):
     """Parse the plain hierarchical instance format.
 
-    Keys: ``space: n,m`` and the indented blocks ``objects:`` and
-    ``collections:`` with ``name = expression`` lines.
+    Keys: ``space: n,m``, declared once and first, and the indented
+    blocks ``objects:`` and ``collections:`` with ``name = expression``
+    lines.
     """
     space = None
     objects = {}
@@ -125,6 +126,8 @@ def parse_config(text, name="config"):
             continue
         stripped = line.strip()
         if stripped.startswith("space:"):
+            if space is not None:  # objects already parsed belong to the first cone
+                raise ConfigError("line %d: space is declared twice" % lineno)
             val = stripped[len("space:"):].strip()
             space = parse_space(val, "line %d: bad space" % lineno)
             section = None

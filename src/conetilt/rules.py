@@ -31,7 +31,7 @@ blocks only when GradedHom.spaces or gh[i] is read.
 
 The chases use composition with the evaluation sections of a kernel
 bundle only through its rank, never as a matrix: out of OZ(e) it is
-injective on R3's block 0 and on R4 (objects._contra_alpha), and into
+injective on R3's block 0 and on R4 (objects._contra_row), and into
 OZ(e') it is onto R3's block 1 (objects._cov_beta).  They read integers
 only: GradedHom.dims, GradedHom.block_dims and ext1_h0_block.
 """

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 from conetilt.cone import Monomial, section_monomials, weighted_monomials
 from conetilt.linalg import DirectSpace, DirectSum, PresentedMap, Subquotient
+from conetilt.objects import _check_bundle
 from conetilt.rules import (
     CONE,
     OX,
@@ -41,6 +42,25 @@ def hom0_space(space, a, targets, name=""):
     is the cached basis of T_c twisted by -a.
     """
     return DirectSum([_basis(space, t.kind, t.twist - a) for t in targets], name)
+
+
+@lru_cache(maxsize=None)
+def component_terms(space, K):
+    """For each copy j of K, the (monomial, coefficient) pairs of its evaluation.
+
+    Computed once per (space, bundle).  The canonical terms are
+    ((mu_j, 1),) with int coefficients; a stored evaluation keeps its
+    Fractions.  Raises ShapeMismatch when the bundle does not live on
+    `space`, or when it does not have h columns of the length of that
+    basis.
+    """
+    _check_bundle(space, K)
+    basis = section_monomials(space, K.e)
+    if K.canonical:
+        return tuple(((mu, 1),) for mu in basis)
+    return tuple(
+        tuple((mu, c) for mu, c in zip(basis, col) if c) for col in K.columns
+    )
 
 
 @dataclass
@@ -206,7 +226,7 @@ def beta_map(space, A, Kp, i):
     Raises what the rules raise for A: OutOfValidity for a cone twist
     that is not invertible, PresentationMismatch in the n = 2 gap.
     """
-    components = Kp.component_terms(space)
+    components = component_terms(space, Kp)
     source = DirectSum([hom_atoms(space, A, OX(0))[i]] * Kp.h)
     target = hom_atoms(space, A, OZ(Kp.e))[i]
     if A.kind == CONE:
@@ -247,7 +267,7 @@ def alpha_map(space, K, B_atoms, i):
     """
     qspace = section_source(space, K.e, B_atoms, i)
     pspace = free_source(space, K.h, B_atoms, i)
-    comps = K.component_terms(space)
+    comps = component_terms(space, K)
     columns = [{} for _ in range(qspace.dim)]
     for c, atom in enumerate(B_atoms):
         cone = atom.kind == CONE

@@ -57,6 +57,20 @@ def test_parse_config_errors():
         parse_config("space: 3,3\nobjects:\n  D = 0*O(1)\n")
     with pytest.raises(ConfigError, match="line 3: collection 'main' is empty"):
         parse_config("space: 3,3\ncollections:\n  main =\n")
+    with pytest.raises(ConfigError, match="^line 4: space is declared twice$"):
+        parse_config(TWO_SPACES)
+
+
+# objects parsed on the first cone would otherwise run on the second
+TWO_SPACES = "space: 3,5\nobjects:\n  F = ker(4)\nspace: 3,3\ncollections:\n  c = F\n"
+
+
+def test_verify_sod_refuses_a_second_space_as_a_config_error(tmp_path, capsys):
+    path = tmp_path / "two_spaces.cfg"
+    path.write_text(TWO_SPACES)
+    code = main(["verify-sod", "--config", str(path), "c"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "config error: line 4: space is declared twice\n"
 
 
 def test_cohomology_command(capsys):

@@ -18,6 +18,7 @@ import pytest
 from explicit_maps import (
     alpha_map,
     beta_map,
+    component_terms,
     cone_presentation,
     ext1_map,
     free_source,
@@ -52,10 +53,12 @@ from conetilt.objects import (
     les_hom_contra,
     les_hom_cov,
     rank_of,
-    solve_les,
+    IntRow,
     _check_bundle,
-    _free_row,
+    _contra_row,
     _les_hom_contra_cached,
+    _solve,
+    _top_row,
 )
 from conetilt.rules import (
     Atom,
@@ -185,7 +188,7 @@ def test_canonical_kernel_bundle_stores_no_evaluation():
     assert K == KernelBundle(2, 6) and K.canonical and K.columns is None
     # no attribute holds an h x h evaluation matrix
     assert not any(isinstance(v, tuple) for v in vars(K).values())
-    terms = K.component_terms(X5)
+    terms = component_terms(X5, K)
     assert [list(t) for t in terms] == [[(mu, 1)] for mu in basis]
     assert all(type(c) is int for t in terms for _, c in t)
     # postcomposition with the canonical evaluation stays in ints
@@ -201,10 +204,10 @@ def test_custom_identity_evaluation_is_not_the_canonical_bundle():
     C = kernel_bundle_custom(X5, 2, eye)
     assert C != K and hash(C) == hash(kernel_bundle_custom(X5, 2, eye))
     assert not C.canonical and len(C.columns) == K.h
-    assert C.component_terms(X5) == K.component_terms(X5)
+    assert component_terms(X5, C) == component_terms(X5, K)
     assert hom_objects(X5, C, C) == hom_objects(X5, K, K) == (40, 0, 0, 0)
     half = kernel_bundle_custom(X5, 2, [[Fraction(1, 2) * x for x in col] for col in eye])
-    assert all(c == Fraction(1, 2) for t in half.component_terms(X5) for _, c in t)
+    assert all(c == Fraction(1, 2) for t in component_terms(X5, half) for _, c in t)
 
 
 def test_kernel_bundle_of_another_cone_is_refused():
@@ -496,7 +499,7 @@ def _explicit_v1(space, K, Kp, tgt):
     (copies,) = tgt.blocks
     row = copies.blocks[0]._index
     columns = []
-    for terms in Kp.component_terms(space):
+    for terms in component_terms(space, Kp):
         images = []
         for u in units:
             ubar = restrict(u)
@@ -543,14 +546,16 @@ def _ladder_cases(n, m, custom):
         pairs += [(K, Kp) for K in bundles for Kp in odd]
     cases = []
     for K, Kp in pairs:
-        top = _free_row(space, K, Kp.h)
+        top = les_hom_contra(space, K, [OX(0)] * Kp.h)
         bottom = les_hom_contra(space, K, [OZ(Kp.e)])
         try:
             pres = cone_presentation(space, K.e, (OZ(Kp.e),))
         except PresentationMismatch:
             continue
-        v3 = ext1_map(space, K.e, Kp.component_terms(space), pres, name="v3")
-        cases.append((space, K, Kp, top, bottom, v3))
+        v3 = ext1_map(space, K.e, component_terms(space, Kp), pres, name="v3")
+        rows = _top_row(space, K, Kp.h), _contra_row(space, K, ((OZ(Kp.e), 1),))
+        rank, _ = ladder_propagate(*rows)
+        cases.append((space, K, Kp, top, bottom, v3, rank))
     return cases, len(pairs)
 
 
@@ -571,14 +576,14 @@ def _middle_rank(top, bottom, r_v1, r_v3):
 def test_onto_left_vertical_matches_the_explicit_one(n, m, custom):
     """The explicit v1 reaches rank(B1 -> B2), the rank the ladder reads off B."""
     cases, tried = _ladder_cases(n, m, custom)
-    for space, K, Kp, top, bottom, v3 in cases:
+    for space, K, Kp, top, bottom, v3, rank in cases:
         alpha_0 = alpha_map(space, K, [OZ(Kp.e)], 0)
         explicit = _explicit_v1(space, K, Kp, alpha_0.target)
         b1_mod_ker = alpha_0.cokernel()
         r_c = PresentedMap(explicit.source, b1_mod_ker, explicit.columns, name="v1").rank()
         assert r_c == bottom.maps[1].rank, (K, Kp)
         expected = _middle_rank(top, bottom, r_c, v3.rank())
-        assert ladder_propagate(top, bottom).rank == expected, (K, Kp)
+        assert rank == expected, (K, Kp)
     assert len(cases) >= tried // 2
 
 
@@ -586,10 +591,10 @@ def test_onto_left_vertical_matches_the_explicit_one(n, m, custom):
 def test_onto_right_vertical_matches_the_explicit_one(n, m, custom):
     """The explicit v3 is onto, so the ladder's dim B3 is its rank."""
     cases, tried = _ladder_cases(n, m, custom)
-    for space, K, Kp, top, bottom, v3 in cases:
+    for space, K, Kp, top, bottom, v3, rank in cases:
         assert v3.rank() == bottom.terms[3].dim, (K, Kp)
         expected = _middle_rank(top, bottom, bottom.maps[1].rank, v3.rank())
-        assert ladder_propagate(top, bottom).rank == expected, (K, Kp)
+        assert rank == expected, (K, Kp)
     assert len(cases) >= tried // 2
 
 
@@ -876,49 +881,44 @@ def test_sums_of_copies_are_indexed_by_offset(monkeypatch):
     assert built == []
 
 
-def _mini_les(dims, ranks):
-    terms = [LESTerm("t%d" % i, d) for i, d in enumerate(dims)]
-    maps = [LESMap("m%d" % j, r, "exactness") for j, r in enumerate(ranks)]
-    les = LongExactSequence("synthetic", terms, maps)
-    les.check_exactness()
-    return les
+def _synthetic_names(hows, origin="synthetic"):
+    """Names for a synthetic row: terms t0, t1, ... and maps m0, m1, ..."""
+    return lambda: (origin, ("t%d",), ("m%d",), hows)
 
 
-def test_solve_les_completes_a_synthetic_sequence():
+def _mini_row(dims, ranks):
+    """A synthetic exact row, checked by _solve with nothing to pin."""
+    names = _synthetic_names(["exactness"] * len(ranks))
+    return _solve(IntRow(list(dims), [0, *ranks, 0], names))
+
+
+def test_solve_completes_a_synthetic_row():
     # 0 -> k -> k^3 -> ? -> k^2 -> 0 with only the first map known
-    les = solve_les(
-        "synthetic",
-        [LESTerm("a", 1), LESTerm("b", 3), LESTerm("c", None), LESTerm("d", 2)],
-        [
-            LESMap("m0", 1, "injective"),
-            LESMap("m1", None, "exactness"),
-            LESMap("m2", None, "exactness"),
-        ],
-    )
-    assert [t.dim for t in les.terms] == [1, 3, 4, 2]
-    assert [m.rank for m in les.maps] == [1, 2, 2]
-    assert [m.how for m in les.maps] == ["injective", "exactness", "exactness"]
-
-
-def test_solve_les_refuses_adjacent_unknown_maps():
-    terms = [LESTerm("t%d" % i, d) for i, d in enumerate([1, None, 2, None, 1])]
-    maps = [
-        LESMap("m0", 1, "injective"),
-        LESMap("m1", None, "exactness"),
-        LESMap("m2", None, "exactness"),
-        LESMap("m3", 1, "injective"),
+    hows = ["injective", "exactness", "exactness"]
+    row = _solve(IntRow([1, 3, None, 2], [0, 1, None, None, 0], _synthetic_names(hows)))
+    assert row.dims == (1, 3, 4, 2) and row.ranks == (0, 1, 2, 2, 0)
+    les = row.records()
+    assert [(t.name, t.dim) for t in les.terms] == [("t0", 1), ("t1", 3), ("t2", 4), ("t3", 2)]
+    assert [(m.name, m.rank, m.how) for m in les.maps] == [
+        ("m0", 1, "injective"), ("m1", 2, "exactness"), ("m2", 2, "exactness"),
     ]
+    assert les.check_exactness()
+
+
+def test_solve_refuses_adjacent_unknown_maps():
+    hows = ["injective", "exactness", "exactness", "injective"]
+    row = IntRow([1, None, 2, None, 1], [0, 1, None, None, 1, 0], _synthetic_names(hows))
     with pytest.raises(IndeterminateRank, match="synthetic: .* rank of m1$"):
-        solve_les("synthetic", terms, maps)
+        _solve(row)
 
 
 def test_ladder_onto_right_vertical_needs_a_zero_outgoing_top_map():
     """The onto right vertical has rank dim B3 only when T3 -> T4 is zero."""
-    bottom = _mini_les([0, 1, 2, 1, 0], [0, 1, 1, 0])
-    top = _mini_les([0, 1, 2, 1, 0], [0, 1, 1, 0])
-    assert ladder_propagate(top, bottom).rank == 2
+    bottom = _mini_row([0, 1, 2, 1, 0], [0, 1, 1, 0])
+    top = _mini_row([0, 1, 2, 1, 0], [0, 1, 1, 0])
+    assert ladder_propagate(top, bottom) == (2, (1, bottom, 1))
     # T3 -> T4 has rank 1: being onto B3 does not pin the rank on its kernel
-    top = _mini_les([0, 1, 2, 2, 1], [0, 1, 1, 1])
+    top = _mini_row([0, 1, 2, 2, 1], [0, 1, 1, 1])
     with pytest.raises(IndeterminateRank, match="onto right vertical out of t3"):
         ladder_propagate(top, bottom)
 
@@ -931,7 +931,7 @@ def test_scaled_top_row_equals_the_explicit_row(n, m):
     for e in range(1, m):
         K = kernel_bundle(space, e)
         for hp in copies:
-            scaled = _free_row(space, K, hp)
+            scaled = _top_row(space, K, hp).records()
             explicit = les_hom_contra(space, K, [OX(0)] * hp)
             assert scaled.origin == explicit.origin
             assert [(t.name, t.dim) for t in scaled.terms] == [
@@ -987,16 +987,14 @@ def test_refusals_show_the_rendered_names():
     """Names kept as (format, args) appear rendered in every message."""
     origin = ("Hom(-, %s) along %s", ("O(0)^2", "a synthetic sequence"))
     text = "Hom(-, O(0)^2) along a synthetic sequence"
-    terms = [LESTerm(("t%d", i), d) for i, d in enumerate([1, None, 2, None, 1])]
-    maps = [
-        LESMap(("m%d", 0), 1, "injective"),
-        LESMap(("m%d", 1), None, "exactness"),
-        LESMap(("m%d", 2), None, "exactness"),
-        LESMap(("m%d", 3), 1, "injective"),
-    ]
+    hows = ["injective", "exactness", "exactness", "injective"]
+    row = IntRow([1, None, 2, None, 1], [0, 1, None, None, 1, 0], _synthetic_names(hows, origin))
     with pytest.raises(IndeterminateRank) as refused:
-        solve_les(origin, terms, maps)
+        _solve(row)
     assert str(refused.value) == text + ": exactness does not pin the rank of m1"
+    with pytest.raises(EngineError) as broken:
+        _solve(IntRow([1, 1], [0, 0, 0], _synthetic_names(["exactness"], origin)))
+    assert str(broken.value) == text + ": exactness fails at t0: 0 + 0 != 1"
     les = LongExactSequence(
         origin,
         [LESTerm(("t%d", 0), 1), LESTerm(("t%d", 1), 1)],
@@ -1005,22 +1003,18 @@ def test_refusals_show_the_rendered_names():
     with pytest.raises(EngineError) as broken:
         les.check_exactness()
     assert str(broken.value) == text + ": exactness fails at t0: 0 + 0 != 1"
-    top = LongExactSequence(
-        origin,
-        [LESTerm(("t%d", i), d) for i, d in enumerate([0, 1, 2, 2, 1])],
-        [LESMap(("m%d", j), r, "exactness") for j, r in enumerate([0, 1, 1, 1])],
-    )
+    top = IntRow((0, 1, 2, 2, 1), (0, 0, 1, 1, 1, 0), _synthetic_names(["exactness"] * 4, origin))
     with pytest.raises(IndeterminateRank, match=r"onto right vertical out of t3 is"):
-        ladder_propagate(top, _mini_les([0, 1, 2, 1, 0], [0, 1, 1, 0]))
+        ladder_propagate(top, _mini_row([0, 1, 2, 1, 0], [0, 1, 1, 0]))
     # an integer row takes the names in a message from the records it stands for
     import conetilt.objects as objects
 
     row = objects._contra_row(X, F, ((OZ(1), 1),))
     dims = list(row.dims)
     dims[4] += 1  # Hom^1(O^3, OZ(1))
-    bad = objects.IntRow(dims, row.ranks, (objects._contra_records, (F, ((OZ(1), 1),))))
+    bad = IntRow(dims, row.ranks, row.names)
     with pytest.raises(EngineError) as broken:
-        objects._check(dims, row.ranks, bad)
+        objects._check(dims, row.ranks, bad.records)
     assert str(broken.value) == (
         "Hom(-, OZ(1)) along 0 -> F[1] -> O^3 -> OZ(1) -> 0: "
         "exactness fails at Hom^1(O^3, OZ(1)): 0 + 0 != 1"
@@ -1060,7 +1054,7 @@ def _derivations():
     X7 = make_space(3, 7)
     bundles = [kernel_bundle(X7, e) for e in range(1, 7)]
     yield "F->F on P(1^3,7)", [_derivation(X7, K, Kp) for K in bundles for Kp in bundles]
-    for n, m in ((2, 7), (4, 3)):
+    for n, m in ((2, 7), (3, 5), (4, 3)):
         space, records = make_space(n, m), []
         for e in range(1, m):
             K = kernel_bundle(space, e)
@@ -1068,12 +1062,24 @@ def _derivations():
                 for a in (OX(d), OZ(d)):
                     records += [_derivation(space, K, a), _derivation(space, a, K)]
         yield "atom<->F on P(1^%d,%d)" % (n, m), records
+    X5 = make_space(3, 5)
+    bundles = [kernel_bundle(X5, e) for e in range(1, 5)]
+    sums = [
+        direct_sum(bundles[0], bundles[3]),
+        direct_sum(OX(0), OZ(2), OZ(2)),
+        direct_sum(bundles[1], OX(5)),
+    ]
+    yield "sums on P(1^3,5)", [
+        _derivation(X5, A, B) for A in sums for B in sums + bundles
+    ] + [_derivation(X5, K, S) for K in bundles for S in sums]
 
 
 # sha256 of the compact JSON of each family's records, with the number of
 # records and of refusals, as the engine gave them before names were
 # rendered lazily; the one edit is the rename of the top row's h' equal
-# atoms, "O(0)+O(0)+...+O(0)" before, "O(0)^h'" now
+# atoms, "O(0)+O(0)+...+O(0)" before, "O(0)^h'" now.  The P(1^3,5) and
+# sums families were recorded while the covariant chase still solved
+# LongExactSequence records, before it moved to integer rows
 DERIVATION_DIGESTS = {
     "F->F on P(1^3,7)": (
         36, 0, "e60f0d397b8f90ec186e436a4f8fb9d745a0c9bfe9d893a46aad65d2cf4d4c41"
@@ -1081,8 +1087,14 @@ DERIVATION_DIGESTS = {
     "atom<->F on P(1^2,7)": (
         696, 345, "9204e5adff6823cab508b0cb52ad0861adacde67297946edbdd123a7b2652d7f"
     ),
+    "atom<->F on P(1^3,5)": (
+        336, 128, "ed9103c721fcceb893f1db0f142f52ced18df50fda7aa566c528645c1332e84a"
+    ),
     "atom<->F on P(1^4,3)": (
         104, 32, "75890c875fb34ca07853e846e6109f81ca86183ad14e3dc542ea416e5cf7a583"
+    ),
+    "sums on P(1^3,5)": (
+        33, 0, "cd9ec4fe4eb327f52ccbb4ba94cb6cbab0f0bcaaa8205a9ce7eb544081687c63"
     ),
 }
 
@@ -1198,16 +1210,60 @@ def test_the_kernel_chase_builds_no_record(monkeypatch):
         assert len(comp.sequences) == 6 and len(comp.ladders) == 2
 
 
+def _solve_records(origin, terms, maps):
+    """Fill in the unknown dims and ranks of a sequence on its records.
+
+    A reference that shares no code with objects._solve: it sweeps the
+    maps and the terms until nothing changes, pinning a rank at a term of
+    known dimension whose other map is known (zero beyond either end)
+    and a dimension from its two ranks, then checks exactness.
+    """
+    def rank(j):
+        return maps[j].rank if 0 <= j < len(maps) else 0
+
+    changed = True
+    while changed:
+        changed = False
+        for j, f in enumerate(maps):
+            for term, other in ((terms[j], j - 1), (terms[j + 1], j + 1)):
+                if f.rank is None and term.dim is not None and rank(other) is not None:
+                    f.rank, changed = term.dim - rank(other), True
+        for j, term in enumerate(terms):
+            if term.dim is None and rank(j - 1) is not None and rank(j) is not None:
+                term.dim, changed = rank(j - 1) + rank(j), True
+    les = LongExactSequence(origin, terms, maps)
+    for f in maps:
+        if f.rank is None:
+            raise IndeterminateRank(
+                "%s: exactness does not pin the rank of %s" % (les.origin, f.name)
+            )
+    les.check_exactness()
+    return les
+
+
+def _record_ladder(top, bottom):
+    """The ladder's rank and certificate, read off its two record rows."""
+    r_kb, r_v3 = bottom.maps[1].rank, bottom.terms[3].dim
+    rank = _middle_rank(top, bottom, r_kb, r_v3)
+    if top.maps[1].rank == top.terms[2].dim:
+        return rank, "middle term is covered by the first map; rank forced to %d" % rank
+    return rank, (
+        "image part saturated (rank %d = rank of %s); quotient part "
+        "contributes %d through the right vertical; middle rank %d"
+        % (r_kb, bottom.maps[1].name, r_v3, rank)
+    )
+
+
 def _record_chase(space, K, Kp):
     """The kernel-kernel chase on records, as the engine ran it before its
     rows were integers: the top row solved for h' copies of O, the ladder
-    on the two LongExactSequence rows and the outer row by solve_les.
-    Returns the derivation in the form of _derivation."""
+    read off the two LongExactSequence rows and the outer row solved on
+    its records.  Returns the derivation in the form of _derivation."""
     _check_bundle(space, Kp)
     top = les_hom_contra(space, K, [OX(0)] * Kp.h)
     bottom = les_hom_contra(space, K, [OZ(Kp.e)])
     ext1_h0_block(space, K.e, Kp.e)
-    ladder = ladder_propagate(top, bottom)
+    rank, certificate = _record_ladder(top, bottom)
     dimsP, dimsQ = top.solved_dims(2), bottom.solved_dims(2)
     for i in range(1, space.n + 1):
         if dimsP[i] and dimsQ[i]:
@@ -1224,7 +1280,7 @@ def _record_chase(space, K, Kp):
         ]
         maps += [
             LESMap("inc_%d" % i, None, "exactness"),
-            LESMap("gamma_%d" % i, ladder.rank, "ladder")
+            LESMap("gamma_%d" % i, rank, "ladder")
             if i == 0
             else LESMap("gamma_%d" % i, 0, "zero-side"),
             LESMap("delta_%d" % i, None, "exactness"),
@@ -1233,9 +1289,9 @@ def _record_chase(space, K, Kp):
     origin = "Hom(F[%d], -) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0" % (
         K.e, Kp.e, Kp.h, Kp.e
     )
-    outer = solve_les(origin, terms, maps)
+    outer = _solve_records(origin, terms, maps)
     note = "resolved F[%d] contravariantly, then F[%d] covariantly; ladder: %s" % (
-        K.e, Kp.e, ladder.certificate
+        K.e, Kp.e, certificate
     )
     return [
         list(outer.solved_dims(0)),
@@ -1245,7 +1301,7 @@ def _record_chase(space, K, Kp):
              [[f.name, f.rank, f.how] for f in les.maps]]
             for les in (top, bottom, outer)
         ],
-        [[ladder.rank, ladder.certificate]],
+        [[rank, certificate]],
     ]
 
 
