@@ -260,6 +260,21 @@ def test_paper_report_json_bytes_are_pinned(capsys, instance, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+REPORT_TABLE_SHA256 = {
+    ("P1113", "text"): "fc00ebd0b8ee22ce7dce0e8ee549ccecac4d521b3fc46aa6b747df387aac31d7",
+    ("P1113", "markdown"): "fac7977d15abd99a41e95d4d3e90b42652ac1f2c02137a7e9d2a69a8e2afab69",
+    ("P112", "text"): "44f8dbc0433c1cdd552c1ce0ad10bcdc508e2a756431420a718cdd2773307790",
+    ("P112", "markdown"): "5aa1c6a3175aa73e81669ef333708f56f4a84291b43039cc790eb4293ce3159b",
+}
+
+
+@pytest.mark.parametrize("instance,fmt", sorted(REPORT_TABLE_SHA256))
+def test_paper_report_table_bytes_are_pinned(capsys, instance, fmt):
+    assert main(["paper-report", instance, "--format", fmt]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_TABLE_SHA256[instance, fmt]
+
+
 def test_python_dash_m_runs_the_cli():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.join(root, "src")
