@@ -113,15 +113,27 @@ def cmd_cohomology(args):
     return EXIT_OK
 
 
+# source option -> the instance it names
+_SOURCES = {
+    "config": load_config,
+    "instance": get_instance,
+    "space": lambda text: InstanceConfig("inline", _parse_space_flag(text), {}, {}),
+}
+
+
+def _resolve_source(args, options):
+    """The instance named by the one source option of `options` given."""
+    given = [o for o in options if getattr(args, o) is not None]
+    if len(given) != 1:
+        raise ConfigError(
+            "%s needs exactly one of %s"
+            % (args.command, ", ".join("--" + o for o in options))
+        )
+    return _SOURCES[given[0]](getattr(args, given[0]))
+
+
 def _resolve_pair(args):
-    if args.config:
-        cfg = load_config(args.config)
-    elif args.instance:
-        cfg = get_instance(args.instance)
-    elif args.space:
-        cfg = InstanceConfig("inline", _parse_space_flag(args.space), {}, {})
-    else:
-        raise ConfigError("need --config, --instance or --space")
+    cfg = _resolve_source(args, ("config", "instance", "space"))
     objs = []
     for name in (args.A, args.B):
         if name in cfg.objects:
@@ -197,10 +209,7 @@ def _sod_payload(report):
 
 
 def cmd_verify_sod(args):
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = get_instance(args.instance)
+    cfg = _resolve_source(args, ("config", "instance"))
     name = args.collection or (
         sorted(cfg.collections)[0] if cfg.collections else None
     )
@@ -240,7 +249,6 @@ def cmd_paper_report(args):
         print(emit_json(report.to_jsonable()))
     else:
         print("reference report for %s on %s" % (report.instance, report.space))
-        section = None
         rows = []
         for r in report.rows:
             rows.append(
@@ -339,9 +347,6 @@ def _parse_args(argv=None):
 
 def main(argv=None):
     args = _parse_args(argv)
-    if args.command == "verify-sod" and not (args.config or args.instance):
-        print("verify-sod needs --config or --instance", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -25,8 +25,9 @@ matrix depends on that order, so it is part of the contract.
 
 The value types of the engine (ConeSpace here, the atoms and sheaf
 objects elsewhere) derive from FrozenValue and its records from
-Record: plain classes with the equality and repr of a dataclass, which
-keep `dataclasses` (and the `inspect` it imports) out of the import.
+Record: plain classes with the constructor, equality and repr of a
+dataclass, which keep `dataclasses` (and the `inspect` it imports) out
+of the import.
 """
 
 from __future__ import annotations
@@ -41,12 +42,35 @@ from typing import NamedTuple
 class Record:
     """A plain record whose fields are the names in `_fields`, in order.
 
-    Like a dataclass it compares field by field with records of its own
-    class, is unhashable, and shows its fields in its repr.
+    Like a dataclass it takes its fields by position or keyword, with
+    the defaults in `_defaults` (a list default is copied for each
+    record), compares field by field with records of its own class, is
+    unhashable, and shows its fields in its repr.  A missing, unknown or
+    repeated field is a TypeError.
     """
 
     _fields = ()
+    _defaults = {}
     __hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError("%s takes %d fields, got %d" % (name, len(fields), len(args)))
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError("%s has no field %r" % (name, key))
+            if key in values:
+                raise TypeError("%s got field %r twice" % (name, key))
+            values[key] = value
+        for key in fields:
+            if key not in values:
+                if key not in self._defaults:
+                    raise TypeError("%s is missing field %r" % (name, key))
+                default = self._defaults[key]
+                values[key] = list(default) if type(default) is list else default
+            setattr(self, key, values[key])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -15,29 +15,17 @@ import re
 from .cone import Record, make_space
 from .objects import SumObject, as_object, hom_objects, kernel_bundle
 from .rules import OX, OZ
-from .tilting import (
-    check_sod,
-    end_blocks,
-    rank_square_identity,
-    stack_exceptional_check,
-)
+from .tilting import check_sod, end_blocks, stack_exceptional_check
 
 
 class InstanceConfig(Record):
-    """A named geometry with named objects and ordered collections."""
+    """A named geometry with named objects and ordered collections.
+
+    `objects` maps a name to its sheaf object, `collections` a name to a
+    list of object names.
+    """
 
     _fields = ("name", "space", "objects", "collections")
-
-    def __init__(self, name, space, objects, collections):
-        self.name = name
-        self.space = space
-        self.objects = objects  # name -> SheafObject
-        self.collections = collections  # name -> list of object names
-
-    def object(self, name):
-        if name not in self.objects:
-            raise KeyError("unknown object %r" % name)
-        return self.objects[name]
 
     def collection(self, name):
         if name not in self.collections:
@@ -177,58 +165,8 @@ def load_config(path):
     return parse_config(text, name=path)
 
 
-# the built-in instances, in the config file format
-P1113 = """\
-# the threefold cone P(1,1,1,3) with its tilting summands
-space: 3,3
-
-objects:
-  F   = ker(1)
-  G   = ker(2)
-  FG  = F + G
-  O   = O(0)
-  O3  = O(3)
-  OZ1 = OZ(1)
-  OZ2 = OZ(2)
-
-collections:
-  main = FG, O, O3
-"""
-
-P112 = """\
-# the surface cone P(1,1,2) with its rank-2 tilting bundle
-space: 2,2
-
-objects:
-  FS  = ker(1)
-  O   = O(0)
-  Om2 = O(-2)
-  OC1 = OZ(1)
-
-collections:
-  main = Om2, FS, O
-"""
-
-BUILTIN_INSTANCES = {"P1113": P1113, "P112": P112}
-
-
-def get_instance(name):
-    if name not in BUILTIN_INSTANCES:
-        raise ConfigError(
-            "unknown instance %r (available: %s)"
-            % (name, ", ".join(sorted(BUILTIN_INSTANCES)))
-        )
-    return parse_config(BUILTIN_INSTANCES[name], name=name)
-
-
 class ReportRow(Record):
     _fields = ("section", "label", "expected", "computed")
-
-    def __init__(self, section, label, expected, computed):
-        self.section = section
-        self.label = label
-        self.expected = expected
-        self.computed = computed
 
     @property
     def ok(self):
@@ -236,15 +174,9 @@ class ReportRow(Record):
 
 
 class Report(Record):
+    # verdicts are (label, expected, got, ok)
     _fields = ("instance", "space", "rows", "verdicts", "notes")
-
-    def __init__(self, instance, space, rows=None, verdicts=None, notes=None):
-        self.instance = instance
-        self.space = space
-        self.rows = [] if rows is None else rows
-        # verdicts are (label, expected, got, ok)
-        self.verdicts = [] if verdicts is None else verdicts
-        self.notes = [] if notes is None else notes
+    _defaults = {"rows": [], "verdicts": [], "notes": []}
 
     def add(self, section, label, expected, computed):
         self.rows.append(ReportRow(section, label, tuple(expected), tuple(computed)))
@@ -279,132 +211,167 @@ class Report(Record):
         }
 
 
-# golden tables for the built-in instances: every expected vector was
-# cross-checked against the independent enumeration oracles in the tests
-_P1113_ATOM_ROWS = [
-    ("O", "O", (1, 0, 0, 0)),
-    ("O", "OZ1", (3, 0, 0, 0)),
-    ("O", "OZ2", (6, 0, 0, 0)),
-    ("OZ1", "O", (0, 6, 0, 0)),
-    ("OZ2", "O", (0, 3, 0, 0)),
-    ("OZ1", "OZ1", (1, 10, 0, 0)),
-    ("OZ1", "OZ2", (3, 15, 0, 0)),
-    ("OZ2", "OZ1", (0, 6, 0, 0)),
-]
+# The built-in instances, one entry each: the config text, the golden
+# rows (section, source, target, expected Hom* dims) and the verdicts
+# (kind, argument, expected), kind one of _VERDICTS.  Every expected
+# vector was cross-checked against the independent enumeration oracles
+# in the tests.
+BUILTIN_INSTANCES = {
+    "P1113": (
+        """\
+# the threefold cone P(1,1,1,3) with its tilting summands
+space: 3,3
 
-_P1113_VANISHING_ROWS = [
-    ("O", "F", (0, 0, 0, 0)),
-    ("O", "G", (0, 0, 0, 0)),
-    ("O3", "F", (0, 0, 0, 0)),
-    ("O3", "G", (0, 0, 0, 0)),
-]
+objects:
+  F   = ker(1)
+  G   = ker(2)
+  FG  = F + G
+  O   = O(0)
+  O3  = O(3)
+  OZ1 = OZ(1)
+  OZ2 = OZ(2)
 
-_P1113_BUNDLE_ATOM_ROWS = [
-    ("F", "O", (9, 0, 0, 0)),
-    ("F", "OZ1", (18, 0, 0, 0)),
-    ("F", "OZ2", (30, 0, 0, 0)),
-    ("G", "O", (9, 0, 0, 0)),
-    ("G", "OZ1", (24, 0, 0, 0)),
-    ("G", "OZ2", (45, 0, 0, 0)),
-]
+collections:
+  main = FG, O, O3
+""",
+        [
+            ("atom pairs", "O", "O", (1, 0, 0, 0)),
+            ("atom pairs", "O", "OZ1", (3, 0, 0, 0)),
+            ("atom pairs", "O", "OZ2", (6, 0, 0, 0)),
+            ("atom pairs", "OZ1", "O", (0, 6, 0, 0)),
+            ("atom pairs", "OZ2", "O", (0, 3, 0, 0)),
+            ("atom pairs", "OZ1", "OZ1", (1, 10, 0, 0)),
+            ("atom pairs", "OZ1", "OZ2", (3, 15, 0, 0)),
+            ("atom pairs", "OZ2", "OZ1", (0, 6, 0, 0)),
+            ("orthogonality", "O", "F", (0, 0, 0, 0)),
+            ("orthogonality", "O", "G", (0, 0, 0, 0)),
+            ("orthogonality", "O3", "F", (0, 0, 0, 0)),
+            ("orthogonality", "O3", "G", (0, 0, 0, 0)),
+            ("bundle to atom", "F", "O", (9, 0, 0, 0)),
+            ("bundle to atom", "F", "OZ1", (18, 0, 0, 0)),
+            ("bundle to atom", "F", "OZ2", (30, 0, 0, 0)),
+            ("bundle to atom", "G", "O", (9, 0, 0, 0)),
+            ("bundle to atom", "G", "OZ1", (24, 0, 0, 0)),
+            ("bundle to atom", "G", "OZ2", (45, 0, 0, 0)),
+            ("bundle pairs", "F", "F", (9, 0, 0, 0)),
+            ("bundle pairs", "G", "G", (9, 0, 0, 0)),
+            ("bundle pairs", "F", "G", (24, 0, 0, 0)),
+            ("bundle pairs", "G", "F", (3, 0, 0, 0)),
+        ],
+        [
+            ("sod", "main", (45, 1, 1)),
+            ("stack", ((0, 5), (0, 6)), (True, False)),
+            ("rank square", ("F", "G"), (45, (3, 6))),
+        ],
+    ),
+    "P112": (
+        """\
+# the surface cone P(1,1,2) with its rank-2 tilting bundle
+space: 2,2
 
-_P1113_BUNDLE_PAIR_ROWS = [
-    ("F", "F", (9, 0, 0, 0)),
-    ("G", "G", (9, 0, 0, 0)),
-    ("F", "G", (24, 0, 0, 0)),
-    ("G", "F", (3, 0, 0, 0)),
-]
+objects:
+  FS  = ker(1)
+  O   = O(0)
+  Om2 = O(-2)
+  OC1 = OZ(1)
 
-_P112_ROWS = [
-    ("atom pairs", "O", "O", (1, 0, 0)),
-    ("atom pairs", "O", "OC1", (2, 0, 0)),
-    ("atom pairs", "OC1", "O", (0, 2, 0)),
-    ("orthogonality", "O", "FS", (0, 0, 0)),
-    ("orthogonality", "FS", "Om2", (0, 0, 0)),
-    ("orthogonality", "O", "Om2", (0, 0, 0)),
-    ("bundle to atom", "FS", "O", (4, 0, 0)),
-    ("bundle to atom", "FS", "OC1", (6, 0, 0)),
-    ("bundle pairs", "FS", "FS", (2, 0, 0)),
-]
+collections:
+  main = Om2, FS, O
+""",
+        [
+            ("atom pairs", "O", "O", (1, 0, 0)),
+            ("atom pairs", "O", "OC1", (2, 0, 0)),
+            ("atom pairs", "OC1", "O", (0, 2, 0)),
+            ("orthogonality", "O", "FS", (0, 0, 0)),
+            ("orthogonality", "FS", "Om2", (0, 0, 0)),
+            ("orthogonality", "O", "Om2", (0, 0, 0)),
+            ("bundle to atom", "FS", "O", (4, 0, 0)),
+            ("bundle to atom", "FS", "OC1", (6, 0, 0)),
+            ("bundle pairs", "FS", "FS", (2, 0, 0)),
+        ],
+        [
+            ("sod", "main", (1, 2, 1)),
+            ("stack", ((0, 3),), (True,)),
+            ("rank square", ("FS",), (2, (2,))),
+        ],
+    ),
+}
 
 
-def _hom_row(report, cfg, section, a, b, expected):
-    computed = hom_objects(cfg.space, cfg.object(a), cfg.object(b))
-    report.add(section, "Hom*(%s, %s)" % (a, b), expected, computed)
-
-
-def _identity_string(ident, blocks):
-    if ident.holds:
-        return "%d = %s" % (
-            ident.total,
-            " + ".join("%d^2" % r for r in blocks.ranks),
+def get_instance(name):
+    if name not in BUILTIN_INSTANCES:
+        raise ConfigError(
+            "unknown instance %r (available: %s)"
+            % (name, ", ".join(sorted(BUILTIN_INSTANCES)))
         )
-    return "not applicable (%d != %d)" % (ident.total, ident.sum_of_squares)
+    return parse_config(BUILTIN_INSTANCES[name][0], name=name)
+
+
+# Each verdict kind gives (label, expected, got) for its argument and
+# expected value; "pass"/"fail" stand for a check's outcome.
+
+def _flag(ok):
+    return "pass" if ok else "fail"
+
+
+def _sod_verdict(report, cfg, collection, end_dims):
+    """The collection is an SOD whose slots have these End dims."""
+    sod = check_sod(cfg.space, cfg.collection(collection))
+    report.notes.append(sod.generation_note)
+    return (
+        "decomposition <%s>" % ", ".join(cfg.collections[collection]),
+        "pass with End dims %s" % (end_dims,),
+        "%s with End dims %s" % (_flag(sod.ok), tuple(sod.blocks)),
+    )
+
+
+def _stack_verdict(report, cfg, windows, exceptional):
+    """Each twist window lo..hi is exceptional on the stack, or not."""
+    return (
+        "stack twist window "
+        + ", ".join(
+            "%d..%d %s" % (lo, hi, "exceptional" if ok else "not")
+            for (lo, hi), ok in zip(windows, exceptional)
+        ),
+        " / ".join(map(_flag, exceptional)),
+        " / ".join(_flag(stack_exceptional_check(cfg.space, lo, hi).ok) for lo, hi in windows),
+    )
+
+
+def _squares_string(total, ranks):
+    squares = sum(r * r for r in ranks)
+    if total == squares:
+        return "%d = %s" % (total, " + ".join("%d^2" % r for r in ranks))
+    return "not applicable (%d != %d)" % (total, squares)
+
+
+def _rank_square_verdict(report, cfg, names, expected):
+    """The End dimension of the sum of the named objects against the
+    sum of their squared ranks, given as (total, ranks)."""
+    blocks = end_blocks(cfg.space, [cfg.objects[n] for n in names], names)
+    return (
+        "total End dimension vs sum of squared ranks",
+        _squares_string(*expected),
+        _squares_string(blocks.total, blocks.ranks),
+    )
+
+
+_VERDICTS = {
+    "sod": _sod_verdict,
+    "stack": _stack_verdict,
+    "rank square": _rank_square_verdict,
+}
 
 
 def build_report(instance_name):
-    """The full reference report for a built-in instance."""
+    """The full reference report for a built-in instance: its golden
+    rows, then its verdicts, in the order of its table entry."""
     cfg = get_instance(instance_name)
+    _, rows, verdicts = BUILTIN_INSTANCES[instance_name]
     report = Report(cfg.name, str(cfg.space))
-    if instance_name == "P1113":
-        for a, b, exp in _P1113_ATOM_ROWS:
-            _hom_row(report, cfg, "atom pairs", a, b, exp)
-        for a, b, exp in _P1113_VANISHING_ROWS:
-            _hom_row(report, cfg, "orthogonality", a, b, exp)
-        for a, b, exp in _P1113_BUNDLE_ATOM_ROWS:
-            _hom_row(report, cfg, "bundle to atom", a, b, exp)
-        for a, b, exp in _P1113_BUNDLE_PAIR_ROWS:
-            _hom_row(report, cfg, "bundle pairs", a, b, exp)
-
-        sod = check_sod(cfg.space, cfg.collection("main"))
-        report.add_verdict(
-            "decomposition <FG, O, O3>",
-            "pass with End dims (45, 1, 1)",
-            "%s with End dims %s"
-            % ("pass" if sod.ok else "fail", tuple(sod.blocks)),
-        )
-        report.notes.append(sod.generation_note)
-
-        stack_ok = stack_exceptional_check(cfg.space, 0, 5)
-        stack_fail = stack_exceptional_check(cfg.space, 0, 6)
-        report.add_verdict(
-            "stack twist window 0..5 exceptional, 0..6 not",
-            "pass / fail",
-            "%s / %s"
-            % (
-                "pass" if stack_ok.ok else "fail",
-                "pass" if stack_fail.ok else "fail",
-            ),
-        )
-
-        blocks = end_blocks(cfg.space, [cfg.object("F"), cfg.object("G")], ["F", "G"])
-        ident = rank_square_identity(blocks)
-        report.add_verdict(
-            "total End dimension vs sum of squared ranks",
-            "45 = 3^2 + 6^2",
-            _identity_string(ident, blocks),
-        )
-    elif instance_name == "P112":
-        for section, a, b, exp in _P112_ROWS:
-            _hom_row(report, cfg, section, a, b, exp)
-        sod = check_sod(cfg.space, cfg.collection("main"))
-        report.add_verdict(
-            "decomposition <Om2, FS, O>",
-            "pass with End dims (1, 2, 1)",
-            "%s with End dims %s"
-            % ("pass" if sod.ok else "fail", tuple(sod.blocks)),
-        )
-        report.notes.append(sod.generation_note)
-        stack_ok = stack_exceptional_check(cfg.space, 0, 3)
-        report.add_verdict("stack twist window 0..3 exceptional", "pass",
-                           "pass" if stack_ok.ok else "fail")
-        blocks = end_blocks(cfg.space, [cfg.object("FS")], ["FS"])
-        ident = rank_square_identity(blocks)
-        report.add_verdict(
-            "total End dimension vs sum of squared ranks",
-            "not applicable (2 != 4)",
-            _identity_string(ident, blocks),
-        )
-    else:  # pragma: no cover - guarded by get_instance
-        raise KeyError(instance_name)
+    for section, a, b, expected in rows:
+        computed = hom_objects(cfg.space, cfg.objects[a], cfg.objects[b])
+        report.add(section, "Hom*(%s, %s)" % (a, b), expected, computed)
+    for kind, argument, expected in verdicts:
+        report.add_verdict(*_VERDICTS[kind](report, cfg, argument, expected))
     return report

@@ -17,25 +17,10 @@ from .objects import as_object, hom_objects, rank_of, SumObject
 class TiltingVerdict(Record):
     _fields = ("ok", "end_dim", "dims")
 
-    def __init__(self, ok, end_dim, dims):
-        self.ok = ok
-        self.end_dim = end_dim
-        self.dims = dims
-
-    def __str__(self):
-        if self.ok:
-            return "tilting, End dimension %d" % self.end_dim
-        return "not tilting: higher self-extensions %s" % (self.dims[1:],)
-
 
 class EndBlocks(Record):
+    # matrix[i][j] = dim Hom(T_i, T_j) in degree 0
     _fields = ("names", "ranks", "matrix", "total")
-
-    def __init__(self, names, ranks, matrix, total):
-        self.names = names
-        self.ranks = ranks
-        self.matrix = matrix  # matrix[i][j] = dim Hom(T_i, T_j) in degree 0
-        self.total = total
 
 
 def end_blocks(space, summands, names=None):
@@ -65,48 +50,13 @@ def end_blocks(space, summands, names=None):
 
 
 class SODReport(Record):
+    # pairwise[i][j] = graded dims of Hom^*(P_i, P_j); blocks[i] = dim End(P_i);
+    # block_detail[i] = EndBlocks of slot i (None when not available)
     _fields = (
-        "space",
-        "names",
-        "objects",
-        "pairwise",
-        "tilting",
-        "blocks",
-        "block_detail",
-        "ranks",
-        "ok",
-        "first_violation",
-        "generation_note",
-        "notes",
+        "space", "names", "objects", "pairwise", "tilting", "blocks",
+        "block_detail", "ranks", "ok", "first_violation", "generation_note", "notes",
     )
-
-    def __init__(
-        self,
-        space,
-        names,
-        objects,
-        pairwise,
-        tilting,
-        blocks,
-        block_detail,
-        ranks,
-        ok,
-        first_violation=None,
-        generation_note="",
-        notes=None,
-    ):
-        self.space = space
-        self.names = names
-        self.objects = objects
-        self.pairwise = pairwise  # pairwise[i][j] = graded dims of Hom^*(P_i, P_j)
-        self.tilting = tilting
-        self.blocks = blocks  # dim End(P_i)
-        self.block_detail = block_detail  # EndBlocks per slot (None when not available)
-        self.ranks = ranks
-        self.ok = ok
-        self.first_violation = first_violation
-        self.generation_note = generation_note
-        self.notes = [] if notes is None else notes
+    _defaults = {"first_violation": None, "generation_note": "", "notes": []}
 
     def summary(self):
         verdict = "PASS" if self.ok else "FAIL (%s)" % self.first_violation
@@ -117,7 +67,13 @@ class SODReport(Record):
         )
 
 
-def check_sod(space, named_objects, generation_assumed=True):
+_GENERATION_NOTE = (
+    "generation of the derived category by the listed objects is "
+    "assumed, not checked (no finite certificate)"
+)
+
+
+def check_sod(space, named_objects):
     """Check the hypotheses for an ordered semiorthogonal collection.
 
     Verifies that each object is tilting and that Hom^*(P_i, P_j)
@@ -169,12 +125,6 @@ def check_sod(space, named_objects, generation_assumed=True):
                 block_detail.append(None)
         else:
             block_detail.append(None)
-    note = (
-        "generation of the derived category by the listed objects is "
-        "assumed, not checked (no finite certificate)"
-        if generation_assumed
-        else "generation not asserted"
-    )
     return SODReport(
         space=space,
         names=names,
@@ -186,18 +136,14 @@ def check_sod(space, named_objects, generation_assumed=True):
         ranks=[rank_of(o) for o in objects],
         ok=first is None,
         first_violation=first,
-        generation_note=note,
+        generation_note=_GENERATION_NOTE,
         notes=regime_notes(space),
     )
 
 
 class StackWindowReport(Record):
     _fields = ("window", "ok", "first_violation")
-
-    def __init__(self, window, ok, first_violation=None):
-        self.window = window
-        self.ok = ok
-        self.first_violation = first_violation
+    _defaults = {"first_violation": None}
 
 
 def stack_hom_dims(space, a, b):
@@ -237,11 +183,6 @@ def stack_exceptional_check(space, lo, hi):
 
 class IdentityCheck(Record):
     _fields = ("holds", "total", "sum_of_squares")
-
-    def __init__(self, holds, total, sum_of_squares):
-        self.holds = holds
-        self.total = total
-        self.sum_of_squares = sum_of_squares
 
     def __str__(self):
         rel = "=" if self.holds else "!="

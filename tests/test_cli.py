@@ -228,6 +228,31 @@ def test_verify_sod_non_utf8_config(tmp_path, capsys):
 
 def test_verify_sod_needs_source(capsys):
     assert main(["verify-sod", "main"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "config error: verify-sod needs exactly one of --config, --instance\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hom", "O(0)", "O(3)", "--instance", "P1113", "--space", "2,2"],
+        ["hom", "O(0)", "O(3)", "--config", "{config}", "--instance", "P112"],
+        ["hom", "O(0)", "O(3)", "--config", "{config}", "--space", "2,2"],
+        ["hom", "O(0)", "O(3)"],
+        ["verify-sod", "--config", "{config}", "--instance", "P112"],
+    ],
+    ids=["hom instance+space", "hom config+instance", "hom config+space", "hom none",
+         "verify-sod config+instance"],
+)
+def test_source_options_take_exactly_one(tmp_path, capsys, argv):
+    """A missing or a second source option is a config error, never a silent pick."""
+    path = tmp_path / "instance.cfg"
+    path.write_text(CONFIG)
+    code = main([str(path) if a == "{config}" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    options = "--config, --instance, --space" if argv[0] == "hom" else "--config, --instance"
+    assert err == "config error: %s needs exactly one of %s\n" % (argv[0], options)
 
 
 def test_verify_sod_unknown_collection(capsys):

@@ -188,13 +188,33 @@ def test_records_keep_their_fields_defaults_and_fresh_lists():
     assert a == b and a.notes == a.ladders == a.sequences == []
     a.notes.append("x")
     assert b.notes == [] and a != b
-    assert Report("P1113", "P(1,1,1,3)").rows is not Report("P1113", "P(1,1,1,3)").rows
-    report = SODReport(X, ["T"], [OX(0)], [[(1, 0, 0, 0)]], [], [1], [None], [1], True)
+    fields = (X, ["T"], [OX(0)], [[(1, 0, 0, 0)]], [], [1], [None], [1], True)
+    report = SODReport(*fields)
     assert (report.first_violation, report.generation_note, report.notes) == (None, "", [])
+    assert report == SODReport(**dict(zip(SODReport._fields, fields)))
+    assert SODReport(*fields, notes=["n"]).notes == ["n"]
     assert StackWindowReport((0, 1), ok=True).first_violation is None
+    assert StackWindowReport((0, 1), True, "x") == StackWindowReport(
+        first_violation="x", ok=True, window=(0, 1)
+    )
+    # every list default is a fresh list for each record
+    first, second = Report("P1113", "P(1,1,1,3)"), Report("P1113", "P(1,1,1,3)")
+    for field in ("rows", "verdicts", "notes"):
+        assert getattr(first, field) == [] and getattr(first, field) is not getattr(second, field)
+    assert report.notes is not SODReport(*fields).notes
     verdict = TiltingVerdict(True, 1, (1, 0))
     assert repr(verdict) == "TiltingVerdict(ok=True, end_dim=1, dims=(1, 0))"
     assert verdict == TiltingVerdict(ok=True, end_dim=1, dims=(1, 0))
     assert verdict != TiltingVerdict(True, 2, (2, 0)) and verdict != (True, 1, (1, 0))
     with pytest.raises(TypeError):
         hash(verdict)
+    for build, message in [
+        (lambda: TiltingVerdict(True, 1), "TiltingVerdict is missing field 'dims'"),
+        (lambda: StackWindowReport(ok=True), "StackWindowReport is missing field 'window'"),
+        (lambda: TiltingVerdict(True, 1, (1, 0), size=2), "TiltingVerdict has no field 'size'"),
+        (lambda: TiltingVerdict(True, 1, (1, 0), (1,)), "TiltingVerdict takes 3 fields, got 4"),
+        (lambda: TiltingVerdict(True, 1, (1, 0), ok=False), "TiltingVerdict got field 'ok' twice"),
+    ]:
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == message
