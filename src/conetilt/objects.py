@@ -28,7 +28,17 @@ from itertools import groupby
 
 from .cone import FrozenValue, Record, section_cohomology_dim
 from .linalg import EngineError, ShapeMismatch, mat_rank
-from .rules import CONE, SECTION, Atom, OX, OZ, ext1_h0_block, hom_atoms, r3_block_dims
+from .rules import (
+    CONE,
+    SECTION,
+    Atom,
+    OX,
+    OZ,
+    ext1_h0_block,
+    hom_atoms,
+    hom_counts,
+    r3_block_dims,
+)
 
 
 class IndeterminateRank(EngineError):
@@ -201,6 +211,10 @@ def _atom_list(B):
 # ---------------------------------------------------------------------------
 # long exact sequences
 # ---------------------------------------------------------------------------
+
+_O = OX(0)
+_O_RUNS = ((_O, 1),)  # the runs of B = O, the top row of every kernel pair
+
 
 def _render(text):
     """A name kept as (format, args) rendered; a str returned as it is."""
@@ -412,16 +426,16 @@ def _contra_row(space, K, runs):
     is nonzero, and 0 elsewhere.
     """
     # OutOfValidity for a non-invertible O(b), before any other rule is read
-    fromQ = [hom_atoms(space, OZ(K.e), a) for a, _ in runs]
-    fromP = [hom_atoms(space, OX(0), a) for a, _ in runs]
+    fromQ = [hom_counts(space, OZ(K.e), a) for a, _ in runs]
+    fromP = [hom_counts(space, _O, a)[0] for a, _ in runs]
     dims, ranks = [], [0]
     for i in range(space.n + 1):
         qdim = pdim = alpha = 0
-        for (_, k), ghQ, ghP in zip(runs, fromQ, fromP):
-            qdim += k * ghQ.dims[i]
-            if ghP.dims[i]:
-                pdim += k * ghP.dims[i]
-                alpha += k * ghQ.block_dims[i][0]
+        for (_, k), (qdims, qblocks), pdims in zip(runs, fromQ, fromP):
+            qdim += k * qdims[i]
+            if pdims[i]:
+                pdim += k * pdims[i]
+                alpha += k * qblocks[i][0]
         dims += (qdim, K.h * pdim, None)
         ranks += (alpha, None, None)
     ranks[-1] = 0  # past the last term; no delta_n
@@ -432,11 +446,11 @@ def _top_row(space, K, hp):
     """The row Hom(-, O^h') along K's sequence: h' times the cached row
     Hom(-, O), which `_contra_row` solves and checks once per (cone, K).
     Scaling by h' > 0 keeps exactness and every rank bound."""
-    one = _contra_row(space, K, ((OX(0), 1),))
+    one, scale = _contra_row(space, K, _O_RUNS), hp.__mul__
     return IntRow(
-        tuple(hp * d for d in one.dims),
-        tuple(hp * r for r in one.ranks),
-        partial(_contra_names, space.n, K, ((OX(0), hp),)),
+        tuple(map(scale, one.dims)),
+        tuple(map(scale, one.ranks)),
+        partial(_contra_names, space.n, K, ((_O, hp),)),
     )
 
 
@@ -503,11 +517,11 @@ def les_hom_cov(space, A, Kp):
 
 @lru_cache(maxsize=None)
 def _les_hom_cov_cached(space, A, Kp):
-    ghP = hom_atoms(space, A, OX(0))  # OutOfValidity for non-invertible twists
-    ghQ = hom_atoms(space, A, OZ(Kp.e))
+    fromP = hom_counts(space, A, _O)[0]  # OutOfValidity for non-invertible twists
+    fromQ = hom_counts(space, A, OZ(Kp.e))[0]
     dims, ranks = [], [0]
     for i in range(space.n + 1):
-        pdim, qdim = Kp.h * ghP.dims[i], ghQ.dims[i]
+        pdim, qdim = Kp.h * fromP[i], fromQ[i]
         dims += (None, pdim, qdim)
         ranks += (None, _cov_beta(space, A, Kp, i, pdim, qdim), None)
     ranks[-1] = 0  # past the last term; no delta_n

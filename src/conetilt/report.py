@@ -44,7 +44,7 @@ class ConfigError(Exception):
 _ATOM_RE = re.compile(r"^(O|OZ|ker)\((-?\d+)\)$")
 
 
-def _parse_term(term, space, objects):
+def _parse_term(term, expr, space, objects):
     term = term.strip()
     base, mult = term, 1
     if "*" in term:
@@ -56,6 +56,8 @@ def _parse_term(term, space, objects):
         if mult < 1:
             raise ConfigError("multiplicity must be positive in %r" % term)
         base = base.strip()
+    if not base:  # a dangling or doubled '+', or 'k*' with no base
+        raise ConfigError("empty term in %r" % expr.strip())
     m = _ATOM_RE.match(base)
     if m:
         kind, arg = m.group(1), int(m.group(2))
@@ -78,7 +80,7 @@ def parse_object_expr(expr, space, objects):
     """An object expression: terms joined by '+', each 'k*base' or 'base'."""
     parts = []
     for term in expr.split("+"):
-        obj, mult = _parse_term(term, space, objects)
+        obj, mult = _parse_term(term, expr, space, objects)
         parts.append((obj, mult))
     if len(parts) == 1 and parts[0][1] == 1:
         return parts[0][0]

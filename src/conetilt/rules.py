@@ -24,16 +24,21 @@ guessing.  The tags attached to every degree name the rule used:
       resolution; it has the dimensions of the Serre dual of R2.
 
 Each rule is one entry of RULES: the blocks of its degree-i space, as
-cohomology of a twist on X or Z.  Applying a rule counts the dims of
-its blocks in closed form (cone_cohomology_dim, section_cohomology_dim);
-the spaces and their monomial or Laurent bases are built from the same
-blocks only when GradedHom.spaces or gh[i] is read.
+cohomology of a twist on X or Z.  A rule's counts depend only on the
+kinds of the two atoms and the twist difference b - a, so the count
+table `_counts` counts the dims of its blocks in closed form
+(cone_cohomology_dim, section_cohomology_dim) once per cone, kind pair
+and twist difference.  `hom_counts` runs the validity check and reads
+the table; `hom_atoms` runs the same check and wraps the same counts in
+a GradedHom, whose spaces and monomial or Laurent bases are built from
+the same blocks only when GradedHom.spaces or gh[i] is read.
 
 The chases use composition with the evaluation sections of a kernel
 bundle only through its rank, never as a matrix: out of OZ(e) it is
 injective on R3's block 0 and on R4 (objects._contra_row), and into
 OZ(e') it is onto R3's block 1 (objects._cov_beta).  They read integers
-only: GradedHom.dims, GradedHom.block_dims and ext1_h0_block.
+only, from the count table and never through a GradedHom: hom_counts,
+and r3_block_dims and ext1_h0_block keyed by f - e.
 """
 
 from __future__ import annotations
@@ -158,28 +163,65 @@ RULES = {
 }
 
 
+def _check_domain(space, A, B):
+    """Raise OutOfValidity for a pair no rule justifies, e.g. the full
+    graded Hom out of a non-invertible twist into another twist."""
+    if A.kind == CONE and B.kind == CONE and not A.is_invertible(space):
+        raise OutOfValidity(
+            "graded Hom(%s, %s): source twist is not invertible; only the "
+            "degree-0 reflexive Hom is defined (rule R0)" % (A, B)
+        )
+    if A.kind == SECTION and B.kind == CONE and not B.is_invertible(space):
+        raise OutOfValidity(
+            "graded Hom(%s, %s): target twist is not invertible; rule R4 "
+            "does not apply" % (A, B)
+        )
+
+
+@lru_cache(maxsize=None)
+def _counts(space, source, target, t):
+    """(dims, block_dims) of the rule for the kinds (source, target) at
+    twist difference t, counted once per cone and key.
+
+    `block_dims[i]` holds the dims of the rule's degree-i blocks (two for
+    R3, one otherwise) and `dims[i]` their sum.
+    """
+    block_dims = tuple(zip(*[
+        _h_column(space, sheaf, t + k * space.m, s)
+        for sheaf, k, s in RULES[source, target][1]
+    ]))
+    return tuple(map(sum, block_dims)), block_dims
+
+
+def hom_counts(space, A, B):
+    """(dims, block_dims) of Hom^*(A, B), those of hom_atoms(space, A, B),
+    read off the count table without building a GradedHom.
+
+    Raises OutOfValidity exactly where hom_atoms does, with the same text.
+    """
+    _check_domain(space, A, B)
+    return _counts(space, A.kind, B.kind, B.twist - A.twist)
+
+
 class GradedHom(Record):
     """Hom^*(A, B) by one rule: dims counted, spaces built on request.
 
-    `block_dims[i]` holds the dims of the rule's degree-i blocks (two for
-    R3, one otherwise) and `dims[i]` their sum; both are counted when the
-    rule is applied.  `spaces` and `gh[i]` build the counted spaces, a
-    DirectSum of the two blocks for R3, from the same blocks on first read.
+    `dims` and `block_dims` come from the count table (see `_counts`).
+    `spaces` and `gh[i]` build the counted spaces, a DirectSum of the two
+    blocks for R3, from the same blocks on first read.
     """
 
     _fields = ("source", "target", "dims", "rules")
 
-    def __init__(self, space, source, target, rule, blocks):
+    def __init__(self, space, source, target):
+        rule, self._blocks = RULES[source.kind, target.kind]
         self.source = source
         self.target = target
         self.rules = (rule,) * (space.n + 1)
         self._space = space
-        self._blocks = blocks
-        t = target.twist - source.twist
-        self.block_dims = tuple(zip(*[
-            _h_column(space, sheaf, t + k * space.m, s) for sheaf, k, s in blocks
-        ]))
-        self.dims = tuple(map(sum, self.block_dims))
+        self.dims, self.block_dims = _counts(
+            space, source.kind, target.kind, target.twist - source.twist
+        )
 
     @cached_property
     def spaces(self):
@@ -201,25 +243,15 @@ class GradedHom(Record):
 def hom_atoms(space, A, B):
     """Graded Hom^*(A, B) between atoms, via the rule table.
 
-    Raises OutOfValidity for pairs no rule justifies, e.g. the full
-    graded Hom out of a non-invertible twist into another twist.
+    Raises OutOfValidity for pairs no rule justifies (see `_check_domain`).
     """
-    if A.kind == CONE and B.kind == CONE and not A.is_invertible(space):
-        raise OutOfValidity(
-            "graded Hom(%s, %s): source twist is not invertible; only the "
-            "degree-0 reflexive Hom is defined (rule R0)" % (A, B)
-        )
-    if A.kind == SECTION and B.kind == CONE and not B.is_invertible(space):
-        raise OutOfValidity(
-            "graded Hom(%s, %s): target twist is not invertible; rule R4 "
-            "does not apply" % (A, B)
-        )
-    return GradedHom(space, A, B, *RULES[A.kind, B.kind])
+    _check_domain(space, A, B)
+    return GradedHom(space, A, B)
 
 
 def r3_block_dims(space, e, f, i):
     """R3's degree-i block dims: dim H^i(Z, f-e), dim H^{i-1}(Z, f-e+m)."""
-    return hom_atoms(space, OZ(e), OZ(f)).block_dims[i]
+    return _counts(space, SECTION, SECTION, f - e)[1][i]
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,14 @@ def test_parse_config_errors():
         parse_config("space: 3,3\ncollections:\n  main =\n")
     with pytest.raises(ConfigError, match="^line 4: space is declared twice$"):
         parse_config(TWO_SPACES)
+    for expr in EMPTY_TERMS:
+        with pytest.raises(ConfigError) as info:
+            parse_config("space: 3,3\nobjects:\n  D = %s\n" % expr)
+        assert str(info.value) == "empty term in %r" % expr
+
+
+# a dangling, leading or doubled '+', or a multiplicity with no base
+EMPTY_TERMS = ("O(0)+", "+O(0)", "O(0)++O(1)", "2*", "O(1) + 2*")
 
 
 # objects parsed on the first cone would otherwise run on the second
@@ -189,6 +197,14 @@ def test_malformed_config_space_names_the_expected_form(value, tmp_path, capsys)
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err == "config error: line 2: bad space %r: expected two integers n,m\n" % value
+
+
+@pytest.mark.parametrize("expr", EMPTY_TERMS)
+def test_empty_term_names_the_whole_expression(expr, capsys):
+    code = main(["hom", expr, "O(0)", "--space", "3,3"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    assert err == "config error: empty term in %r\n" % expr
 
 
 def test_hom_command_inline_expression(capsys):

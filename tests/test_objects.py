@@ -1210,6 +1210,35 @@ def test_the_kernel_chase_builds_no_record(monkeypatch):
         assert len(comp.sequences) == 6 and len(comp.ladders) == 2
 
 
+def test_kernel_pairs_read_the_count_table(monkeypatch):
+    """The kernel-kernel chase reads every rule count by twist difference:
+    with cold caches no kernel pair constructs a GradedHom, and the (m-1)^2
+    pairs of a cone leave at most 4m entries in the count table (R3 at
+    f - e, R2 at f, R4 at -e and R1 at 0), not one per pair."""
+    import conetilt.rules as rules
+
+    built = []
+    init = vars(rules.GradedHom)["__init__"]
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rules.GradedHom, "__init__", spy)
+    for n, m in ((3, 7), (2, 9), (3, 30)):
+        _clear_caches()
+        space = make_space(n, m)
+        bundles = [kernel_bundle(space, e) for e in range(1, m)]
+        for K in bundles:
+            for Kp in bundles:
+                try:
+                    hom_objects(space, K, Kp)
+                except PresentationMismatch:
+                    pass
+        assert built == [], (n, m)
+        assert rules._counts.cache_info().currsize <= 4 * m, (n, m)
+
+
 def _solve_records(origin, terms, maps):
     """Fill in the unknown dims and ranks of a sequence on its records.
 

@@ -1,8 +1,11 @@
 """Property tests of the rule table: counted dims against the built spaces.
 
-`hom_atoms` counts each degree's dims when it applies a rule and builds
-the spaces only when `spaces` or `gh[i]` is read; both readings come
-from the same rule blocks and must agree, as must the refusals.
+`hom_atoms` takes each degree's dims from the count table, keyed by the
+kind pair and the twist difference, and builds the spaces only when
+`spaces` or `gh[i]` is read; both readings come from the same rule
+blocks and must agree, as must the refusals.  The chase reads the same
+table through `hom_counts`, `r3_block_dims` and `ext1_h0_block`, which
+build no GradedHom; they must give what `hom_atoms` gives.
 """
 
 import pytest
@@ -17,7 +20,10 @@ from conetilt.rules import (  # noqa: E402
     SECTION,
     Atom,
     OutOfValidity,
+    PresentationMismatch,
+    ext1_h0_block,
     hom_atoms,
+    hom_counts,
     r3_block_dims,
 )
 
@@ -72,3 +78,32 @@ def test_counted_dims_agree_with_the_built_spaces(pair):
                 blocks[0].dim,
                 blocks[1].dim,
             )
+
+
+@settings(max_examples=400, deadline=None)
+@given(atom_pairs())
+def test_count_lookups_agree_with_hom_atoms(pair):
+    space, A, B = pair
+    try:
+        gh = hom_atoms(space, A, B)
+    except OutOfValidity as exc:
+        with pytest.raises(OutOfValidity) as counted:
+            hom_counts(space, A, B)
+        assert str(counted.value) == str(exc)
+    else:
+        assert hom_counts(space, A, B) == (gh.dims, gh.block_dims)
+    # the integer lookups of the chase, on the drawn twists as section twists
+    e, f = A.twist, B.twist
+    r3 = hom_atoms(space, Atom(SECTION, e), Atom(SECTION, f))
+    for i in range(space.n + 1):
+        assert r3_block_dims(space, e, f, i) == r3.block_dims[i]
+    gap, reached = (block.dim for block in r3[1].blocks)
+    if gap:
+        with pytest.raises(PresentationMismatch) as refused:
+            ext1_h0_block(space, e, f)
+        assert str(refused.value) == (
+            "Ext^1(OZ(%d), OZ(%d)): presentation gives %d, rules give %d"
+            % (e, f, reached, gap + reached)
+        )
+    else:
+        assert ext1_h0_block(space, e, f) == reached
