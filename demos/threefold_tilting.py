@@ -17,7 +17,6 @@ from conetilt import (
     hom_objects_detailed,
     kernel_bundle,
     make_space,
-    rank_square_identity,
     stack_exceptional_check,
 )
 
@@ -54,7 +53,9 @@ print(report.summary())
 print("  " + report.generation_note)
 blocks = end_blocks(X, [F, G], ["F", "G"])
 print("  End block matrix:", blocks.matrix, " total", blocks.total)
-print("  rank identity:", rank_square_identity(blocks))
+squares = sum(r * r for r in blocks.ranks)
+print("  total End dimension %d %s sum of squared ranks %d"
+      % (blocks.total, "=" if blocks.total == squares else "!=", squares))
 print()
 
 print("on the resolving stack the twists form exceptional windows:")

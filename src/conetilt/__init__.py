@@ -55,7 +55,6 @@ from .rules import (
 from .tilting import (
     check_sod,
     end_blocks,
-    rank_square_identity,
     stack_exceptional_check,
     stack_hom_dims,
 )

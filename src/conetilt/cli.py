@@ -210,9 +210,8 @@ def _sod_payload(report):
 
 def cmd_verify_sod(args):
     cfg = _resolve_source(args, ("config", "instance"))
-    name = args.collection or (
-        sorted(cfg.collections)[0] if cfg.collections else None
-    )
+    # the first collection in declaration order; the dict keeps that order
+    name = args.collection or next(iter(cfg.collections), None)
     if name is None:
         raise ConfigError("no collections defined")
     try:

@@ -12,12 +12,15 @@ not determined by the diagrams, the engine raises IndeterminateRank
 naming the unresolved map; it never guesses.
 
 Every sequence is an `IntRow`: term dims and padded map ranks, solved
-and checked by `_solve`, with names kept as formats until a message or
-a record needs them.  `IntRow.records()` is the one builder of
-LongExactSequence records, and `ladder_propagate` reads two IntRows.
-The kernel-kernel chase never leaves the integers; its derivation
-records (notes, ladder result, the three LongExactSequence rows) are
-built on first read.  Atom-kernel queries build their records at once.
+and checked by `_solve` in one walk, with names kept as formats until a
+message or a record needs them.  `IntRow.records()` is the one builder
+of LongExactSequence records, and `ladder_propagate` reads two IntRows.
+The kernel-kernel chase never leaves the integers and pays only for
+what it reads: its checks, the n = 2 gap refusal included, run before
+any row is built; its ladder and outer row read the one-copy row
+Hom(-, O); and its derivation records (notes, ladder result, the three
+LongExactSequence rows, the scaled top row among them) are built on
+first read.  Atom-kernel queries build their records at once.
 """
 
 from __future__ import annotations
@@ -335,33 +338,45 @@ def _check(dims, ranks, records):
 
 
 def _solve(row):
-    """Complete the row's lists `dims` and padded `ranks`, check them, and
-    keep them as tuples; returns the row.
+    """Complete the row's lists `dims` and padded `ranks` in one walk,
+    check them, and keep them as tuples; returns the row.
 
-    None marks an unknown.  Each unknown rank is pinned, in map order, at
-    an adjacent term of known dimension whose other map is known (the
-    padding stands for the zero maps beyond either end); each unknown
-    dimension is then the sum of its two adjacent ranks.  A rank that
-    cannot be pinned raises IndeterminateRank naming the map.
+    None marks an unknown.  The walk visits the terms in order; at term
+    j the rank of map j - 1 is known (pinned one step before, or the
+    zero padding).  An unknown rank of map j is pinned at term j when
+    its dimension is known, else at term j + 1 when that dimension and
+    the rank of map j + 1 are known (the padding stands for the zero
+    maps beyond either end); a rank that cannot be pinned raises
+    IndeterminateRank naming the map.  An unknown dimension j is then
+    the sum of its two ranks; a known one is checked against them, and
+    the rank of map j - 1 against its two term dims.  A row that fails a
+    check goes to `_check`, which names its first failure.
     """
     dims, ranks = row.dims, row.ranks
-    for j in range(len(dims) - 1):
-        if ranks[j + 1] is not None:
-            continue
-        if dims[j] is not None and ranks[j] is not None:
-            ranks[j + 1] = dims[j] - ranks[j]
-        elif dims[j + 1] is not None and ranks[j + 2] is not None:
-            ranks[j + 1] = dims[j + 1] - ranks[j + 2]
-        else:
-            les = row.records()
-            raise IndeterminateRank(
-                "%s: exactness does not pin the rank of %s"
-                % (les.origin, les.maps[j].name)
-            )
-    for j, dim in enumerate(dims):
+    sound = True
+    for j in range(len(dims)):
+        before, after = ranks[j], ranks[j + 1]
+        if after is None:
+            if dims[j] is not None:
+                after = dims[j] - before
+            elif dims[j + 1] is not None and ranks[j + 2] is not None:
+                after = dims[j + 1] - ranks[j + 2]
+            else:
+                les = row.records()
+                raise IndeterminateRank(
+                    "%s: exactness does not pin the rank of %s"
+                    % (les.origin, les.maps[j].name)
+                )
+            ranks[j + 1] = after
+        dim = dims[j]
         if dim is None:
-            dims[j] = ranks[j] + ranks[j + 1]
-    _check(dims, ranks, row.records)
+            dims[j] = dim = before + after
+        elif before + after != dim:
+            sound = False
+        if j and (before < 0 or before > dim or before > dims[j - 1]):
+            sound = False
+    if not sound:
+        _check(dims, ranks, row.records)
     row.dims, row.ranks = tuple(dims), tuple(ranks)
     return row
 
@@ -540,7 +555,7 @@ class LadderResult(Record):
         self.certificate = certificate
 
 
-def ladder_propagate(top, bottom):
+def ladder_propagate(top, bottom, scaled_top=None):
     """Rank of the middle vertical T2 -> B2 of a commutative two-row ladder.
 
     `top` and `bottom` are exact rows whose terms 1, 2, 3 are T1, T2, T3
@@ -553,6 +568,13 @@ def ladder_propagate(top, bottom):
     T3 -> T4 it is not pinned and IndeterminateRank is raised.  The
     engine never guesses.
 
+    The answer reads only the bottom row, and neither test changes when
+    the top row is scaled by h' > 0: T1 -> T2 covers T2 on h' copies
+    exactly when it does on one, and T3 -> T4 is zero on h' copies
+    exactly when it is on one.  So `top` may be one copy of the ladder's
+    top row; `scaled_top` then builds the full row, read only to name
+    the refusal.
+
     The rows are IntRows, read as integers.  Returns the pair
     (rank, detail), which `_certificate` renders when the derivation is
     read.
@@ -562,10 +584,11 @@ def ladder_propagate(top, bottom):
     if tranks[2] == tdims[2]:
         return r_kb, (r_kb,)
     if tranks[4]:  # T3 -> T4
+        full = top if scaled_top is None else scaled_top()
         raise IndeterminateRank(
             "ladder: the onto right vertical out of %s is not pinned on the "
             "kernel of its outgoing map of rank %d"
-            % (top.records().terms[3].name, tranks[4])
+            % (full.records().terms[3].name, full.ranks[4])
         )
     r_v3 = bottom.dims[3]
     return r_kb + r_v3, (r_kb, bottom, r_v3)
@@ -658,12 +681,22 @@ def _kernel_derivation(space, K, Kp, ladder, outer):
 def _hom_kernel_kernel(space, K, Kp):
     """Hom^*(K, K') for two kernel bundles, via the covariant outer chase.
 
-    The chase reads integers only.  The top row Hom(-, O^h') is h' times
-    the cached row Hom(-, O), solved once per (cone, K) by `_top_row`;
-    the bottom row Hom(-, OZ(e')) comes from the same cached `_contra_row`
-    as les_hom_contra's records, the ladder reads their ranks, and the
-    outer row is solved and checked on integers.  The notes, the ladder
-    result and the three sequence records are built on first read.
+    The checks run before any row is built: `_check_bundle` on K' and
+    K, then ext1_h0_block, which refuses a pair whose Ext^1 has the
+    n = 2 block H^1(Z, e'-e) that the right vertical misses.  No row of
+    a pair that passes them can raise before that point, as its atoms
+    are O(0) and OZ(.) and every alpha rank is read off the rules.
+
+    The chase reads integers only.  The top row Hom(-, O^h') is h'
+    copies of the cached row Hom(-, O) that `_contra_row` solves once
+    per (cone, K); the ladder reads that one copy (its tests do not
+    change under scaling) and the outer row takes Hom^i(K, O^h') as h'
+    times its solved dims, so the scaled row `_top_row` is built only
+    when the derivation is read.  The bottom row Hom(-, OZ(e')) comes
+    from the same cached `_contra_row` as les_hom_contra's records, and
+    the outer row is solved and checked on integers.  The notes, the
+    ladder result and the three sequence records are built on first
+    read.
 
     The ladder's map T3 -> T4 lands in
     Hom^1(O^h, O^h') = H^1(X, O)^{hh'} = 0 for n >= 2; were it nonzero,
@@ -679,30 +712,29 @@ def _hom_kernel_kernel(space, K, Kp):
     presented by H^0(Z, m-e+e') with no relations, and the map sends
     (f_c) to sum f_c s_c.  The evaluation sections s_c span H^0(Z, e'),
     and H^0(Z, m-e) H^0(Z, e') is all of H^0(Z, m-e+e') as both degrees
-    are at least 1.  The bottom term is ext1_h0_block, which refuses a
-    pair whose Ext^1 has the n = 2 block H^1(Z, e'-e).
+    are at least 1.  The bottom term is ext1_h0_block.
     """
-    n = space.n
+    n, hp = space.n, Kp.h
     _check_bundle(space, Kp)  # ShapeMismatch unless K' lives here and spans
     _check_bundle(space, K)
-    top = _top_row(space, K, Kp.h)
-    bottom = _contra_row(space, K, ((OZ(Kp.e), 1),))
     ext1_h0_block(space, K.e, Kp.e)  # refuses the block the right vertical misses
+    one = _contra_row(space, K, _O_RUNS)  # Hom(-, O); the top row is h' copies
+    bottom = _contra_row(space, K, ((OZ(Kp.e), 1),))
 
-    ladder = ladder_propagate(top, bottom)
+    ladder = ladder_propagate(one, bottom, partial(_top_row, space, K, hp))
 
-    dimsP = top.solved_dims(2)  # Hom^i(K, O^h')
+    dimsP = one.solved_dims(2)  # Hom^i(K, O); Hom^i(K, O^h') is h' times it
     dimsQ = bottom.solved_dims(2)  # Hom^i(K, OZ(e'))
     for i in range(1, n + 1):
         if dimsP[i] and dimsQ[i]:
             raise IndeterminateRank(
                 "rank of Hom^%d(F[%d], O^%d) -> Hom^%d(F[%d], OZ(%d)) is not "
-                "determined by the available diagrams" % (i, K.e, Kp.h, i, K.e, Kp.e)
+                "determined by the available diagrams" % (i, K.e, hp, i, K.e, Kp.e)
             )
 
     dims, ranks = [], [0]
     for i in range(n + 1):
-        dims += (None, dimsP[i], dimsQ[i])
+        dims += (None, hp * dimsP[i], dimsQ[i])
         ranks += (None, ladder[0] if i == 0 else 0, None)  # gamma_i, zero-side for i > 0
     ranks[-1] = 0  # past the last term; no delta_n
     outer = _solve(IntRow(dims, ranks, partial(_outer_names, n, K, Kp)))

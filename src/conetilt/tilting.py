@@ -180,22 +180,3 @@ def stack_exceptional_check(space, lo, hi):
                 break
     return StackWindowReport((lo, hi), first is None, first)
 
-
-class IdentityCheck(Record):
-    _fields = ("holds", "total", "sum_of_squares")
-
-    def __str__(self):
-        rel = "=" if self.holds else "!="
-        return "%d %s sum of squared ranks %d%s" % (
-            self.total,
-            rel,
-            self.sum_of_squares,
-            "" if self.holds else " (identity not applicable)",
-        )
-
-
-def rank_square_identity(blocks):
-    """Observation: does the total End dimension equal the sum of the
-    squares of the summand ranks?  Reported, not asserted."""
-    squares = sum(r * r for r in blocks.ranks)
-    return IdentityCheck(blocks.total == squares, blocks.total, squares)

@@ -234,6 +234,16 @@ def test_verify_sod_config_fail(tmp_path, capsys):
     assert code == EXIT_FAIL
 
 
+def test_verify_sod_defaults_to_the_first_declared_collection(tmp_path, capsys):
+    """Without a name verify-sod checks the first collection in the order
+    the config declares them, not the alphabetically first."""
+    path = tmp_path / "instance.cfg"
+    path.write_text(CONFIG.replace("reversed = O3, O", "dup = O3, O"))
+    assert main(["verify-sod", "--config", str(path), "--format", "json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["collection"] == ["FG", "O", "O3"]
+    assert main(["verify-sod", "--config", str(path), "dup"]) == EXIT_FAIL
+
+
 def test_verify_sod_non_utf8_config(tmp_path, capsys):
     path = tmp_path / "latin.cfg"
     path.write_bytes(b"\xff\xfe")

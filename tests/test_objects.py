@@ -54,6 +54,8 @@ from conetilt.objects import (
     les_hom_cov,
     rank_of,
     IntRow,
+    _O_RUNS,
+    _check,
     _check_bundle,
     _contra_row,
     _les_hom_contra_cached,
@@ -912,6 +914,54 @@ def test_solve_refuses_adjacent_unknown_maps():
         _solve(row)
 
 
+def _refusal_of(check):
+    try:
+        check()
+    except EngineError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_solve_names_a_failure_as_check_does():
+    """_solve checks a row in its one walk and hands a failing row to
+    _check: on a solved chase row with one dim or one map rank perturbed,
+    or one rank shifted with its two term dims (still exact, out of
+    bounds when the rank turns negative), it raises the class and text
+    that _check gives on the same row, and nothing when _check passes."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def perturbed(data):
+        n = data.draw(st.integers(2, 5), "n")
+        m = data.draw(st.integers(2, 7), "m")
+        space = make_space(n, m)
+        K = kernel_bundle(space, data.draw(st.integers(1, m - 1), "e"))
+        B = data.draw(st.sampled_from(
+            [OX(0), OX(-m), OX(2 * m)] + [OZ(f) for f in range(-m - n, 2 * m)]
+        ), "B")
+        row = _contra_row(space, K, ((B, 1),))
+        dims, ranks = list(row.dims), list(row.ranks)
+        delta = data.draw(st.integers(-3, 3).filter(bool), "delta")
+        how = data.draw(st.sampled_from(["dim", "rank", "rank and its terms"]), "how")
+        if how == "dim":
+            dims[data.draw(st.integers(0, len(dims) - 1), "term")] += delta
+        else:  # ranks[1:-1] are the maps, ranks[0] and ranks[-1] the padding
+            j = data.draw(st.integers(1, len(ranks) - 2), "map")
+            ranks[j] += delta
+            if how == "rank and its terms":
+                dims[j - 1] += delta
+                dims[j] += delta
+        checked = _refusal_of(lambda: _check(dims, ranks, IntRow(dims, ranks, row.names).records))
+        solved = _refusal_of(lambda: _solve(IntRow(list(dims), list(ranks), row.names)))
+        assert solved == checked
+        assert checked is not None or how == "rank and its terms"
+
+    perturbed()
+
+
 def test_ladder_onto_right_vertical_needs_a_zero_outgoing_top_map():
     """The onto right vertical has rank dim B3 only when T3 -> T4 is zero."""
     bottom = _mini_row([0, 1, 2, 1, 0], [0, 1, 1, 0])
@@ -942,6 +992,45 @@ def test_scaled_top_row_equals_the_explicit_row(n, m):
             ]
             # it lands in Hom^1(O^h, O^h') = 0, so the ladder does not refuse
             assert scaled.maps[3].rank == 0
+
+
+def test_ladder_reads_the_one_copy_top_row():
+    """Scaling the top row by h' > 0 changes neither test of the ladder:
+    on every kernel pair of n = 2..5 with m <= 7 and of P(1,1,9), the
+    ladder on the one-copy row Hom(-, O) equals it on Hom(-, O^h')."""
+    cones = [(n, m) for n in range(2, 6) for m in range(2, 8)] + [(2, 9)]
+    pairs = 0
+    for n, m in cones:
+        space = make_space(n, m)
+        bundles = [kernel_bundle(space, e) for e in range(1, m)]
+        for K in bundles:
+            one = _contra_row(space, K, _O_RUNS)
+            for Kp in bundles:
+                bottom = _contra_row(space, K, ((OZ(Kp.e), 1),))
+                scaled = _top_row(space, K, Kp.h)
+                assert ladder_propagate(one, bottom) == ladder_propagate(scaled, bottom), (
+                    n, m, K.e, Kp.e
+                )
+                pairs += 1
+    assert pairs == 428
+
+
+def test_ladder_refusal_names_the_scaled_top_row():
+    """Read on one copy of its top row, the ladder names the scaled row's
+    term and rank when it refuses."""
+    bottom = _mini_row([0, 1, 2, 1, 0], [0, 1, 1, 0])
+    one = _mini_row([0, 1, 2, 2, 1], [0, 1, 1, 1])
+    scaled = IntRow(
+        tuple(3 * d for d in one.dims),
+        tuple(3 * r for r in one.ranks),
+        lambda: ("scaled", ("u%d",), ("v%d",), ["exactness"] * 4),
+    )
+    with pytest.raises(IndeterminateRank) as refused:
+        ladder_propagate(one, bottom, lambda: scaled)
+    assert str(refused.value) == (
+        "ladder: the onto right vertical out of u3 is not pinned on the "
+        "kernel of its outgoing map of rank 3"
+    )
 
 
 def test_top_degree_dual_rank_keeps_chase_determined():
@@ -1410,6 +1499,65 @@ def test_the_integer_chase_matches_the_record_chase():
                 outcome = "answered"
             counts[outcome] = counts.get(outcome, 0) + 1
     assert counts == {"answered": 533, "PresentationMismatch": 51, "ShapeMismatch": 1}
+
+
+def _kernel_grid(space):
+    bundles = [kernel_bundle(space, e) for e in range(1, space.m)]
+    return [(K, Kp) for K in bundles for Kp in bundles]
+
+
+def test_gap_pairs_refuse_before_any_row(monkeypatch):
+    """A kernel pair runs its checks before it builds a row: with cold
+    caches each of the 21 n = 2 gap pairs of P(1,1,9) constructs no
+    IntRow and refuses with the class and text of the chase on records."""
+    space = make_space(2, 9)
+    expected = {(K, Kp): _expected(space, K, Kp) for K, Kp in _kernel_grid(space)}
+    gaps = [pair for pair, record in expected.items() if record[0] == "refused"]
+    assert len(gaps) == 21
+    built = []
+    init = vars(IntRow)["__init__"]
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(IntRow, "__init__", spy)
+    for K, Kp in gaps:
+        _clear_caches()
+        refusal = _dims_or_refusal(space, K, Kp)
+        assert refusal == expected[K, Kp] and refusal[1] == "PresentationMismatch"
+        assert built == [], (K.e, Kp.e)
+
+
+def test_kernel_grids_build_the_scaled_top_row_on_read(monkeypatch):
+    """The ladder and the outer row read the one-copy row Hom(-, O): cold
+    grids of P(1^3, 7) and P(1,1,9) call _top_row only when a derivation's
+    sequences are read, once per pair read."""
+    import conetilt.objects as objects
+
+    calls = []
+    top_row = objects._top_row
+
+    def spy(*args):
+        calls.append(args)
+        return top_row(*args)
+
+    monkeypatch.setattr(objects, "_top_row", spy)
+    for n, m in ((3, 7), (2, 9)):
+        _clear_caches()
+        space = make_space(n, m)
+        comps = []
+        for K, Kp in _kernel_grid(space):
+            try:
+                comps.append((K, Kp, hom_objects_detailed(space, K, Kp)))
+            except PresentationMismatch:
+                pass
+        assert len(comps) == {7: 36, 9: 43}[m] and calls == [], (n, m)
+        K, Kp, comp = comps[-1]
+        top = comp.sequences[0]
+        assert calls == [(space, K, Kp.h)]
+        assert top.solved_dims(2) == les_hom_contra(space, K, [OX(0)] * Kp.h).solved_dims(2)
+        calls.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from conetilt.tilting import (
     TiltingVerdict,
     check_sod,
     end_blocks,
-    rank_square_identity,
     stack_exceptional_check,
     stack_hom_dims,
 )
@@ -136,14 +135,13 @@ def test_stack_window_surface():
 
 
 def test_rank_square_identity():
+    """The total End dimension against the sum of squared summand ranks."""
     blocks = end_blocks(X, [F, G], ["F", "G"])
-    ident = rank_square_identity(blocks)
-    assert ident.holds and ident.total == 45 and ident.sum_of_squares == 45
+    assert blocks.total == 45 and sum(r * r for r in blocks.ranks) == 45
     sblocks = end_blocks(S, [FS], ["FS"])
-    sident = rank_square_identity(sblocks)
-    assert not sident.holds and (sident.total, sident.sum_of_squares) == (2, 4)
+    assert (sblocks.total, sum(r * r for r in sblocks.ranks)) == (2, 4)
     trivial = end_blocks(X, [OX(0)], ["O"])
-    assert rank_square_identity(trivial).holds
+    assert trivial.total == sum(r * r for r in trivial.ranks) == 1
 
 
 def test_sod_report_reproduces_vanishing_pattern():
