@@ -5,7 +5,10 @@ basis vector: column j is a dict {row index: coefficient} that holds
 only the nonzero entries, each an int or a Fraction.  Sparse columns
 handed to a PresentedMap or a Subquotient are normalized on the way in:
 zeros are dropped, an int stays an int and an integral Fraction becomes
-one.  The Hom chase reads every rank off the rules and builds no map;
+one; any other matrix handed to them raises ShapeMismatch.  The one
+dense entry point is `mat_rank`, which takes a list of rows and turns
+it into sparse columns at `_columns`, refusing rows of unequal length.
+The Hom chase reads every rank off the rules and builds no map;
 PresentedMap and Subquotient serve the public API, the benchmark
 tracer and the explicit reference maps of the tests.  The engine's
 one elimination is `mat_rank` on the evaluation of a custom kernel
@@ -32,12 +35,6 @@ both the rank and a kernel basis.  A single-int column (most columns
 of a monomial map) becomes a pivot as it stands; one without a key
 reduces to zero at once against a single-entry pivot in its row.
 Pivots are never mutated, so they may alias the input columns.
-
-Dense adapters.  `mat_rank`, `mat_mul`, `nullspace`, `zeros`,
-`identity`, `PresentedMap.matrix`, `cycle_columns()` and
-`boundary_columns()` take or return lists of rows.  A list of rows
-becomes sparse columns at a single point, `_columns`, which raises
-ShapeMismatch on rows of unequal length.
 
 There are no floats and no tolerances anywhere in this module.
 """
@@ -67,9 +64,8 @@ class ShapeMismatch(EngineError):
 # ---------------------------------------------------------------------------
 
 def _columns(rows):
-    """(row count, sparse columns) of a list of rows of equal length."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    """The sparse columns of a list of rows of equal length."""
+    ncols = len(rows[0]) if rows else 0
     cols = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
         if len(row) != ncols:
@@ -80,12 +76,7 @@ def _columns(rows):
         for j, x in enumerate(row):
             if x:
                 cols[j][i] = x if type(x) is int else Fraction(x)
-    return nrows, cols
-
-
-def _dense(nrows, cols):
-    """The list of rows of `nrows` x len(cols) sparse columns."""
-    return [[col.get(i, 0) for col in cols] for i in range(nrows)]
+    return cols
 
 
 def _apply(cols, x):
@@ -213,62 +204,9 @@ class _Echelon:
         return all(probe.add(col) is not None for col in cols)
 
 
-# ---------------------------------------------------------------------------
-# dense adapters: lists of rows, entries int or Fraction, column vectors
-# ---------------------------------------------------------------------------
-
-def zeros(rows, cols):
-    return [[Fraction(0)] * cols for _ in range(rows)]
-
-
-def identity(n):
-    M = zeros(n, n)
-    for i in range(n):
-        M[i][i] = Fraction(1)
-    return M
-
-
-def mat_mul(A, B):
-    ra, a_cols = _columns(A)
-    rb, b_cols = _columns(B)
-    if ra == 0:
-        return []
-    if not b_cols:
-        return zeros(ra, 0)
-    if len(a_cols) != rb:
-        raise ShapeMismatch(
-            "cannot multiply %dx%d by %dx%d" % (ra, len(a_cols), rb, len(b_cols))
-        )
-    return _dense(ra, [_apply(a_cols, col) for col in b_cols])
-
-
 def mat_rank(M):
-    """Exact rank of a list of rows."""
-    return _Echelon(_columns(M)[1]).rank
-
-
-def nullspace(M):
-    """Columns spanning the kernel of M (as a matrix, may have 0 columns).
-
-    Column j of the basis belongs to the j-th column of M that depends
-    on the earlier ones: it has coefficient 1 there, 0 at the other
-    dependent columns, and expresses that column through the
-    independent ones, as in the reduced row echelon form.
-    """
-    _, cols = _columns(M)
-    if not cols:
-        return []
-    ech = _Echelon()
-    kernel = []
-    for j, col in enumerate(cols):
-        combo = ech.add(col, j)
-        if combo is not None:
-            kernel.append({k: Fraction(x, combo[j]) for k, x in combo.items()})
-    basis = zeros(len(cols), len(kernel))
-    for j, vec in enumerate(kernel):
-        for k, x in vec.items():
-            basis[k][j] = x
-    return basis
+    """Exact rank of a list of rows, the one dense entry point."""
+    return _Echelon(_columns(M)).rank
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +227,20 @@ def _normalized(col):
 
 
 def _as_columns(M, nrows, what):
-    """Sparse columns over `nrows` rows, from sparse columns or a list of rows.
-
-    Sparse columns are normalized: a stored zero would become a pivot.
-    """
+    """Sparse columns over `nrows` rows, normalized: a stored zero would
+    become a pivot.  Anything but a list of dicts raises ShapeMismatch."""
     if not M:
         return []
-    if isinstance(M[0], dict):
-        filled = [col for col in M if col]
-        if filled and (min(map(min, filled)) < 0 or max(map(max, filled)) >= nrows):
-            raise ShapeMismatch(
-                "%s: a row index lies outside 0..%d" % (what, nrows - 1)
-            )
-        return [_normalized(col) for col in M]
-    rows_in, cols = _columns(M)
-    if rows_in != nrows:
-        raise ShapeMismatch("%s: %d rows, the ambient has %d" % (what, rows_in, nrows))
-    return cols
+    bad = [col for col in M if not isinstance(col, dict)]
+    if bad:
+        raise ShapeMismatch(
+            "%s: expected sparse columns {row: coefficient}, got a %s"
+            % (what, type(bad[0]).__name__)
+        )
+    filled = [col for col in M if col]
+    if filled and (min(map(min, filled)) < 0 or max(map(max, filled)) >= nrows):
+        raise ShapeMismatch("%s: a row index lies outside 0..%d" % (what, nrows - 1))
+    return [_normalized(col) for col in M]
 
 
 class DirectSpace:
@@ -334,12 +269,6 @@ class DirectSpace:
     @property
     def _boundary_echelon(self):
         return _Echelon()
-
-    def cycle_columns(self):
-        return identity(self.dim)
-
-    def boundary_columns(self):
-        return [[] for _ in range(self.dim)]
 
     def __eq__(self, other):
         return isinstance(other, DirectSpace) and self.labels == other.labels
@@ -410,7 +339,7 @@ class DirectSum(CountedSpace):
 class Subquotient:
     """span(cycles)/span(boundaries) inside the ambient direct space.
 
-    `cycles` and `boundaries` are sparse columns or lists of rows;
+    `cycles` and `boundaries` are lists of sparse columns;
     ``cycles=None`` means the full ambient span (the common quotient
     case), which is never materialized.  The echelon form of the
     boundaries is kept, so every map into this space reuses it.
@@ -447,14 +376,6 @@ class Subquotient:
     def ambient(self):
         return self._ambient
 
-    def cycle_columns(self):
-        if self.full_cycles:
-            return identity(self._ambient.dim)
-        return _dense(self._ambient.dim, self.cycles)
-
-    def boundary_columns(self):
-        return _dense(self._ambient.dim, self.boundaries)
-
     def __repr__(self):
         return "Subquotient(%s, dim=%d)" % (self.name or "?", self.dim)
 
@@ -471,7 +392,7 @@ class PresentedMap:
     """A linear map between presented spaces, as exact columns on ambients.
 
     `matrix` is a list of sparse columns (one dict per source ambient
-    basis vector) or a list of rows; an empty matrix is the zero map.
+    basis vector); an empty matrix is the zero map.
     """
 
     def __init__(self, source, target, matrix, name=""):
@@ -499,11 +420,6 @@ class PresentedMap:
                 raise IllDefinedMap(
                     "map %r does not carry boundaries to boundaries" % name
                 )
-
-    @property
-    def matrix(self):
-        """The matrix as a list of rows (a dense copy, built on request)."""
-        return _dense(self.target.ambient.dim, self.columns)
 
     def _source_image(self):
         """Columns spanning the image of the source cycles; the columns

@@ -110,8 +110,12 @@ class KernelBundle(FrozenValue):
 
 
 def _spans(columns, full):
-    """Whether the evaluation columns span a space of dimension `full`."""
-    return mat_rank([[col[i] for col in columns] for i in range(full)]) == full
+    """Whether the evaluation columns span a space of dimension `full`.
+
+    The columns go to `mat_rank` as the rows of a matrix: a matrix and
+    its transpose have the same rank, so nothing is transposed.
+    """
+    return mat_rank(columns) == full
 
 
 @lru_cache(maxsize=None)
@@ -154,15 +158,27 @@ def kernel_bundle(space, e):
     return KernelBundle(e, section_cohomology_dim(space, e, 0))
 
 
+def _exact(entry, j):
+    """An evaluation entry of column j as a Fraction, never from a float."""
+    if isinstance(entry, (float, complex)):
+        raise ValueError(
+            "evaluation column %d: entry %r is not exact; give an int, "
+            "a Fraction or a string such as '1/10'" % (j, entry)
+        )
+    return Fraction(entry)
+
+
 def kernel_bundle_custom(space, e, columns):
     """A kernel bundle with a user evaluation; flagged non-canonical.
 
     The columns must span all of H^0(Z, O(e)); since OZ(e) is globally
     generated for e > 0, spanning sections give a sheaf surjection and
-    the kernel is locally free of rank h.
+    the kernel is locally free of rank h.  Entries are ints, Fractions
+    or strings that Fraction parses; a float or a complex number is not
+    exact and raises ValueError.
     """
     full = kernel_bundle(space, e).h  # ValueError for a twist outside 0 < e < m
-    cols = tuple(tuple(Fraction(c) for c in col) for col in columns)
+    cols = tuple(tuple(_exact(c, j) for c in col) for j, col in enumerate(columns))
     for col in cols:
         if len(col) != full:
             raise ValueError("evaluation columns must have length %d" % full)

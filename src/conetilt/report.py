@@ -104,7 +104,9 @@ def parse_config(text, name="config"):
 
     Keys: ``space: n,m``, declared once and first, and the indented
     blocks ``objects:`` and ``collections:`` with ``name = expression``
-    lines.
+    lines.  An object name must not read as an expression: it is no
+    atom ``O(k)``, ``OZ(k)`` or ``ker(e)`` and holds no ``+``, ``*``,
+    ``,`` or whitespace.
     """
     space = None
     objects = {}
@@ -139,6 +141,12 @@ def parse_config(text, name="config"):
         if section == "objects":
             if key in objects:
                 raise ConfigError("line %d: duplicate object %r" % (lineno, key))
+            if _ATOM_RE.match(key) or any(c in "+*," or c.isspace() for c in key):
+                raise ConfigError(
+                    "line %d: object name %r reads as an expression: a name is "
+                    "no atom O(k), OZ(k) or ker(e) and holds no '+', '*', ',' "
+                    "or whitespace" % (lineno, key)
+                )
             objects[key] = parse_object_expr(expr, space, objects)
         else:
             if key in collections:

@@ -199,6 +199,32 @@ def test_malformed_config_space_names_the_expected_form(value, tmp_path, capsys)
     assert err == "config error: line 2: bad space %r: expected two integers n,m\n" % value
 
 
+# an atom of the grammar, or a name no expression can reference
+EXPRESSION_NAMES = ("O(1)", "OZ(-2)", "ker(1)", "O(01)", "a+b", "x*y", "a,b", "a b", "a\tb")
+
+
+@pytest.mark.parametrize("name", EXPRESSION_NAMES)
+def test_object_name_that_reads_as_an_expression_is_refused(name, tmp_path, capsys):
+    """`O(1) = ker(1)` would make the text O(1) mean ker(1) on the command
+    line but O(1) inside an expression; the name is a config error."""
+    text = "space: 3,3\nobjects:\n  F = O(0)\n  %s = ker(1)\n" % name
+    expected = "line 4: object name %r reads as an expression" % name
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value).startswith(expected)
+    path = tmp_path / "shadow.cfg"
+    path.write_text(text)
+    code = main(["hom", "O(1)", "O(1)", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("config error: " + expected)
+
+
+def test_plain_object_names_are_accepted():
+    cfg = parse_config("space: 3,3\nobjects:\n  O_1 = O(1)\n  ker1 = ker(1)\n  Ox(1) = O(1)\n")
+    assert set(cfg.objects) == {"O_1", "ker1", "Ox(1)"}
+
+
 @pytest.mark.parametrize("expr", EMPTY_TERMS)
 def test_empty_term_names_the_whole_expression(expr, capsys):
     code = main(["hom", expr, "O(0)", "--space", "3,3"])

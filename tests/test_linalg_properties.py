@@ -2,8 +2,9 @@
 
 Random rational matrices, sparse and dense, with int and Fraction
 entries and forced zero rows and columns, are checked against the
-Fraction row reduction `rref` of tests/test_linalg.py.  So are
-unit-column matrices, the shape of every monomial map, which take the
+Fraction row reduction `rref` of tests/test_linalg.py: the rank through
+`mat_rank` and `PresentedMap.rank()`, the kernel as the span of
+`PresentedMap.kernel().cycles`.  So are unit-column matrices, the shape of every monomial map, which take the
 elimination's single-entry fast paths; pivots may alias their input
 columns, so those columns must come back unchanged.  Random nested
 direct sums are checked against the flat label list they stand for.
@@ -26,9 +27,8 @@ from conetilt.linalg import (  # noqa: E402
     Subquotient,
     _Echelon,
     mat_rank,
-    nullspace,
 )
-from test_linalg import rref  # noqa: E402
+from test_linalg import rref, sparse  # noqa: E402
 
 VALUES = st.one_of(
     st.integers(-4, 4),
@@ -56,15 +56,6 @@ def rational_matrices(draw):
     return M
 
 
-def product(M, N):
-    """M . N with plain Fraction sums, independent of the engine."""
-    return [
-        [sum((Fraction(M[i][k]) * N[k][j] for k in range(len(N))), Fraction(0))
-         for j in range(len(N[0]))]
-        for i in range(len(M))
-    ]
-
-
 def rref_kernel(M, ncols):
     """The kernel basis read off the reduced row echelon form, by column."""
     pivots, R = rref(M)
@@ -78,32 +69,36 @@ def rref_kernel(M, ncols):
     return basis
 
 
+def rank(rows):
+    return len(rref(rows)[0])
+
+
+def assert_kernel_span(ker, ncols, M):
+    """The cycles of `ker` span the kernel that the rref of M gives."""
+    if ker.full_cycles:
+        cycles = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+    else:
+        cycles = [[v.get(i, 0) for i in range(ncols)] for v in ker.cycles]
+    oracle = rref_kernel(M, ncols)
+    assert rank(cycles) == rank(oracle) == rank(cycles + oracle) == len(oracle)
+
+
 @settings(max_examples=150, deadline=None)
 @given(rational_matrices())
 def test_sparse_elimination_matches_the_fraction_oracle(M):
     ncols = len(M[0])
-    rank = mat_rank(M)
-    assert rank == len(rref(M)[0])
-
-    N = nullspace(M)
-    nullity = len(N[0]) if N else 0
-    assert rank + nullity == ncols
-    if nullity:
-        assert all(x == 0 for row in product(M, N) for x in row)
-    # the basis is the one the reduced row echelon form gives
-    assert [[row[j] for row in N] for j in range(nullity)] == rref_kernel(M, ncols)
-    # determinism: the same input gives the same basis
-    assert nullspace([list(row) for row in M]) == N
+    r = rank(M)
+    assert mat_rank(M) == r
 
     V = DirectSpace(range(ncols))
     W = DirectSpace(range(len(M)))
-    f = PresentedMap(V, W, M)
+    f = PresentedMap(V, W, sparse(M))
     ker = f.kernel()
-    assert f.rank() == rank
-    assert ker.dim == nullity and f.cokernel().dim == len(M) - rank
-    if nullity:
-        assert all(x == 0 for row in product(M, ker.cycle_columns()) for x in row)
-    assert PresentedMap(V, W, M).kernel().cycles == ker.cycles
+    assert f.rank() == r
+    assert ker.dim == ncols - r and f.cokernel().dim == len(M) - r
+    assert_kernel_span(ker, ncols, M)
+    # determinism: the same input gives the same basis
+    assert PresentedMap(V, W, sparse(M)).kernel().cycles == ker.cycles
 
 
 @st.composite
@@ -132,27 +127,24 @@ def unit_column_matrices(draw):
 @given(unit_column_matrices())
 def test_unit_columns_match_the_oracle_and_stay_unchanged(M):
     ncols = len(M[0])
-    rank = len(rref(M)[0])
-    assert mat_rank(M) == rank
-    N = nullspace(M)
-    assert [[row[j] for row in N] for j in range(len(N[0]) if N else 0)] == (
-        rref_kernel(M, ncols)
-    )
+    r = rank(M)
+    assert mat_rank(M) == r
 
-    cols = [{i: row[j] for i, row in enumerate(M) if row[j]} for j in range(ncols)]
+    cols = sparse(M)
     before = copy.deepcopy(cols)
     V, W = DirectSpace(range(ncols)), DirectSpace(range(len(M)))
     f = PresentedMap(V, W, cols)
-    assert f.rank() == rank
-    assert f.kernel().dim == ncols - rank
+    assert f.rank() == r
+    assert f.kernel().dim == ncols - r
+    assert_kernel_span(f.kernel(), ncols, M)
     # reduce every column again against pivots that may be those columns
     ech = _Echelon(cols)
-    assert ech.rank == rank and ech.spans(cols) and ech.spans(cols[::-1])
+    assert ech.rank == r and ech.spans(cols) and ech.spans(cols[::-1])
     # the columns as boundaries of a quotient, and a map into it
     Q = Subquotient(W, None, cols)
-    assert Q.dim == len(M) - rank
+    assert Q.dim == len(M) - r
     g = PresentedMap(W, Q, [{i: 1} for i in range(len(M))])
-    assert g.rank() == len(M) - rank and g.kernel().dim == rank
+    assert g.rank() == len(M) - r and g.kernel().dim == r
     assert cols == before
 
 

@@ -10,6 +10,7 @@ import hashlib
 import json
 import pickle
 import random
+import re
 import sys
 from fractions import Fraction
 from math import comb
@@ -104,6 +105,71 @@ def test_custom_kernel_bundle():
     assert not K.canonical and K.h == 4
     with pytest.raises(ValueError):
         kernel_bundle_custom(X, 1, [(1, 0, 0), (0, 1, 0)])  # does not span
+
+
+@pytest.mark.parametrize(
+    "entry", [0.1, 1.0, float("inf"), float("nan"), 1j, complex(1, 0)]
+)
+def test_custom_evaluation_refuses_inexact_entries(entry):
+    """A float or complex entry is refused by name, never expanded in
+    binary: 0.1 is not 1/10, and inf raises ValueError, not OverflowError."""
+    with pytest.raises(ValueError, match=r"^evaluation column 2: entry %s is not exact" % (
+        re.escape(repr(entry))
+    )):
+        kernel_bundle_custom(X, 1, [(1, 0, 0), (0, 1, 0), (0, 0, entry), (1, 1, 1)])
+
+
+def test_custom_evaluation_keeps_exact_entries():
+    K = kernel_bundle_custom(X, 1, [(1, 0, 0), ("0", "1/10", 0), (0, 0, Fraction(3, 7))])
+    assert K.columns == ((1, 0, 0), (0, Fraction(1, 10), 0), (0, 0, Fraction(3, 7)))
+
+
+def test_custom_evaluation_is_accepted_exactly_when_it_spans():
+    """On P(1^2, m) and P(1^3, m), kernel_bundle_custom accepts a random
+    Fraction evaluation exactly when the rref oracle gives it rank
+    h^0(Z, O(e)); zero, unit, repeated and dependent columns make many
+    draws rank-deficient."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    from test_linalg import rref
+
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    kinds = st.sampled_from(["random", "zero", "unit", "repeat", "combination"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def evaluations(data):
+        m = data.draw(st.integers(2, 5), "m")
+        space = make_space(data.draw(st.integers(2, 3), "n"), m)
+        e = data.draw(st.integers(1, m - 1), "e")
+        full = kernel_bundle(space, e).h
+        cols = []
+        for _ in range(data.draw(st.integers(0, full + 2), "columns")):
+            kind = data.draw(kinds, "kind")
+            if kind == "zero":
+                col = [0] * full
+            elif kind == "unit":
+                i = data.draw(st.integers(0, full - 1), "row")
+                col = [int(r == i) for r in range(full)]
+            elif kind == "repeat" and cols:
+                col = list(data.draw(st.sampled_from(cols), "repeated"))
+            elif kind == "combination" and cols:
+                a, b = data.draw(st.sampled_from(cols)), data.draw(st.sampled_from(cols))
+                s, t = data.draw(values), data.draw(values)
+                col = [s * x + t * y for x, y in zip(a, b)]
+            else:
+                col = [data.draw(values) for _ in range(full)]
+            cols.append(col)
+        spans = len(rref(cols)[0]) == full  # the rows of rref are the columns
+        try:
+            K = kernel_bundle_custom(space, e, cols)
+        except ValueError as exc:
+            assert not spans and "do not span" in str(exc)
+        else:
+            assert spans and K.h == len(cols) and not K.canonical
+
+    evaluations()
 
 
 def test_custom_kernel_bundle_hom_dims_shift_with_rank():
@@ -412,14 +478,14 @@ GRID_P1115 = {
 
 
 def test_engine_path_builds_no_dense_matrix(monkeypatch):
-    """Every dense adapter raises, yet the P(1^3, 5) kernel grid answers."""
+    """Every elimination entry point raises, yet the P(1^3, 5) kernel grid answers."""
     import conetilt.linalg as linalg
 
-    dense = ("zeros", "identity", "mat_mul", "mat_rank", "nullspace", "_dense")
-    originals = {id(getattr(linalg, name)) for name in dense}
+    entries = ("mat_rank", "_columns", "_Echelon")
+    originals = {id(getattr(linalg, name)) for name in entries}
 
     def refuse(*args, **kwargs):
-        raise AssertionError("dense matrix built on the engine path")
+        raise AssertionError("elimination on the engine path")
 
     for modname, mod in list(sys.modules.items()):
         if modname == "conetilt" or modname.startswith("conetilt."):
