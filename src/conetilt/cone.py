@@ -111,6 +111,9 @@ class FrozenValue(Record):
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
 
+MAX_N = 10**6  # every answer is n + 1 degrees: a larger n is refused up front
+
+
 class ConeSpace(FrozenValue):
     """The cone P(1^n, m): n weight-one variables and one of weight m."""
 
@@ -119,6 +122,8 @@ class ConeSpace(FrozenValue):
     def __init__(self, n, m):
         if n < 2:
             raise ValueError("need n >= 2 weight-one variables, got %d" % n)
+        if n > MAX_N:
+            raise ValueError("need n <= MAX_N = %d, got %d" % (MAX_N, n))
         if m < 1:
             raise ValueError("cone variable weight must be >= 1, got %d" % m)
         attrs = self.__dict__
@@ -142,7 +147,7 @@ class ConeSpace(FrozenValue):
 
 
 def make_space(n, m):
-    """Construct P(1^n, m); rejects n < 2 or m < 1."""
+    """Construct P(1^n, m); rejects n outside 2..MAX_N or m < 1."""
     return ConeSpace(n, m)
 
 

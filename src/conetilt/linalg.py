@@ -5,7 +5,8 @@ basis vector: column j is a dict {row index: coefficient} that holds
 only the nonzero entries, each an int or a Fraction.  Sparse columns
 handed to a PresentedMap or a Subquotient are normalized on the way in:
 zeros are dropped, an int stays an int and an integral Fraction becomes
-one; any other matrix handed to them raises ShapeMismatch.  The one
+one; any other matrix handed to them raises ShapeMismatch, and so does
+a float or a complex entry anywhere, in `mat_rank` too.  The one
 dense entry point is `mat_rank`, which takes a list of rows and turns
 it into sparse columns at `_columns`, refusing rows of unequal length.
 The Hom chase reads every rank off the rules and builds no map;
@@ -18,9 +19,7 @@ labels) or as subquotients span(cycles)/span(boundaries) inside a
 direct space; cycles=None means the whole ambient and is never
 expanded into an identity matrix.  A space that is a sum of copies of
 a basis is a `DirectSum`: it is indexed by block offset plus base
-index, and its labels are built only on request.  A `CountedSpace`
-knows its dimension up front and lists its labels on first read, so a
-space that only serves as a dimension is never listed.
+index, and its labels are built only on request.
 
 Elimination.  One routine, `_Echelon`, reduces columns one at a time
 against the pivots found so far.  The pivot of a reduced column is its
@@ -63,6 +62,13 @@ class ShapeMismatch(EngineError):
 # sparse columns and the elimination routine
 # ---------------------------------------------------------------------------
 
+def _exact(x, where, *at):
+    """An int or a Fraction; ShapeMismatch names a float or a complex entry."""
+    if isinstance(x, (float, complex)):
+        raise ShapeMismatch("entry %r at %s is not exact" % (x, where % at))
+    return x if type(x) is int else Fraction(x)
+
+
 def _columns(rows):
     """The sparse columns of a list of rows of equal length."""
     ncols = len(rows[0]) if rows else 0
@@ -74,8 +80,9 @@ def _columns(rows):
                 % (i, len(row), ncols)
             )
         for j, x in enumerate(row):
+            x = _exact(x, "row %d, column %d", i, j)
             if x:
-                cols[j][i] = x if type(x) is int else Fraction(x)
+                cols[j][i] = x
     return cols
 
 
@@ -213,14 +220,13 @@ def mat_rank(M):
 # presented spaces
 # ---------------------------------------------------------------------------
 
-def _normalized(col):
+def _normalized(col, what):
     """A sparse column without zeros, an integral Fraction made an int."""
     out = {}
     for r, x in col.items():
-        if type(x) is not int:
-            x = Fraction(x)
-            if x.denominator == 1:
-                x = x.numerator
+        x = _exact(x, "%s, row %d", what, r)
+        if type(x) is not int and x.denominator == 1:
+            x = x.numerator
         if x:
             out[r] = x
     return out
@@ -240,7 +246,7 @@ def _as_columns(M, nrows, what):
     filled = [col for col in M if col]
     if filled and (min(map(min, filled)) < 0 or max(map(max, filled)) >= nrows):
         raise ShapeMismatch("%s: a row index lies outside 0..%d" % (what, nrows - 1))
-    return [_normalized(col) for col in M]
+    return [_normalized(col, what) for col in M]
 
 
 class DirectSpace:
@@ -280,42 +286,7 @@ class DirectSpace:
         return "%s(%s, dim=%d)" % (type(self).__name__, self.name or "?", self.dim)
 
 
-class CountedSpace(DirectSpace):
-    """A direct space of a known dimension whose labels are listed on request.
-
-    `lister()` returns the labels; `labels` and `_index` are built on
-    first read and kept.  A listed count other than `dim` raises
-    EngineError, as do duplicate labels.
-    """
-
-    def __init__(self, dim, lister, name=""):
-        self._dim = dim
-        self._lister = lister
-        self.name = name
-
-    @property
-    def dim(self):
-        return self._dim
-
-    @cached_property
-    def labels(self):
-        labels = tuple(self._lister())
-        if len(labels) != self._dim:
-            raise EngineError(
-                "%r: %d basis labels listed, dimension %d counted"
-                % (self.name, len(labels), self._dim)
-            )
-        return labels
-
-    @cached_property
-    def _index(self):
-        index = dict(zip(self.labels, range(self._dim)))
-        if len(index) != self._dim:
-            raise EngineError("duplicate basis labels in %r" % (self.name,))
-        return index
-
-
-class DirectSum(CountedSpace):
+class DirectSum(DirectSpace):
     """The direct sum of direct spaces, labels (block index, block label).
 
     Its dimension and the offset of each block are fixed at construction;
@@ -331,9 +302,17 @@ class DirectSum(CountedSpace):
         ends = (0, *accumulate(b.dim for b in self.blocks))
         self.offsets, self._dim = ends[:-1], ends[-1]
 
+    @property
+    def dim(self):
+        return self._dim
+
     @cached_property
     def labels(self):
         return tuple((c, lbl) for c, b in enumerate(self.blocks) for lbl in b.labels)
+
+    @cached_property
+    def _index(self):
+        return dict(zip(self.labels, range(self._dim)))
 
 
 class Subquotient:
@@ -378,10 +357,6 @@ class Subquotient:
 
     def __repr__(self):
         return "Subquotient(%s, dim=%d)" % (self.name or "?", self.dim)
-
-
-def zero_space(name=""):
-    return DirectSpace((), name)
 
 
 # ---------------------------------------------------------------------------

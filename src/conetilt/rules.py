@@ -1,4 +1,4 @@
-"""Closed-form graded Hom between atom sheaves: dims counted, bases on request.
+"""Closed-form graded Hom between atom sheaves, counted and never listed.
 
 The atoms are the twists O(d) on the cone and the twists OZ(e) on the
 section Z ~ P^{n-1}.  Each Hom computation is carried out by one of a
@@ -30,8 +30,9 @@ table `_counts` counts the dims of its blocks in closed form
 (cone_cohomology_dim, section_cohomology_dim) once per cone, kind pair
 and twist difference.  `hom_counts` runs the validity check and reads
 the table; `hom_atoms` runs the same check and wraps the same counts in
-a GradedHom, whose spaces and monomial or Laurent bases are built from
-the same blocks only when GradedHom.spaces or gh[i] is read.
+a GradedHom.  This module lists no basis: the monomial and Laurent
+bases of the blocks are the listers of `cone`, and the tests check
+their lengths against these counts.
 
 The chases use composition with the evaluation sections of a kernel
 bundle only through its rank, never as a matrix: out of OZ(e) it is
@@ -43,19 +44,10 @@ and r3_block_dims and ext1_h0_block keyed by f - e.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache
 
-from .cone import (
-    FrozenValue,
-    Record,
-    cone_cohomology_dim,
-    laurent_top_basis,
-    section_cohomology_dim,
-    section_laurent_basis,
-    section_monomials,
-    weighted_monomials,
-)
-from .linalg import CountedSpace, DirectSum, EngineError, zero_space
+from .cone import FrozenValue, Record, cone_cohomology_dim, section_cohomology_dim
+from .linalg import EngineError
 
 CONE = "cone"
 SECTION = "section"
@@ -102,56 +94,22 @@ def OZ(e):
 
 
 # ---------------------------------------------------------------------------
-# cohomology spaces: counted, with their canonical bases listed on request
+# the graded Hom rules
 # ---------------------------------------------------------------------------
-
-def cone_h_space(space, d, i, name=""):
-    """H^i(X, O(d)); its monomial or Laurent basis is listed on first read."""
-    if i == 0:
-        lister = partial(weighted_monomials, space, d)
-    elif i == space.n:
-        lister = partial(laurent_top_basis, space, d)
-    else:
-        return zero_space(name)
-    return CountedSpace(cone_cohomology_dim(space, d, i), lister, name)
-
-
-def section_h_space(space, e, i, name=""):
-    """H^i(Z, O(e)), basis listed on first read; zero for any other i."""
-    if i == 0:
-        lister = partial(section_monomials, space, e)
-    elif i == space.n - 1:
-        lister = partial(section_laurent_basis, space, e)
-    else:
-        return zero_space(name)
-    return CountedSpace(section_cohomology_dim(space, e, i), lister, name)
-
-
-def _h_space(space, sheaf, d, i, name=""):
-    """H^i(X, O(d)) or H^i(Z, O(d)) as a counted space."""
-    return (cone_h_space if sheaf == CONE else section_h_space)(space, d, i, name)
-
 
 def _h_column(space, sheaf, d, s):
     """[dim H^{i+s}(X or Z, O(d)) for i = 0..n], counted in closed form.
 
     Only H^0 and the top degree (n on X, n - 1 on Z) can be nonzero.
     """
-    top, count = (
-        (space.n, cone_cohomology_dim)
-        if sheaf == CONE
-        else (space.n - 1, section_cohomology_dim)
-    )
+    top = space.n if sheaf == CONE else space.n - 1
+    count = cone_cohomology_dim if sheaf == CONE else section_cohomology_dim
     column = [0] * (space.n + 1)
     for j in (0, top):
         if 0 <= j - s <= space.n:
             column[j - s] = count(space, d, j)
     return column
 
-
-# ---------------------------------------------------------------------------
-# the graded Hom rules
-# ---------------------------------------------------------------------------
 
 # For Hom^i(A, B) with twists a, b, each block (sheaf, k, s) of a rule is
 # H^{i+s}(sheaf, O(b - a + km)); the degree-i space is their direct sum.
@@ -204,39 +162,17 @@ def hom_counts(space, A, B):
 
 
 class GradedHom(Record):
-    """Hom^*(A, B) by one rule: dims counted, spaces built on request.
-
-    `dims` and `block_dims` come from the count table (see `_counts`).
-    `spaces` and `gh[i]` build the counted spaces, a DirectSum of the two
-    blocks for R3, from the same blocks on first read.
-    """
+    """Hom^*(A, B) by one rule: its dims and block dims from the count table."""
 
     _fields = ("source", "target", "dims", "rules")
 
     def __init__(self, space, source, target):
-        rule, self._blocks = RULES[source.kind, target.kind]
         self.source = source
         self.target = target
-        self.rules = (rule,) * (space.n + 1)
-        self._space = space
+        self.rules = (RULES[source.kind, target.kind][0],) * (space.n + 1)
         self.dims, self.block_dims = _counts(
             space, source.kind, target.kind, target.twist - source.twist
         )
-
-    @cached_property
-    def spaces(self):
-        X, t, out = self._space, self.target.twist - self.source.twist, []
-        for i in range(X.n + 1):
-            name = "Hom^%d(%s->%s)" % (i, self.source, self.target)
-            parts = [(sheaf, t + k * X.m, i + s) for sheaf, k, s in self._blocks]
-            if len(parts) == 1:
-                out.append(_h_space(X, *parts[0], name))
-            else:
-                out.append(DirectSum([_h_space(X, *part) for part in parts], name))
-        return tuple(out)
-
-    def __getitem__(self, i):
-        return self.spaces[i]
 
 
 @lru_cache(maxsize=None)

@@ -1,38 +1,69 @@
-"""Explicit cone presentations and multiplication matrices for the chases.
+"""Explicit bases, cone presentations and multiplication matrices.
 
-The chases read Ext^1(OZ(e), -) off R3 and R4, the rank of each map
-alpha_i: Hom^i(OZ(e), B) -> Hom^i(O^h, B) off its source and that of
-each beta_i: Hom^i(A, O^h') -> Hom^i(A, OZ(e')) off its target, without
-building any of them.  The functions here present Ext^1(OZ(e), T) as
-the cokernel of multiplication by the cone variable x_n, and realize
-every alpha_i and beta_i as an exact matrix over the monomial bases, so
-tests can compare those dimensions and ranks with an elimination that
-shares nothing with the rules or the arguments for injectivity and
-ontoness.
+The engine counts and lists no basis: the chases read Ext^1(OZ(e), -)
+off R3 and R4, the rank of each map alpha_i: Hom^i(OZ(e), B) ->
+Hom^i(O^h, B) off its source and that of each beta_i: Hom^i(A, O^h') ->
+Hom^i(A, OZ(e')) off its target, without building any of them.  This
+reference lists the bases (`h_basis` from `cone`'s listers, `rule_space`
+by the blocks of rules.RULES), presents Ext^1(OZ(e), T) as the cokernel
+of multiplication by the cone variable x_n, and realizes every alpha_i
+and beta_i as an exact matrix over those bases, so tests can compare
+the counts and ranks with an elimination that shares nothing with the
+rules or the arguments for injectivity and ontoness.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
-from conetilt.cone import Monomial, section_monomials, weighted_monomials
+from conetilt.cone import (
+    Monomial,
+    laurent_top_basis,
+    section_laurent_basis,
+    section_monomials,
+    weighted_monomials,
+)
 from conetilt.linalg import DirectSpace, DirectSum, PresentedMap, Subquotient
 from conetilt.objects import _check_bundle
 from conetilt.rules import (
     CONE,
     OX,
     OZ,
+    RULES,
     OutOfValidity,
     PresentationMismatch,
     hom_atoms,
+    hom_counts,
 )
 
 
 @lru_cache(maxsize=None)
-def _basis(space, kind, d):
-    """The monomial basis of H^0(X, O(d)) (kind CONE) or H^0(Z, O(d)), once."""
-    if kind == CONE:
-        return DirectSpace(weighted_monomials(space, d))
-    return DirectSpace(section_monomials(space, d))
+def h_basis(space, sheaf, d, i):
+    """H^i(X, O(d)) (sheaf CONE) or H^i(Z, O(d)) with the basis `cone` lists.
+
+    Monomials in degree 0, Laurent monomials in the top degree (n on X,
+    n - 1 on Z), and no label in any other degree.
+    """
+    if sheaf == CONE:
+        listers = {0: weighted_monomials, space.n: laurent_top_basis}
+    else:
+        listers = {0: section_monomials, space.n - 1: section_laurent_basis}
+    return DirectSpace(listers[i](space, d) if i in listers else ())
+
+
+@lru_cache(maxsize=None)
+def rule_space(space, A, B, i):
+    """Hom^i(A, B) listed block by block as its entry of rules.RULES.
+
+    Block (sheaf, k, s) is h_basis(sheaf, b - a + km, i + s); R3's two
+    blocks form a DirectSum.  Raises OutOfValidity where hom_counts does.
+    """
+    hom_counts(space, A, B)
+    t = B.twist - A.twist
+    blocks = [
+        h_basis(space, sheaf, t + k * space.m, i + s)
+        for sheaf, k, s in RULES[A.kind, B.kind][1]
+    ]
+    return blocks[0] if len(blocks) == 1 else DirectSum(blocks)
 
 
 def hom0_space(space, a, targets, name=""):
@@ -41,7 +72,7 @@ def hom0_space(space, a, targets, name=""):
     Cone targets use the reflexive rule R0, section targets R2; block c
     is the cached basis of T_c twisted by -a.
     """
-    return DirectSum([_basis(space, t.kind, t.twist - a) for t in targets], name)
+    return DirectSum([h_basis(space, t.kind, t.twist - a, 0) for t in targets], name)
 
 
 @lru_cache(maxsize=None)
@@ -204,8 +235,8 @@ def ext1_map(space, e, components, pres_tgt, name=""):
 def _laurent_map(space, d, components, Kp):
     """Degree n from OZ(d): H^{n-1}(Z, m-d)^h' -> R3's H^{n-1}(Z, e'-d+m)."""
     n = space.n
-    source = hom_atoms(space, OZ(d), OX(0))[n]
-    target = hom_atoms(space, OZ(d), OZ(Kp.e))[n]
+    source = rule_space(space, OZ(d), OX(0), n)
+    target = rule_space(space, OZ(d), OZ(Kp.e), n)
     row = target._index
     columns = []
     for terms in components:
@@ -227,8 +258,8 @@ def beta_map(space, A, Kp, i):
     that is not invertible, PresentationMismatch in the n = 2 gap.
     """
     components = component_terms(space, Kp)
-    source = DirectSum([hom_atoms(space, A, OX(0))[i]] * Kp.h)
-    target = hom_atoms(space, A, OZ(Kp.e))[i]
+    source = DirectSum([rule_space(space, A, OX(0), i)] * Kp.h)
+    target = rule_space(space, A, OZ(Kp.e), i)
     if A.kind == CONE:
         if i == 0:
             free = (OX(0),) * Kp.h
@@ -243,16 +274,13 @@ def beta_map(space, A, Kp, i):
 
 def section_source(space, e, B_atoms, i, name=""):
     """Hom^i(OZ(e), sum B): labels (component, rule label)."""
-    basis = {a: hom_atoms(space, OZ(e), a)[i] for a in dict.fromkeys(B_atoms)}
-    return DirectSum([basis[a] for a in B_atoms], name)
+    return DirectSum([rule_space(space, OZ(e), a, i) for a in B_atoms], name)
 
 
 def free_source(space, h, B_atoms, i, name=""):
     """Hom^i(O_X^h, sum B): labels (component, (copy, rule label))."""
-    copies = {
-        a: DirectSum([hom_atoms(space, OX(0), a)[i]] * h) for a in dict.fromkeys(B_atoms)
-    }
-    return DirectSum([copies[a] for a in B_atoms], name)
+    copies = [DirectSum([rule_space(space, OX(0), a, i)] * h) for a in B_atoms]
+    return DirectSum(copies, name)
 
 
 def alpha_map(space, K, B_atoms, i):

@@ -17,6 +17,7 @@ from conetilt.cli import (
     main,
     parse_config,
 )
+from conetilt.cone import MAX_N
 
 CONFIG = """\
 # the threefold instance
@@ -417,6 +418,23 @@ def test_huge_twists_are_answered_at_once():
     d, q = 10**20, 10**20 // 3
     out = run("cohomology", "--space", "3,3", "--twist-min", str(d), "--twist-max", str(d))
     assert out[-1].split() == ["O(%d)" % d, str(3 * (q + 1) ** 2 * (q + 2) // 2), "0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "--space", "99999999999999999999,3", "--twist-min", "0", "--twist-max", "0"],
+        ["hom", "O(0)", "O(1)", "--space", "99999999999999999999,3"],
+        ["hom", "O(0)", "O(1)", "--space", "%d,3" % (MAX_N + 1)],
+    ],
+)
+def test_a_space_above_the_cap_is_a_usage_error(argv, capsys):
+    """n above MAX_N exits 2 with a message, before anything is allocated."""
+    assert main(argv) == EXIT_USAGE
+    n = argv[argv.index("--space") + 1].split(",")[0]
+    assert capsys.readouterr().err == (
+        "config error: bad --space '%s,3': need n <= MAX_N = %d, got %s\n" % (n, MAX_N, n)
+    )
 
 
 def test_kernel_pair_on_a_cone_of_two_thousand_variables():

@@ -11,6 +11,7 @@ from math import comb
 import pytest
 
 from conetilt.cone import (
+    MAX_N,
     Monomial,
     cone_cohomology_dim,
     laurent_top_basis,
@@ -55,6 +56,14 @@ def test_make_space_rejects_bad_input():
         make_space(1, 3)
     with pytest.raises(ValueError):
         make_space(3, 0)
+
+
+def test_make_space_refuses_n_above_the_cap_before_allocating():
+    """Every answer is a vector of n + 1 degrees: n above MAX_N is refused."""
+    assert make_space(MAX_N, 3).n == MAX_N
+    for n in (MAX_N + 1, 10**20):
+        with pytest.raises(ValueError, match="need n <= MAX_N = %d" % MAX_N):
+            make_space(n, 3)
 
 
 def test_weighted_monomial_examples():

@@ -1,12 +1,12 @@
 """Exact linear algebra: ranks, kernels, cokernels on presentations."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conetilt.linalg import (
-    CountedSpace,
     DirectSpace,
     EngineError,
     IllDefinedMap,
@@ -286,23 +286,17 @@ def test_sparse_boundary_row_outside_the_ambient_is_refused(row):
         Subquotient(W, [{row: 1, 0: 1}], [])
 
 
-def test_counted_space_lists_its_labels_once_and_checks_the_count():
-    calls = []
-
-    def lister():
-        calls.append(1)
-        return ("a", "b", "c")
-
-    V = CountedSpace(3, lister, "V")
-    assert V.dim == 3 and not calls  # counted, not listed
-    assert V.labels == ("a", "b", "c") and V._index == {"a": 0, "b": 1, "c": 2}
-    assert V.labels == ("a", "b", "c") and len(calls) == 1
-    assert V == space("a", "b", "c")
-    for wrong in (2, 4):
-        W = CountedSpace(wrong, lister, "W")
-        with pytest.raises(EngineError, match="3 basis labels listed, dimension %d" % wrong):
-            W.labels
-        with pytest.raises(EngineError, match="3 basis labels listed"):
-            W._index
-    with pytest.raises(EngineError, match="duplicate basis labels"):
-        CountedSpace(2, lambda: ("a", "a"), "D")._index
+@pytest.mark.parametrize("entry", [0.1, 1.0, 0.0, float("nan"), 1j, complex(0, 0)])
+def test_a_float_or_complex_entry_is_refused_by_name(entry):
+    """No entry turns into the binary Fraction of a float: mat_rank,
+    PresentedMap and Subquotient all refuse it, naming the entry."""
+    text = re.escape("entry %r at " % entry) + r".* is not exact"
+    with pytest.raises(ShapeMismatch, match=text):
+        mat_rank([[1, 0], [0, entry]])
+    W = space("x", "y")
+    with pytest.raises(ShapeMismatch, match=text):
+        PresentedMap(W, W, [{0: 1}, {1: entry}], name="f")
+    with pytest.raises(ShapeMismatch, match=text):
+        Subquotient(W, None, [{1: entry}])
+    with pytest.raises(ShapeMismatch, match=text):
+        Subquotient(W, [{0: entry}], [])

@@ -5,18 +5,23 @@ table for P(1,1,1,3); everything else is checked against independent
 binomial or enumeration oracles computed inside this file.
 """
 
+import ast
 import random
 from math import comb
+from pathlib import Path
 
 import pytest
 from explicit_maps import (
     component_terms,
     cone_presentation,
     ext1_map,
+    h_basis,
     hom0_space,
+    rule_space,
     sections_map,
 )
 
+import conetilt
 from conetilt.cone import (
     Monomial,
     cone_cohomology_dim,
@@ -30,13 +35,13 @@ from conetilt.cone import (
 from conetilt.linalg import PresentedMap
 from conetilt.objects import direct_sum, hom_objects, kernel_bundle
 from conetilt.rules import (
+    CONE,
     OX,
     OZ,
+    SECTION,
     OutOfValidity,
     PresentationMismatch,
-    cone_h_space,
     hom_atoms,
-    section_h_space,
 )
 
 X = make_space(3, 3)
@@ -271,7 +276,8 @@ def test_r0_r1_degree_zero_consistency():
             full = hom_atoms(X, OX(a), OX(b))
             direct = hom0_space(X, a, (OX(b),))
             assert full.dims[0] == direct.dim
-            assert tuple(lbl for _, lbl in direct.labels) == full[0].labels
+            listed = rule_space(X, OX(a), OX(b), 0)
+            assert tuple(lbl for _, lbl in direct.labels) == listed.labels
 
 
 def test_euler_characteristic_of_section_homs():
@@ -294,31 +300,61 @@ def test_euler_characteristic_of_section_homs():
 
 
 def test_graded_hom_spaces_have_expected_bases():
-    gh = hom_atoms(X, OX(0), OX(3))
-    assert gh[0].labels == tuple(weighted_monomials(X, 3))
-    gh2 = hom_atoms(X, OX(0), OZ(2))
-    assert gh2[0].labels == tuple(section_monomials(X, 2))
+    assert rule_space(X, OX(0), OX(3), 0).labels == tuple(weighted_monomials(X, 3))
+    assert rule_space(X, OX(0), OZ(2), 0).labels == tuple(section_monomials(X, 2))
     # R4 degree-1 space is H^0(Z, O(2)), the dual of H^2(Z, O(-5)), dimension comb(4,2)
-    gh3 = hom_atoms(X, OZ(1), OX(0))
-    assert gh3[1].labels == section_monomials(X, 2)
-    assert gh3[1].dim == comb(4, 2)
+    r4 = rule_space(X, OZ(1), OX(0), 1)
+    assert r4.labels == section_monomials(X, 2)
+    assert r4.dim == hom_atoms(X, OZ(1), OX(0)).dims[1] == comb(4, 2)
+    with pytest.raises(OutOfValidity, match="source twist is not invertible"):
+        rule_space(X, OX(1), OX(0), 0)
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 3), (3, 5), (4, 2)])
 def test_counted_spaces_list_the_eager_bases(n, m):
-    """Each rule space counts its dimension and lists, on request, the
-    basis the cone module enumerates."""
+    """Each closed-form count is the length of the basis `cone` lists for
+    it, in every degree; no count is checked against a listing at run time."""
     Y = make_space(n, m)
     for d in range(-2 * (n + m), 2 * (n + m) + 1):
         for i in range(-1, n + 2):
-            cone = cone_h_space(Y, d, i)
-            section = section_h_space(Y, d, i)
+            cone = h_basis(Y, CONE, d, i)
+            section = h_basis(Y, SECTION, d, i)
             eager_cone = {0: weighted_monomials(Y, d), n: laurent_top_basis(Y, d)}
             eager_section = {0: section_monomials(Y, d), n - 1: section_laurent_basis(Y, d)}
             assert cone.labels == eager_cone.get(i, ())
             assert section.labels == eager_section.get(i, ())
-            assert cone.dim == len(cone.labels) and section.dim == len(section.labels)
-            assert [cone._index[lbl] for lbl in cone.labels] == list(range(cone.dim))
+            if 0 <= i <= n:
+                assert cone.dim == cone_cohomology_dim(Y, d, i)
+            if 0 <= i < n:
+                assert section.dim == section_cohomology_dim(Y, d, i)
+
+
+def _imports(module):
+    """The (module, name) pairs a conetilt module imports, modules by last part."""
+    source = Path(conetilt.__file__).with_name(module + ".py")
+    pairs = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            pairs |= {(node.module.rsplit(".", 1)[-1], a.name) for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            pairs |= {(a.name.rsplit(".", 1)[-1], "*") for a in node.names}
+    return pairs
+
+
+@pytest.mark.parametrize("module", ["rules", "objects", "tilting", "report", "cli"])
+def test_the_engine_takes_no_space_from_linalg(module):
+    """The engine counts: from linalg it takes the errors and mat_rank
+    (the spanning check of a custom bundle), and rules lists no basis."""
+    pairs = _imports(module)
+    assert {name for mod, name in pairs if mod == "linalg"} <= {
+        "EngineError",
+        "ShapeMismatch",
+        "mat_rank",
+    }
+    if module == "rules":
+        listers = {"weighted_monomials", "laurent_top_basis"}
+        listers |= {"section_monomials", "section_laurent_basis"}
+        assert not {name for mod, name in pairs if mod == "cone"} & listers
 
 
 def test_the_chase_lists_no_rule_basis():

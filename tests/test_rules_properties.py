@@ -1,11 +1,11 @@
-"""Property tests of the rule table: counted dims against the built spaces.
+"""Property tests of the rule table: counted dims against listed bases.
 
 `hom_atoms` takes each degree's dims from the count table, keyed by the
-kind pair and the twist difference, and builds the spaces only when
-`spaces` or `gh[i]` is read; both readings come from the same rule
-blocks and must agree, as must the refusals.  The chase reads the same
-table through `hom_counts`, `r3_block_dims` and `ext1_h0_block`, which
-build no GradedHom; they must give what `hom_atoms` gives.
+kind pair and the twist difference; the reference `rule_space` lists
+the same rule blocks with the bases of `cone`.  Both must agree, as
+must the refusals.  The chase reads the same table through
+`hom_counts`, `r3_block_dims` and `ext1_h0_block`, which build no
+GradedHom; they must give what `hom_atoms` gives.
 """
 
 import pytest
@@ -13,6 +13,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+
+from explicit_maps import rule_space  # noqa: E402
 
 from conetilt.cone import make_space  # noqa: E402
 from conetilt.rules import (  # noqa: E402
@@ -64,20 +66,21 @@ def test_counted_dims_agree_with_the_built_spaces(pair):
         gh = hom_atoms(space, A, B)
     except OutOfValidity as exc:
         assert str(exc) == refusal
+        with pytest.raises(OutOfValidity) as listed:
+            rule_space(space, A, B, 0)
+        assert str(listed.value) == refusal
         return
     assert refusal is None
-    assert gh.dims == tuple(sp.dim for sp in gh.spaces)
     assert gh.dims == tuple(map(sum, gh.block_dims))
-    for sp in gh.spaces:
-        if sp.dim <= LISTED_UP_TO:
-            assert len(sp.labels) == sp.dim  # a listed count other than dim raises
-    if gh.rules[0] == "R3":
-        for i in range(space.n + 1):
-            blocks = gh[i].blocks
-            assert r3_block_dims(space, A.twist, B.twist, i) == (
-                blocks[0].dim,
-                blocks[1].dim,
-            )
+    for i, dim in enumerate(gh.dims):
+        if dim > LISTED_UP_TO:
+            continue
+        listed = rule_space(space, A, B, i)
+        blocks = listed.blocks if gh.rules[0] == "R3" else (listed,)
+        assert listed.dim == dim
+        assert gh.block_dims[i] == tuple(block.dim for block in blocks)
+        if gh.rules[0] == "R3":
+            assert r3_block_dims(space, A.twist, B.twist, i) == gh.block_dims[i]
 
 
 @settings(max_examples=400, deadline=None)
@@ -97,7 +100,7 @@ def test_count_lookups_agree_with_hom_atoms(pair):
     r3 = hom_atoms(space, Atom(SECTION, e), Atom(SECTION, f))
     for i in range(space.n + 1):
         assert r3_block_dims(space, e, f, i) == r3.block_dims[i]
-    gap, reached = (block.dim for block in r3[1].blocks)
+    gap, reached = r3.block_dims[1]
     if gap:
         with pytest.raises(PresentationMismatch) as refused:
             ext1_h0_block(space, e, f)
