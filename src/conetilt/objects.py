@@ -14,13 +14,14 @@ naming the unresolved map; it never guesses.
 Every sequence is an `IntRow`: term dims and padded map ranks, solved
 and checked by `_solve` in one walk, with names kept as formats until a
 message or a record needs them.  `IntRow.records()` is the one builder
-of LongExactSequence records, and `ladder_propagate` reads two IntRows.
+of LongExactSequence records, and `ladder_propagate` reads one IntRow.
 The kernel-kernel chase never leaves the integers and pays only for
 what it reads: its checks, the n = 2 gap refusal included, run before
-any row is built; its ladder and outer row read the one-copy row
-Hom(-, O); and its derivation records (notes, ladder result, the three
-LongExactSequence rows, the scaled top row among them) are built on
-first read.  Atom-kernel queries build their records at once.
+any row is built; its ladder is one sum read off the bottom row and the
+reached block; its outer row takes Hom^i(K, O^h') from the one-copy
+row Hom(-, O); and its derivation records (notes, ladder result, the
+three LongExactSequence rows, the scaled top row among them) are built
+on first read.  Atom-kernel queries build their records at once.
 """
 
 from __future__ import annotations
@@ -571,55 +572,26 @@ class LadderResult(Record):
         self.certificate = certificate
 
 
-def ladder_propagate(top, bottom, scaled_top=None):
-    """Rank of the middle vertical T2 -> B2 of a commutative two-row ladder.
+def ladder_propagate(bottom, reached):
+    """Rank of the middle vertical T2 -> B2 of a kernel pair's ladder.
 
-    `top` and `bottom` are exact rows whose terms 1, 2, 3 are T1, T2, T3
-    and B1, B2, B3; both outer verticals are onto their bottom terms.
-    The left one then has rank dim B1 - rank(B0 -> B1) = rank(B1 -> B2)
+    The ladder maps the top row Hom(-, O^h') along K's sequence, terms
+    T1, T2, T3 = Hom^0(O^h, O^h'), Hom^0(K, O^h'), Hom^1(OZ(e), O^h'),
+    to the bottom row Hom(-, OZ(e')), terms B1, B2, B3.  Both outer
+    verticals are onto: the left one onto B1, the right one onto the
+    reached block of B3, `reached` (ext1_h0_block).  Then
+
+        rank = rank(B1 -> B2) + reached.
+
+    The left vertical has rank dim B1 - rank(B0 -> B1) = rank(B1 -> B2)
     into B1 / ker(B1 -> B2), so through T1 the middle vertical reaches
-    all of im(B1 -> B2).  When T1 -> T2 covers T2 that is the whole rank.
-    Otherwise the quotient part adds the rank of the right vertical on
-    ker(T3 -> T4), which is dim B3 when T3 -> T4 is zero; with any other
-    T3 -> T4 it is not pinned and IndeterminateRank is raised.  The
-    engine never guesses.
-
-    The answer reads only the bottom row, and neither test changes when
-    the top row is scaled by h' > 0: T1 -> T2 covers T2 on h' copies
-    exactly when it does on one, and T3 -> T4 is zero on h' copies
-    exactly when it is on one.  So `top` may be one copy of the ladder's
-    top row; `scaled_top` then builds the full row, read only to name
-    the refusal.
-
-    The rows are IntRows, read as integers.  Returns the pair
-    (rank, detail), which `_certificate` renders when the derivation is
-    read.
+    all of im(B1 -> B2).  T4 = Hom^1(O^h, O^h') = H^1(X, O)^{hh'} = 0
+    for n >= 2, so T2 / im(T1) is T3, which the right vertical maps onto
+    the reached block; that adds `reached`.  (Were T1 -> T2 onto T2, T3
+    would inject into T4 = 0 and the reached block would be 0: the same
+    sum.)  The answer reads only the bottom row.
     """
-    tdims, tranks = top.dims, top.ranks
-    r_kb = bottom.ranks[2]  # B1 -> B2
-    if tranks[2] == tdims[2]:
-        return r_kb, (r_kb,)
-    if tranks[4]:  # T3 -> T4
-        full = top if scaled_top is None else scaled_top()
-        raise IndeterminateRank(
-            "ladder: the onto right vertical out of %s is not pinned on the "
-            "kernel of its outgoing map of rank %d"
-            % (full.records().terms[3].name, full.ranks[4])
-        )
-    r_v3 = bottom.dims[3]
-    return r_kb + r_v3, (r_kb, bottom, r_v3)
-
-
-def _certificate(rank, detail):
-    """The ladder's determination certificate, from the detail it kept."""
-    if len(detail) == 1:
-        return "middle term is covered by the first map; rank forced to %d" % rank
-    r_kb, bottom, r_v3 = detail
-    return (
-        "image part saturated (rank %d = rank of %s); quotient part "
-        "contributes %d through the right vertical; middle rank %d"
-        % (r_kb, bottom.records().maps[1].name, r_v3, rank)
-    )
+    return bottom.ranks[2] + reached
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +652,17 @@ def _outer_names(n, K, Kp):
     )
 
 
-def _kernel_derivation(space, K, Kp, ladder, outer):
+def _kernel_derivation(space, K, Kp, rank, outer):
     """Notes, ladder and the top, bottom and outer records of a kernel pair."""
-    rank, detail = ladder
-    ladder = LadderResult(rank, _certificate(rank, detail))
     top = _top_row(space, K, Kp.h).records()
     bottom = _les_hom_contra_cached(space, K, ((OZ(Kp.e), 1),))
+    r_kb = bottom.maps[1].rank  # B1 -> B2
+    ladder = LadderResult(
+        rank,
+        "image part saturated (rank %d = rank of %s); quotient part "
+        "contributes %d through the right vertical; middle rank %d"
+        % (r_kb, bottom.maps[1].name, rank - r_kb, rank),
+    )
     outer = outer.records()
     note = "resolved F[%d] contravariantly, then F[%d] covariantly; ladder: %s" % (
         K.e, Kp.e, ladder.certificate
@@ -703,21 +680,22 @@ def _hom_kernel_kernel(space, K, Kp):
     a pair that passes them can raise before that point, as its atoms
     are O(0) and OZ(.) and every alpha rank is read off the rules.
 
-    The chase reads integers only.  The top row Hom(-, O^h') is h'
-    copies of the cached row Hom(-, O) that `_contra_row` solves once
-    per (cone, K); the ladder reads that one copy (its tests do not
-    change under scaling) and the outer row takes Hom^i(K, O^h') as h'
-    times its solved dims, so the scaled row `_top_row` is built only
-    when the derivation is read.  The bottom row Hom(-, OZ(e')) comes
-    from the same cached `_contra_row` as les_hom_contra's records, and
+    The chase reads integers only.  The ladder is the one sum of
+    `ladder_propagate`, read off the reached block and the bottom row
+    Hom(-, OZ(e')), which comes from the same cached `_contra_row` as
+    les_hom_contra's records.  The outer row takes Hom^i(K, O^h') as h'
+    times the solved dims of the cached one-copy row Hom(-, O), so the
+    scaled top row `_top_row` is built only when the derivation is read;
     the outer row is solved and checked on integers.  The notes, the
     ladder result and the three sequence records are built on first
     read.
 
-    The ladder's map T3 -> T4 lands in
-    Hom^1(O^h, O^h') = H^1(X, O)^{hh'} = 0 for n >= 2; were it nonzero,
-    the ladder would refuse.  The left vertical is h
-    copies of the evaluation of K' (H^0(X, O) = k), which
+    Only gamma_0 needs the ladder: Hom^i(K, O) = 0 for i >= 1, so
+    gamma_i has a zero source.  Along K's sequence Hom^i(K, O) sits
+    between Hom^i(O^h, O) = H^i(X, O)^h = 0 and
+    Hom^{i+1}(OZ(e), O) = H^i(Z, m-e) (R4), which is 0 as m - e >= 1.
+    This holds for every kernel bundle, custom ones included.  The left
+    vertical is h copies of the evaluation of K' (H^0(X, O) = k), which
     `_check_bundle` checked spans H^0(Z, O(e')), so it is onto.
 
     The right vertical Ext^1(OZ(e), O^h') -> Ext^1(OZ(e), OZ(e')) is
@@ -733,29 +711,20 @@ def _hom_kernel_kernel(space, K, Kp):
     n, hp = space.n, Kp.h
     _check_bundle(space, Kp)  # ShapeMismatch unless K' lives here and spans
     _check_bundle(space, K)
-    ext1_h0_block(space, K.e, Kp.e)  # refuses the block the right vertical misses
-    one = _contra_row(space, K, _O_RUNS)  # Hom(-, O); the top row is h' copies
+    reached = ext1_h0_block(space, K.e, Kp.e)  # the reached block; refuses the n = 2 gap
     bottom = _contra_row(space, K, ((OZ(Kp.e), 1),))
+    rank = ladder_propagate(bottom, reached)
 
-    ladder = ladder_propagate(one, bottom, partial(_top_row, space, K, hp))
-
-    dimsP = one.solved_dims(2)  # Hom^i(K, O); Hom^i(K, O^h') is h' times it
+    dimsP = _contra_row(space, K, _O_RUNS).solved_dims(2)  # Hom^i(K, O)
     dimsQ = bottom.solved_dims(2)  # Hom^i(K, OZ(e'))
-    for i in range(1, n + 1):
-        if dimsP[i] and dimsQ[i]:
-            raise IndeterminateRank(
-                "rank of Hom^%d(F[%d], O^%d) -> Hom^%d(F[%d], OZ(%d)) is not "
-                "determined by the available diagrams" % (i, K.e, hp, i, K.e, Kp.e)
-            )
-
     dims, ranks = [], [0]
     for i in range(n + 1):
         dims += (None, hp * dimsP[i], dimsQ[i])
-        ranks += (None, ladder[0] if i == 0 else 0, None)  # gamma_i, zero-side for i > 0
+        ranks += (None, rank if i == 0 else 0, None)  # gamma_i, zero-side for i > 0
     ranks[-1] = 0  # past the last term; no delta_n
     outer = _solve(IntRow(dims, ranks, partial(_outer_names, n, K, Kp)))
     return HomComputation(
-        outer.solved_dims(0), derive=(_kernel_derivation, (space, K, Kp, ladder, outer))
+        outer.solved_dims(0), derive=(_kernel_derivation, (space, K, Kp, rank, outer))
     )
 
 
