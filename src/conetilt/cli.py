@@ -49,7 +49,8 @@ def render_table(headers, rows, fmt):
         out = ["| " + " | ".join(headers) + " |"]
         out.append("|" + "|".join(" --- " for _ in headers) + "|")
         for row in rows:
-            out.append("| " + " | ".join(str(c) for c in row) + " |")
+            # a | inside a cell would start a new cell
+            out.append("| " + " | ".join(str(c).replace("|", "\\|") for c in row) + " |")
         return "\n".join(out)
     widths = [
         max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))

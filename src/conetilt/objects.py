@@ -11,23 +11,24 @@ exact rows of a ladder; no matrix is built.  When a rank is genuinely
 not determined by the diagrams, the engine raises IndeterminateRank
 naming the unresolved map; it never guesses.
 
-Every sequence is an `IntRow`: term dims and padded map ranks, solved
-and checked by `_solve` in one walk, with names kept as formats until a
-message or a record needs them.  `IntRow.records()` is the one builder
-of LongExactSequence records, and `ladder_propagate` reads one IntRow.
-The kernel-kernel chase never leaves the integers and pays only for
-what it reads: its checks, the n = 2 gap refusal included, run before
-any row is built; its ladder is one sum read off the bottom row and the
-reached block; its outer row takes Hom^i(K, O^h') from the one-copy
-row Hom(-, O); and its derivation records (notes, ladder result, the
-three LongExactSequence rows, the scaled top row among them) are built
-on first read.  Atom-kernel queries build their records at once.
+Every sequence is one `LongExactSequence`: term dims and padded map
+ranks, solved and checked by `_solve` in one walk, with names kept as
+formats until read.  Its origin is rendered on first read, its term and
+map records are built together on the first read of either, and
+`ladder_propagate` reads its integers.  The kernel-kernel chase pays
+only for what it reads: its checks, the n = 2 gap refusal included, run
+before any row is built; its ladder is one sum read off the bottom row
+and the reached block; its outer row takes Hom^i(K, O^h') from the
+one-copy row Hom(-, O); and its derivation (notes, ladder result and the
+scaled top row) is built on first read.  Atom-kernel queries render the
+origin of their row for their note and build no term or map record
+until one is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import groupby
 
 from .cone import FrozenValue, Record, section_cohomology_dim
@@ -236,122 +237,81 @@ _O = OX(0)
 _O_RUNS = ((_O, 1),)  # the runs of B = O, the top row of every kernel pair
 
 
-def _render(text):
-    """A name kept as (format, args) rendered; a str returned as it is."""
-    return text if text.__class__ is str else text[0] % text[1]
-
-
 class LESTerm(Record):
     _fields = ("name", "dim")
 
     def __init__(self, name, dim):
-        self._name = name  # a str, or (format, args) rendered on first read
+        self.name = name
         self.dim = dim
-
-    @cached_property
-    def name(self):
-        return _render(self._name)
 
 
 class LESMap(Record):
     _fields = ("name", "rank", "how")
 
     def __init__(self, name, rank, how):
-        self._name = name  # a str, or (format, args) rendered on first read
+        self.name = name
         self.rank = rank
         self.how = how  # "injective" | "onto" | "exactness" | "ladder" | "zero-side"
 
-    @cached_property
-    def name(self):
-        return _render(self._name)
-
 
 class LongExactSequence(Record):
-    _fields = ("origin", "terms", "maps")
-
-    def __init__(self, origin, terms, maps):
-        self._origin = origin  # a str, or (format, args) rendered on first read
-        self.terms = terms
-        self.maps = maps
-
-    @cached_property
-    def origin(self):
-        return _render(self._origin)
-
-    def check_exactness(self):
-        """rank(incoming) + rank(outgoing) = dim at every term, ranks sane."""
-        ranks = [0, *(m.rank for m in self.maps), 0]
-        _check([t.dim for t in self.terms], ranks, lambda: self)
-        return True
-
-    def solved_dims(self, offset):
-        return tuple(t.dim for t in self.terms[offset::3])
-
-
-class IntRow:
-    """An exact row of the chase as integers, named only when read.
+    """An exact row of the chase: integers at once, named only when read.
 
     `dims` holds the term dims and `ranks` the map ranks padded by a zero
     at each end, so that ranks[j + 1] is the rank of map j.  `names()`
-    gives (origin, terms, maps, hows), from which `records()` builds the
-    LongExactSequence the row stands for; it runs only then.
+    gives (origin, terms, maps, hows): `origin` is a (format, args) pair,
+    and the row runs in degrees i of p terms and p maps, p = len(terms),
+    term j named by the format terms[j % p] of i, map j by maps[j % p] of
+    i; `hows` holds the how-tag of every map in order.  The origin is
+    rendered on its first read, and the LESTerm and LESMap records are
+    built together on the first read of `terms` or `maps`.
     """
 
-    __slots__ = ("dims", "ranks", "names")
+    _fields = ("origin", "terms", "maps")
 
     def __init__(self, dims, ranks, names):
         self.dims, self.ranks, self.names = dims, ranks, names
 
-    def records(self):
-        """The LongExactSequence of the row, for a reader of the derivation
-        or for the names in an error message.
+    def __getattr__(self, name):
+        # only reached for a field not yet set, on its first read
+        if name == "origin":
+            text, args = self.names()[0]
+            self.origin = text % args
+        elif name in ("terms", "maps"):
+            _, terms, maps, hows = self.names()
+            dims, ranks, p = self.dims, self.ranks, len(terms)
+            self.terms = [LESTerm(terms[j % p] % (j // p), d) for j, d in enumerate(dims)]
+            self.maps = [
+                LESMap(maps[j % p] % (j // p), ranks[j + 1], hows[j])
+                for j in range(len(dims) - 1)  # no map out of the last term
+            ]
+        else:
+            raise AttributeError(name)
+        return self.__dict__[name]
 
-        The row runs in degrees i of p terms and p maps, p = len(terms).
-        Term j is named by the format terms[j % p] of i, map j by the
-        format maps[j % p] of i; `hows` holds the how-tag of every map in
-        order and `origin` is a (format, args) name.  Names are rendered
-        on first read.
-        """
-        origin, terms, maps, hows = self.names()
-        dims, ranks, p = self.dims, self.ranks, len(terms)
-        les_terms, les_maps = [], []
-        for i in range(len(dims) // p):
-            for k in range(p):
-                j = p * i + k
-                les_terms.append(LESTerm((terms[k], i), dims[j]))
-                if j < len(dims) - 1:  # no map out of the last term
-                    les_maps.append(LESMap((maps[k], i), ranks[j + 1], hows[j]))
-        return LongExactSequence(origin, les_terms, les_maps)
+    def check_exactness(self):
+        """Exactness at every term, and every rank in [0, min of its term
+        dims]; the first failure is named by the row's records."""
+        dims, ranks = self.dims, self.ranks
+        for j, dim in enumerate(dims):
+            if ranks[j] + ranks[j + 1] != dim:
+                raise EngineError(
+                    "%s: exactness fails at %s: %d + %d != %d"
+                    % (self.origin, self.terms[j].name, ranks[j], ranks[j + 1], dim)
+                )
+        for j in range(len(dims) - 1):
+            rank = ranks[j + 1]
+            if rank < 0:
+                raise EngineError("%s: negative rank at %s" % (self.origin, self.maps[j].name))
+            if rank > dims[j] or rank > dims[j + 1]:
+                raise EngineError(
+                    "%s: rank of %s exceeds its term dimensions"
+                    % (self.origin, self.maps[j].name)
+                )
+        return True
 
     def solved_dims(self, offset):
         return self.dims[offset::3]
-
-
-def _check(dims, ranks, records):
-    """Exactness at every term, and every rank in [0, min of its term dims].
-
-    `ranks` is padded by a zero at each end; records() gives the
-    LongExactSequence that names the sequence, its terms and its maps in
-    a message.
-    """
-    for j, dim in enumerate(dims):
-        if ranks[j] + ranks[j + 1] != dim:
-            les = records()
-            raise EngineError(
-                "%s: exactness fails at %s: %d + %d != %d"
-                % (les.origin, les.terms[j].name, ranks[j], ranks[j + 1], dim)
-            )
-    for j in range(len(dims) - 1):
-        rank = ranks[j + 1]
-        if rank < 0:
-            les = records()
-            raise EngineError("%s: negative rank at %s" % (les.origin, les.maps[j].name))
-        if rank > dims[j] or rank > dims[j + 1]:
-            les = records()
-            raise EngineError(
-                "%s: rank of %s exceeds its term dimensions"
-                % (les.origin, les.maps[j].name)
-            )
 
 
 def _solve(row):
@@ -367,7 +327,7 @@ def _solve(row):
     IndeterminateRank naming the map.  An unknown dimension j is then
     the sum of its two ranks; a known one is checked against them, and
     the rank of map j - 1 against its two term dims.  A row that fails a
-    check goes to `_check`, which names its first failure.
+    check goes to `check_exactness`, which names its first failure.
     """
     dims, ranks = row.dims, row.ranks
     sound = True
@@ -379,10 +339,9 @@ def _solve(row):
             elif dims[j + 1] is not None and ranks[j + 2] is not None:
                 after = dims[j + 1] - ranks[j + 2]
             else:
-                les = row.records()
                 raise IndeterminateRank(
                     "%s: exactness does not pin the rank of %s"
-                    % (les.origin, les.maps[j].name)
+                    % (row.origin, row.maps[j].name)
                 )
             ranks[j + 1] = after
         dim = dims[j]
@@ -393,7 +352,7 @@ def _solve(row):
         if j and (before < 0 or before > dim or before > dims[j - 1]):
             sound = False
     if not sound:
-        _check(dims, ranks, row.records)
+        row.check_exactness()
     row.dims, row.ranks = tuple(dims), tuple(ranks)
     return row
 
@@ -430,15 +389,11 @@ def les_hom_contra(space, K, B):
 
 @lru_cache(maxsize=None)
 def _les_hom_contra_cached(space, K, runs):
-    """les_hom_contra on B given by its runs (atom, copies), named A^k for k > 1."""
-    return _contra_row(space, K, runs).records()
+    """The solved and checked row Hom(-, B) along K's sequence.
 
+    B is given by its runs (atom, copies), named A^k for k > 1.
 
-@lru_cache(maxsize=None)
-def _contra_row(space, K, runs):
-    """The solved and checked row Hom(-, B) along K's sequence, as integers.
-
-    B is given by its runs (atom, copies).  The known-to-known map
+    The known-to-known map
     alpha_i: Hom^i(OZ(e), B) -> Hom^i(O_X^h, B) multiplies by the
     evaluation sections s_j of K, which span H^0(Z, e), so it is
     injective on the part of its source that survives restriction, or
@@ -471,15 +426,15 @@ def _contra_row(space, K, runs):
         dims += (qdim, K.h * pdim, None)
         ranks += (alpha, None, None)
     ranks[-1] = 0  # past the last term; no delta_n
-    return _solve(IntRow(dims, ranks, partial(_contra_names, space.n, K, runs)))
+    return _solve(LongExactSequence(dims, ranks, partial(_contra_names, space.n, K, runs)))
 
 
 def _top_row(space, K, hp):
     """The row Hom(-, O^h') along K's sequence: h' times the cached row
-    Hom(-, O), which `_contra_row` solves and checks once per (cone, K).
-    Scaling by h' > 0 keeps exactness and every rank bound."""
-    one, scale = _contra_row(space, K, _O_RUNS), hp.__mul__
-    return IntRow(
+    Hom(-, O), which `_les_hom_contra_cached` solves and checks once per
+    (cone, K).  Scaling by h' > 0 keeps exactness and every rank bound."""
+    one, scale = _les_hom_contra_cached(space, K, _O_RUNS), hp.__mul__
+    return LongExactSequence(
         tuple(map(scale, one.dims)),
         tuple(map(scale, one.ranks)),
         partial(_contra_names, space.n, K, ((_O, hp),)),
@@ -557,7 +512,7 @@ def _les_hom_cov_cached(space, A, Kp):
         dims += (None, pdim, qdim)
         ranks += (None, _cov_beta(space, A, Kp, i, pdim, qdim), None)
     ranks[-1] = 0  # past the last term; no delta_n
-    return _solve(IntRow(dims, ranks, partial(_cov_names, space.n, A, Kp))).records()
+    return _solve(LongExactSequence(dims, ranks, partial(_cov_names, space.n, A, Kp)))
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +608,8 @@ def _outer_names(n, K, Kp):
 
 
 def _kernel_derivation(space, K, Kp, rank, outer):
-    """Notes, ladder and the top, bottom and outer records of a kernel pair."""
-    top = _top_row(space, K, Kp.h).records()
+    """Notes, ladder and the top, bottom and outer rows of a kernel pair."""
+    top = _top_row(space, K, Kp.h)
     bottom = _les_hom_contra_cached(space, K, ((OZ(Kp.e), 1),))
     r_kb = bottom.maps[1].rank  # B1 -> B2
     ladder = LadderResult(
@@ -663,7 +618,6 @@ def _kernel_derivation(space, K, Kp, rank, outer):
         "contributes %d through the right vertical; middle rank %d"
         % (r_kb, bottom.maps[1].name, rank - r_kb, rank),
     )
-    outer = outer.records()
     note = "resolved F[%d] contravariantly, then F[%d] covariantly; ladder: %s" % (
         K.e, Kp.e, ladder.certificate
     )
@@ -682,13 +636,13 @@ def _hom_kernel_kernel(space, K, Kp):
 
     The chase reads integers only.  The ladder is the one sum of
     `ladder_propagate`, read off the reached block and the bottom row
-    Hom(-, OZ(e')), which comes from the same cached `_contra_row` as
-    les_hom_contra's records.  The outer row takes Hom^i(K, O^h') as h'
-    times the solved dims of the cached one-copy row Hom(-, O), so the
-    scaled top row `_top_row` is built only when the derivation is read;
-    the outer row is solved and checked on integers.  The notes, the
-    ladder result and the three sequence records are built on first
-    read.
+    Hom(-, OZ(e')), the row les_hom_contra caches.  The outer row takes
+    Hom^i(K, O^h') as h' times the solved dims of the cached one-copy
+    row Hom(-, O), so the scaled top row `_top_row` is built only when
+    the derivation is read; the outer row is solved and checked on
+    integers.  The notes, the ladder result and the scaled top row are
+    built on first read, and the term and map records of each row on
+    the first read of its terms or maps.
 
     Only gamma_0 needs the ladder: Hom^i(K, O) = 0 for i >= 1, so
     gamma_i has a zero source.  Along K's sequence Hom^i(K, O) sits
@@ -712,17 +666,17 @@ def _hom_kernel_kernel(space, K, Kp):
     _check_bundle(space, Kp)  # ShapeMismatch unless K' lives here and spans
     _check_bundle(space, K)
     reached = ext1_h0_block(space, K.e, Kp.e)  # the reached block; refuses the n = 2 gap
-    bottom = _contra_row(space, K, ((OZ(Kp.e), 1),))
+    bottom = _les_hom_contra_cached(space, K, ((OZ(Kp.e), 1),))
     rank = ladder_propagate(bottom, reached)
 
-    dimsP = _contra_row(space, K, _O_RUNS).solved_dims(2)  # Hom^i(K, O)
+    dimsP = _les_hom_contra_cached(space, K, _O_RUNS).solved_dims(2)  # Hom^i(K, O)
     dimsQ = bottom.solved_dims(2)  # Hom^i(K, OZ(e'))
     dims, ranks = [], [0]
     for i in range(n + 1):
         dims += (None, hp * dimsP[i], dimsQ[i])
         ranks += (None, rank if i == 0 else 0, None)  # gamma_i, zero-side for i > 0
     ranks[-1] = 0  # past the last term; no delta_n
-    outer = _solve(IntRow(dims, ranks, partial(_outer_names, n, K, Kp)))
+    outer = _solve(LongExactSequence(dims, ranks, partial(_outer_names, n, K, Kp)))
     return HomComputation(
         outer.solved_dims(0), derive=(_kernel_derivation, (space, K, Kp, rank, outer))
     )

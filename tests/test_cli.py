@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -269,6 +270,18 @@ def test_verify_sod_defaults_to_the_first_declared_collection(tmp_path, capsys):
     assert main(["verify-sod", "--config", str(path), "--format", "json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["collection"] == ["FG", "O", "O3"]
     assert main(["verify-sod", "--config", str(path), "dup"]) == EXIT_FAIL
+
+
+def test_markdown_cells_escape_a_pipe(tmp_path, capsys):
+    """An object named a|b fills one markdown cell, as \\| inside it."""
+    path = tmp_path / "pipe.cfg"
+    path.write_text("space: 3,3\nobjects:\n  a|b = O(0)\n  c = O(3)\n"
+                    "collections:\n  main = a|b, c\n")
+    assert main(["verify-sod", "--config", str(path), "--format", "markdown"]) == EXIT_OK
+    table = [line for line in capsys.readouterr().out.splitlines() if line.startswith("|")]
+    assert table[0] == "| source | target | Hom* dims |"
+    assert table[3] == "| a\\|b | c | (11, 0, 0, 0) |"
+    assert {len(re.split(r"(?<!\\)\|", line)) for line in table} == {5}
 
 
 def test_verify_sod_non_utf8_config(tmp_path, capsys):

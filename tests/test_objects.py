@@ -54,11 +54,8 @@ from conetilt.objects import (
     les_hom_contra,
     les_hom_cov,
     rank_of,
-    IntRow,
     _O_RUNS,
-    _check,
     _check_bundle,
-    _contra_row,
     _les_hom_contra_cached,
     _solve,
     _top_row,
@@ -250,7 +247,7 @@ def test_value_type_constructors_keep_their_signatures():
     assert not isinstance(direct_sum(OX(0)), tuple)
 
 
-def test_kernel_bundle_copies_are_equal_and_share_the_caches():
+def test_kernel_bundle_copies_are_equal_and_share_the_caches(monkeypatch):
     X5 = make_space(3, 5)
     A, B = kernel_bundle(X5, 2), kernel_bundle(X5, 2)
     assert A is not B and A == B and hash(A) == hash(B)
@@ -259,6 +256,25 @@ def test_kernel_bundle_copies_are_equal_and_share_the_caches():
     hits = _les_hom_contra_cached.cache_info().hits
     assert les_hom_contra(X5, B, OZ(4)) is first
     assert _les_hom_contra_cached.cache_info().hits == hits + 1
+    # a cold kernel pair reads its two contravariant rows, Hom(-, OZ(e'))
+    # and Hom(-, O), through the one cache of les_hom_contra
+    import conetilt.objects as objects
+
+    cached, read = _les_hom_contra_cached, []
+
+    def spy(*args):
+        read.append(cached(*args))
+        return read[-1]
+
+    _clear_caches()
+    monkeypatch.setattr(objects, "_les_hom_contra_cached", spy)
+    K, Kp = kernel_bundle(X5, 1), kernel_bundle(X5, 3)
+    hom_objects(X5, K, Kp)
+    chase, before = list(read), cached.cache_info()
+    rows = [les_hom_contra(X5, K, OZ(Kp.e)), les_hom_contra(X5, K, OX(0))]
+    after = cached.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+    assert len(chase) == 2 and all(row is seen for row, seen in zip(rows, chase))
 
 
 def test_canonical_kernel_bundle_stores_no_evaluation():
@@ -689,8 +705,7 @@ def _ladder_cases(n, m, custom):
         except PresentationMismatch:
             continue
         v3 = ext1_map(space, K.e, component_terms(space, Kp), pres, name="v3")
-        bottom_row = _contra_row(space, K, ((OZ(Kp.e), 1),))
-        rank = ladder_propagate(bottom_row, ext1_h0_block(space, K.e, Kp.e))
+        rank = ladder_propagate(bottom, ext1_h0_block(space, K.e, Kp.e))
         cases.append((space, K, Kp, top, bottom, v3, rank))
     return cases, len(pairs)
 
@@ -1017,7 +1032,7 @@ def test_sums_of_copies_are_indexed_by_offset(monkeypatch):
     assert built == []
 
 
-def _synthetic_names(hows, origin="synthetic"):
+def _synthetic_names(hows, origin=("synthetic", ())):
     """Names for a synthetic row: terms t0, t1, ... and maps m0, m1, ..."""
     return lambda: (origin, ("t%d",), ("m%d",), hows)
 
@@ -1025,9 +1040,8 @@ def _synthetic_names(hows, origin="synthetic"):
 def test_solve_completes_a_synthetic_row():
     # 0 -> k -> k^3 -> ? -> k^2 -> 0 with only the first map known
     hows = ["injective", "exactness", "exactness"]
-    row = _solve(IntRow([1, 3, None, 2], [0, 1, None, None, 0], _synthetic_names(hows)))
-    assert row.dims == (1, 3, 4, 2) and row.ranks == (0, 1, 2, 2, 0)
-    les = row.records()
+    les = _solve(LongExactSequence([1, 3, None, 2], [0, 1, None, None, 0], _synthetic_names(hows)))
+    assert les.dims == (1, 3, 4, 2) and les.ranks == (0, 1, 2, 2, 0)
     assert [(t.name, t.dim) for t in les.terms] == [("t0", 1), ("t1", 3), ("t2", 4), ("t3", 2)]
     assert [(m.name, m.rank, m.how) for m in les.maps] == [
         ("m0", 1, "injective"), ("m1", 2, "exactness"), ("m2", 2, "exactness"),
@@ -1037,7 +1051,9 @@ def test_solve_completes_a_synthetic_row():
 
 def test_solve_refuses_adjacent_unknown_maps():
     hows = ["injective", "exactness", "exactness", "injective"]
-    row = IntRow([1, None, 2, None, 1], [0, 1, None, None, 1, 0], _synthetic_names(hows))
+    row = LongExactSequence(
+        [1, None, 2, None, 1], [0, 1, None, None, 1, 0], _synthetic_names(hows)
+    )
     with pytest.raises(IndeterminateRank, match="synthetic: .* rank of m1$"):
         _solve(row)
 
@@ -1052,10 +1068,11 @@ def _refusal_of(check):
 
 def test_solve_names_a_failure_as_check_does():
     """_solve checks a row in its one walk and hands a failing row to
-    _check: on a solved chase row with one dim or one map rank perturbed,
-    or one rank shifted with its two term dims (still exact, out of
-    bounds when the rank turns negative), it raises the class and text
-    that _check gives on the same row, and nothing when _check passes."""
+    check_exactness: on a solved chase row with one dim or one map rank
+    perturbed, or one rank shifted with its two term dims (still exact,
+    out of bounds when the rank turns negative), it raises the class and
+    text that check_exactness gives on the same row, and nothing when
+    check_exactness passes."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -1070,7 +1087,7 @@ def test_solve_names_a_failure_as_check_does():
         B = data.draw(st.sampled_from(
             [OX(0), OX(-m), OX(2 * m)] + [OZ(f) for f in range(-m - n, 2 * m)]
         ), "B")
-        row = _contra_row(space, K, ((B, 1),))
+        row = _les_hom_contra_cached(space, K, ((B, 1),))
         dims, ranks = list(row.dims), list(row.ranks)
         delta = data.draw(st.integers(-3, 3).filter(bool), "delta")
         how = data.draw(st.sampled_from(["dim", "rank", "rank and its terms"]), "how")
@@ -1082,8 +1099,12 @@ def test_solve_names_a_failure_as_check_does():
             if how == "rank and its terms":
                 dims[j - 1] += delta
                 dims[j] += delta
-        checked = _refusal_of(lambda: _check(dims, ranks, IntRow(dims, ranks, row.names).records))
-        solved = _refusal_of(lambda: _solve(IntRow(list(dims), list(ranks), row.names)))
+        checked = _refusal_of(
+            lambda: LongExactSequence(dims, ranks, row.names).check_exactness()
+        )
+        solved = _refusal_of(
+            lambda: _solve(LongExactSequence(list(dims), list(ranks), row.names))
+        )
         assert solved == checked
         assert checked is not None or how == "rank and its terms"
 
@@ -1098,7 +1119,7 @@ def test_scaled_top_row_equals_the_explicit_row(n, m):
     for e in range(1, m):
         K = kernel_bundle(space, e)
         for hp in copies:
-            scaled = _top_row(space, K, hp).records()
+            scaled = _top_row(space, K, hp)
             explicit = les_hom_contra(space, K, [OX(0)] * hp)
             assert scaled.origin == explicit.origin
             assert [(t.name, t.dim) for t in scaled.terms] == [
@@ -1133,7 +1154,7 @@ def test_the_ladder_facts_hold_on_every_kernel():
     for space in (make_space(2, 4), make_space(3, 4)):
         kernels += [(space, K) for K in _custom_bundles(space, random.Random(3))]
     for space, K in kernels:
-        one = _contra_row(space, K, _O_RUNS)
+        one = _les_hom_contra_cached(space, K, _O_RUNS)
         assert not any(one.solved_dims(2)[1:]), (space, K)
         assert one.dims[4] == 0 and one.ranks[2] < one.dims[2], (space, K)
     assert len(kernels) == 397
@@ -1184,37 +1205,32 @@ def test_refusals_show_the_rendered_names():
     origin = ("Hom(-, %s) along %s", ("O(0)^2", "a synthetic sequence"))
     text = "Hom(-, O(0)^2) along a synthetic sequence"
     hows = ["injective", "exactness", "exactness", "injective"]
-    row = IntRow([1, None, 2, None, 1], [0, 1, None, None, 1, 0], _synthetic_names(hows, origin))
+    row = LongExactSequence(
+        [1, None, 2, None, 1], [0, 1, None, None, 1, 0], _synthetic_names(hows, origin)
+    )
     with pytest.raises(IndeterminateRank) as refused:
         _solve(row)
     assert str(refused.value) == text + ": exactness does not pin the rank of m1"
+    broken_row = [1, 1], [0, 0, 0], _synthetic_names(["exactness"], origin)
     with pytest.raises(EngineError) as broken:
-        _solve(IntRow([1, 1], [0, 0, 0], _synthetic_names(["exactness"], origin)))
+        _solve(LongExactSequence(*broken_row))
     assert str(broken.value) == text + ": exactness fails at t0: 0 + 0 != 1"
-    les = LongExactSequence(
-        origin,
-        [LESTerm(("t%d", 0), 1), LESTerm(("t%d", 1), 1)],
-        [LESMap(("m%d", 0), 0, "exactness")],
-    )
     with pytest.raises(EngineError) as broken:
-        les.check_exactness()
+        LongExactSequence(*broken_row).check_exactness()
     assert str(broken.value) == text + ": exactness fails at t0: 0 + 0 != 1"
-    # an integer row takes the names in a message from the records it stands for
-    import conetilt.objects as objects
-
-    row = objects._contra_row(X, F, ((OZ(1), 1),))
+    # a chase row takes the names in a message from its rendered records
+    row = _les_hom_contra_cached(X, F, ((OZ(1), 1),))
     dims = list(row.dims)
     dims[4] += 1  # Hom^1(O^3, OZ(1))
-    bad = IntRow(dims, row.ranks, row.names)
     with pytest.raises(EngineError) as broken:
-        objects._check(dims, row.ranks, bad.records)
+        LongExactSequence(dims, row.ranks, row.names).check_exactness()
     assert str(broken.value) == (
         "Hom(-, OZ(1)) along 0 -> F[1] -> O^3 -> OZ(1) -> 0: "
         "exactness fails at Hom^1(O^3, OZ(1)): 0 + 0 != 1"
     )
-    with pytest.raises(EngineError) as from_records:
-        bad.records().check_exactness()
-    assert str(from_records.value) == str(broken.value)
+    with pytest.raises(EngineError) as solved:
+        _solve(LongExactSequence(list(dims), list(row.ranks), row.names))
+    assert str(solved.value) == str(broken.value)
     les = les_hom_cov(X, OZ(2), F)
     assert les.origin == "Hom(OZ(2), -) along 0 -> F[1] -> O^3 -> OZ(1) -> 0"
     assert [t.name for t in les.terms[:3]] == [
@@ -1222,12 +1238,18 @@ def test_refusals_show_the_rendered_names():
     ]
 
 
-def _derivation(space, A, B):
-    """hom_objects_detailed as plain data, or the refusal's class and text."""
+def _computed(space, A, B):
+    """hom_objects_detailed, or the refusal's class and text."""
     try:
-        comp = hom_objects_detailed(space, A, B)
+        return hom_objects_detailed(space, A, B)
     except EngineError as exc:
         return ["refused", type(exc).__name__, str(exc)]
+
+
+def _as_data(comp):
+    """A computation's dims and derivation as plain data; a refusal as it is."""
+    if isinstance(comp, list):
+        return comp
     return [
         list(comp.dims),
         comp.notes,
@@ -1243,18 +1265,34 @@ def _derivation(space, A, B):
     ]
 
 
+def _derivation(space, A, B):
+    """hom_objects_detailed as plain data, or the refusal's class and text."""
+    return _as_data(_computed(space, A, B))
+
+
+ATOM_KERNEL_CONES = ((2, 7), (3, 5), (4, 3))
+
+
+def _atom_kernel_queries(space):
+    """Hom(F_e, A) and Hom(A, F_e) for A = O(d), OZ(d), -2m <= d <= 2m."""
+    m = space.m
+    for e in range(1, m):
+        K = kernel_bundle(space, e)
+        for d in range(-2 * m, 2 * m + 1):
+            for a in (OX(d), OZ(d)):
+                yield K, a
+                yield a, K
+
+
 def _derivations():
     X7 = make_space(3, 7)
     bundles = [kernel_bundle(X7, e) for e in range(1, 7)]
     yield "F->F on P(1^3,7)", [_derivation(X7, K, Kp) for K in bundles for Kp in bundles]
-    for n, m in ((2, 7), (3, 5), (4, 3)):
-        space, records = make_space(n, m), []
-        for e in range(1, m):
-            K = kernel_bundle(space, e)
-            for d in range(-2 * m, 2 * m + 1):
-                for a in (OX(d), OZ(d)):
-                    records += [_derivation(space, K, a), _derivation(space, a, K)]
-        yield "atom<->F on P(1^%d,%d)" % (n, m), records
+    for n, m in ATOM_KERNEL_CONES:
+        space = make_space(n, m)
+        yield "atom<->F on P(1^%d,%d)" % (n, m), [
+            _derivation(space, A, B) for A, B in _atom_kernel_queries(space)
+        ]
     X5 = make_space(3, 5)
     bundles = [kernel_bundle(X5, e) for e in range(1, 5)]
     sums = [
@@ -1292,14 +1330,17 @@ DERIVATION_DIGESTS = {
 }
 
 
+def _digest(records):
+    """(records, refusals, sha256 of the compact JSON) of a family."""
+    text = json.dumps(records, separators=(",", ":"))
+    refused = sum(r[0] == "refused" for r in records)
+    return len(records), refused, hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_derivation_records_are_pinned():
     """Notes, origins, term (name, dim), map (name, rank, how), ladder
     certificates and refusal texts, unchanged but for the O(0)^h' rename."""
-    found = {}
-    for family, records in _derivations():
-        text = json.dumps(records, separators=(",", ":"))
-        refused = sum(r[0] == "refused" for r in records)
-        found[family] = (len(records), refused, hashlib.sha256(text.encode()).hexdigest())
+    found = {family: _digest(records) for family, records in _derivations()}
     assert found == DERIVATION_DIGESTS
     X7 = make_space(3, 7)
     F1 = kernel_bundle(X7, 1)
@@ -1355,13 +1396,12 @@ def _clear_caches():
                 value.cache_clear()
 
 
-def test_the_kernel_chase_builds_no_record(monkeypatch):
-    """A kernel pair is answered from integers: with cold caches hom_objects
-    builds no sequence, term, map or ladder record, on a pair or a sum of
-    pairs, answered or refused.  Reading the derivation builds them."""
+def _count_records(monkeypatch):
+    """From now on, name the class of every LESTerm, LESMap and
+    LadderResult built in `built`, and keep every row built in `rows`."""
     import conetilt.objects as objects
 
-    built = []
+    built, rows = [], []
 
     def counting(cls):
         init = vars(cls)["__init__"]
@@ -1372,8 +1412,29 @@ def test_the_kernel_chase_builds_no_record(monkeypatch):
 
         return spy
 
-    for cls in (LESTerm, LESMap, LongExactSequence, objects.LadderResult):
+    for cls in (LESTerm, LESMap, objects.LadderResult):
         monkeypatch.setattr(cls, "__init__", counting(cls))
+    init = vars(LongExactSequence)["__init__"]
+
+    def keep(self, *args):
+        rows.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(LongExactSequence, "__init__", keep)
+    return built, rows
+
+
+def _with_records(rows):
+    """The rows whose term and map records are built."""
+    return [row for row in rows if "terms" in vars(row) or "maps" in vars(row)]
+
+
+def test_the_kernel_chase_builds_no_record(monkeypatch):
+    """A kernel pair is answered from integers: with cold caches hom_objects
+    builds no term, map or ladder record, and no row's term and map
+    records, on a pair or a sum of pairs, answered or refused.  Reading
+    the derivation builds them."""
+    built, rows = _count_records(monkeypatch)
     _clear_caches()
     comps, refused = [], 0
     for n, m in ((2, 7), (3, 5), (4, 3), (2, 9)):
@@ -1392,15 +1453,35 @@ def test_the_kernel_chase_builds_no_record(monkeypatch):
     sums = [hom_objects_detailed(X5, pair, kernel_bundle(X5, 2)),
             hom_objects_detailed(X5, kernel_bundle(X5, 3), pair)]
     assert (len(comps), refused) == (89, 31)  # 10 refused on P(1,1,7), 21 on P(1,1,9)
-    assert built == []
+    assert built == [] and rows and _with_records(rows) == []
     for comp in comps:
         assert [len(les.terms) for les in comp.sequences] == [3 * len(comp.dims)] * 3
         assert comp.sequences[2].solved_dims(0) == comp.dims
         assert len(comp.ladders) == len(comp.notes) == 1
     assert built.count("LadderResult") == len(comps)
-    assert built.count("LongExactSequence") >= 2 * len(comps)
+    assert len(_with_records(rows)) >= 2 * len(comps)
     for comp in sums:
         assert len(comp.sequences) == 6 and len(comp.ladders) == 2
+
+
+def test_atom_kernel_queries_build_no_record_until_read(monkeypatch):
+    """With cold caches the atom<->F queries of P(1^2,7), P(1^3,5) and
+    P(1^4,3) build no term or map record: a row renders only its origin,
+    for the note.  Reading the sequences builds the records of every row,
+    with the names and dims DERIVATION_DIGESTS pins."""
+    built, rows = _count_records(monkeypatch)
+    _clear_caches()
+    for n, m in ATOM_KERNEL_CONES:
+        space = make_space(n, m)
+        comps = [_computed(space, A, B) for A, B in _atom_kernel_queries(space)]
+        assert built == [] and rows and _with_records(rows) == [], (n, m)
+        records = [_as_data(comp) for comp in comps]
+        assert _digest(records) == DERIVATION_DIGESTS["atom<->F on P(1^%d,%d)" % (n, m)]
+        assert _with_records(rows) == rows
+        assert built.count("LESTerm") == sum(len(row.dims) for row in rows)
+        assert built.count("LESMap") == sum(len(row.dims) - 1 for row in rows)
+        built.clear()
+        rows.clear()
 
 
 def test_kernel_pairs_read_the_count_table(monkeypatch):
@@ -1432,33 +1513,33 @@ def test_kernel_pairs_read_the_count_table(monkeypatch):
         assert rules._counts.cache_info().currsize <= 4 * m, (n, m)
 
 
-def _solve_records(origin, terms, maps):
-    """Fill in the unknown dims and ranks of a sequence on its records.
+def _solve_records(les):
+    """Fill in the unknown dims and padded ranks of a row and check it.
 
     A reference that shares no code with objects._solve: it sweeps the
     maps and the terms until nothing changes, pinning a rank at a term of
-    known dimension whose other map is known (zero beyond either end)
-    and a dimension from its two ranks, then checks exactness.
+    known dimension whose other map is known (the padding stands for the
+    zero maps beyond either end) and a dimension from its two ranks,
+    then checks exactness.
     """
-    def rank(j):
-        return maps[j].rank if 0 <= j < len(maps) else 0
-
+    dims, ranks = les.dims, les.ranks
     changed = True
     while changed:
         changed = False
-        for j, f in enumerate(maps):
-            for term, other in ((terms[j], j - 1), (terms[j + 1], j + 1)):
-                if f.rank is None and term.dim is not None and rank(other) is not None:
-                    f.rank, changed = term.dim - rank(other), True
-        for j, term in enumerate(terms):
-            if term.dim is None and rank(j - 1) is not None and rank(j) is not None:
-                term.dim, changed = rank(j - 1) + rank(j), True
-    les = LongExactSequence(origin, terms, maps)
-    for f in maps:
-        if f.rank is None:
+        for j in range(1, len(ranks) - 1):  # map j - 1, from term j - 1 to term j
+            for term, other in ((j - 1, j - 1), (j, j + 1)):
+                if ranks[j] is None and dims[term] is not None and ranks[other] is not None:
+                    ranks[j], changed = dims[term] - ranks[other], True
+        for j, dim in enumerate(dims):
+            if dim is None and ranks[j] is not None and ranks[j + 1] is not None:
+                dims[j], changed = ranks[j] + ranks[j + 1], True
+    for j, rank in enumerate(ranks):
+        if rank is None:
             raise IndeterminateRank(
-                "%s: exactness does not pin the rank of %s" % (les.origin, f.name)
+                "%s: exactness does not pin the rank of %s"
+                % (les.origin, les.maps[j - 1].name)
             )
+    les.dims, les.ranks = tuple(dims), tuple(ranks)
     les.check_exactness()
     return les
 
@@ -1479,8 +1560,9 @@ def _record_ladder(top, bottom):
 def _record_chase(space, K, Kp):
     """The kernel-kernel chase on records, as the engine ran it before its
     rows were integers: the top row solved for h' copies of O, the ladder
-    read off the two LongExactSequence rows and the outer row solved on
-    its records.  Returns the derivation in the form of _derivation."""
+    read off the two LongExactSequence rows and the outer row solved by
+    the sweep of _solve_records.  Returns the derivation in the form of
+    _derivation."""
     _check_bundle(space, Kp)
     top = les_hom_contra(space, K, [OX(0)] * Kp.h)
     bottom = les_hom_contra(space, K, [OZ(Kp.e)])
@@ -1493,25 +1575,22 @@ def _record_chase(space, K, Kp):
                 "rank of Hom^%d(F[%d], O^%d) -> Hom^%d(F[%d], OZ(%d)) is not "
                 "determined by the available diagrams" % (i, K.e, Kp.h, i, K.e, Kp.e)
             )
-    terms, maps = [], []
+    dims, ranks = [], [0]
     for i in range(space.n + 1):
-        terms += [
-            LESTerm("Hom^%d(F[%d],F[%d])" % (i, K.e, Kp.e), None),
-            LESTerm("Hom^%d(F[%d],O^%d)" % (i, K.e, Kp.h), dimsP[i]),
-            LESTerm("Hom^%d(F[%d],OZ(%d))" % (i, K.e, Kp.e), dimsQ[i]),
-        ]
-        maps += [
-            LESMap("inc_%d" % i, None, "exactness"),
-            LESMap("gamma_%d" % i, rank, "ladder")
-            if i == 0
-            else LESMap("gamma_%d" % i, 0, "zero-side"),
-            LESMap("delta_%d" % i, None, "exactness"),
-        ]
-    maps.pop()
-    origin = "Hom(F[%d], -) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0" % (
-        K.e, Kp.e, Kp.h, Kp.e
+        dims += [None, dimsP[i], dimsQ[i]]
+        ranks += [None, rank if i == 0 else 0, None]  # inc_i, gamma_i, delta_i
+    ranks[-1] = 0  # the padding past the last term, no delta_n
+    names = (
+        ("Hom(F[%d], -) along 0 -> F[%d] -> O^%d -> OZ(%d) -> 0", (K.e, Kp.e, Kp.h, Kp.e)),
+        (
+            "Hom^%%d(F[%d],F[%d])" % (K.e, Kp.e),
+            "Hom^%%d(F[%d],O^%d)" % (K.e, Kp.h),
+            "Hom^%%d(F[%d],OZ(%d))" % (K.e, Kp.e),
+        ),
+        ("inc_%d", "gamma_%d", "delta_%d"),
+        ["exactness", "ladder", "exactness"] + ["exactness", "zero-side", "exactness"] * space.n,
     )
-    outer = _solve_records(origin, terms, maps)
+    outer = _solve_records(LongExactSequence(dims, ranks, lambda: names))
     note = "resolved F[%d] contravariantly, then F[%d] covariantly; ladder: %s" % (
         K.e, Kp.e, certificate
     )
@@ -1613,19 +1692,20 @@ def _kernel_grid(space):
 def test_gap_pairs_refuse_before_any_row(monkeypatch):
     """A kernel pair runs its checks before it builds a row: with cold
     caches each of the 21 n = 2 gap pairs of P(1,1,9) constructs no
-    IntRow and refuses with the class and text of the chase on records."""
+    LongExactSequence and refuses with the class and text of the chase on
+    records."""
     space = make_space(2, 9)
     expected = {(K, Kp): _expected(space, K, Kp) for K, Kp in _kernel_grid(space)}
     gaps = [pair for pair, record in expected.items() if record[0] == "refused"]
     assert len(gaps) == 21
     built = []
-    init = vars(IntRow)["__init__"]
+    init = vars(LongExactSequence)["__init__"]
 
     def spy(self, *args):
         built.append(args)
         init(self, *args)
 
-    monkeypatch.setattr(IntRow, "__init__", spy)
+    monkeypatch.setattr(LongExactSequence, "__init__", spy)
     for K, Kp in gaps:
         _clear_caches()
         refusal = _dims_or_refusal(space, K, Kp)
