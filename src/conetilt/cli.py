@@ -146,7 +146,12 @@ def _resolve_pair(args):
 
 def cmd_hom(args):
     cfg, (A, B) = _resolve_pair(args)
-    comp = hom_objects_detailed(cfg.space, A, B)
+    query = "Hom*(%s, %s) on %s" % (args.A, args.B, cfg.space)
+    try:
+        comp = hom_objects_detailed(cfg.space, A, B)
+    except EngineError as exc:
+        # the engine names the pair it refused, maybe one the chase reached
+        raise type(exc)("%s: %s" % (query, exc)) from exc
     payload = {
         "command": "hom",
         "space": str(cfg.space),
@@ -160,13 +165,8 @@ def cmd_hom(args):
         print(emit_json(payload))
     else:
         print(
-            "Hom*(%s, %s) on %s: %s"
-            % (
-                args.A,
-                args.B,
-                cfg.space,
-                "  ".join("deg%d: %d" % (i, d) for i, d in enumerate(comp.dims)),
-            )
+            "%s: %s"
+            % (query, "  ".join("deg%d: %d" % (i, d) for i, d in enumerate(comp.dims)))
         )
         for note in comp.notes:
             print("  via %s" % note)

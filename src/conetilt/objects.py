@@ -19,10 +19,11 @@ map records are built together on the first read of either, and
 only for what it reads: its checks, the n = 2 gap refusal included, run
 before any row is built; its ladder is one sum read off the bottom row
 and the reached block; its outer row takes Hom^i(K, O^h') from the
-one-copy row Hom(-, O); and its derivation (notes, ladder result and the
-scaled top row) is built on first read.  Atom-kernel queries render the
-origin of their row for their note and build no term or map record
-until one is read.
+one-copy row Hom(-, O).  Every answer builds its derivation on first
+read: a kernel pair its notes, ladder result and scaled top row, an
+atom pair its rule note, an atom-kernel pair its note and its one row,
+whose origin is rendered only then, and a sum the derivations of its
+summands.  A query that reads only the dims renders no name.
 """
 
 from __future__ import annotations
@@ -556,21 +557,20 @@ def ladder_propagate(bottom, reached):
 class HomComputation(Record):
     """Graded Hom dims and the derivation behind them.
 
-    A computation made with `derive`, a (builder, args) pair, builds its
-    notes, ladders and sequences together on the first read of any of
-    them; the dims are there at once.
+    The dims are there at once.  `derive`, a (builder, args) pair, gives
+    the derivation: `builder(*args)` returns the notes, ladders and
+    sequences, built together on the first read of any of them.  With
+    no `derive` the derivation is empty.
     """
 
     _fields = ("dims", "notes", "ladders", "sequences")
 
-    def __init__(self, dims, notes=None, ladders=None, sequences=None, derive=None):
+    def __init__(self, dims, derive=None):
         self.dims = dims
-        if derive is not None:
+        if derive is None:
+            self.notes, self.ladders, self.sequences = [], [], []
+        else:
             self._derive = derive
-            return
-        self.notes = [] if notes is None else notes
-        self.ladders = [] if ladders is None else ladders
-        self.sequences = [] if sequences is None else sequences
 
     def __getattr__(self, name):
         # only reached for an attribute not yet set: a derivation field of
@@ -591,6 +591,16 @@ def _joined(parts):
         ladders += part.ladders
         sequences += part.sequences
     return notes, ladders, sequences
+
+
+def _rule_derivation(gh):
+    """The note of an atom pair: the rule that gives its dims."""
+    return ["Hom(%s, %s) by rule %s" % (gh.source, gh.target, gh.rules[0])], [], []
+
+
+def _row_derivation(resolution, les):
+    """The note and the one row of an atom-kernel pair."""
+    return ["%s resolution: %s" % (resolution, les.origin)], [], [les]
 
 
 def _outer_names(n, K, Kp):
@@ -702,25 +712,19 @@ def hom_objects_detailed(space, A, B):
 
     if isinstance(A, AtomObject) and isinstance(B, AtomObject):
         gh = hom_atoms(space, A.atom, B.atom)
-        comp = HomComputation(gh.dims)
-        comp.notes.append(
-            "Hom(%s, %s) by rule %s" % (A.atom, B.atom, gh.rules[0])
-        )
-        return comp
+        return HomComputation(gh.dims, derive=(_rule_derivation, (gh,)))
 
     if isinstance(A, KernelBundle) and isinstance(B, AtomObject):
         les = les_hom_contra(space, A, B)
-        comp = HomComputation(les.solved_dims(2))
-        comp.notes.append("contravariant resolution: %s" % les.origin)
-        comp.sequences.append(les)
-        return comp
+        return HomComputation(
+            les.solved_dims(2), derive=(_row_derivation, ("contravariant", les))
+        )
 
     if isinstance(A, AtomObject) and isinstance(B, KernelBundle):
         les = les_hom_cov(space, A.atom, B)
-        comp = HomComputation(les.solved_dims(0))
-        comp.notes.append("covariant resolution: %s" % les.origin)
-        comp.sequences.append(les)
-        return comp
+        return HomComputation(
+            les.solved_dims(0), derive=(_row_derivation, ("covariant", les))
+        )
 
     return _hom_kernel_kernel(space, A, B)
 

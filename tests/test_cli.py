@@ -15,10 +15,12 @@ from conetilt.cli import (
     EXIT_REFUSED,
     EXIT_USAGE,
     ConfigError,
+    build_parser,
     main,
     parse_config,
 )
 from conetilt.cone import MAX_N
+from conetilt.rules import OutOfValidity, PresentationMismatch
 
 CONFIG = """\
 # the threefold instance
@@ -246,6 +248,33 @@ def test_hom_refusal_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == EXIT_REFUSED
     assert "engine refusal" in err
+
+
+@pytest.mark.parametrize("A, B, space, kind, refusal", [
+    # rule R0, met by the covariant chase at Hom(O(1), O(0))
+    ("O(1)", "ker(1)", "3,3", OutOfValidity, "Hom*(O(1), ker(1)) on P(1,1,1,3): graded Hom(O(1), "
+     "O(0)): source twist is not invertible; only the degree-0 reflexive Hom is "
+     "defined (rule R0)"),
+    # rule R4, met by the contravariant chase at Hom(OZ(1), O(1))
+    ("ker(1)", "O(1)", "3,3", OutOfValidity, "Hom*(ker(1), O(1)) on P(1,1,1,3): graded Hom(OZ(1), "
+     "O(1)): target twist is not invertible; rule R4 does not apply"),
+    # the n = 2 gap block of Ext^1(OZ(5), OZ(1)), met by the ladder
+    ("ker(5)", "ker(1)", "2,9", PresentationMismatch, "Hom*(ker(5), ker(1)) on P(1,1,9): Ext^1(OZ(5), "
+     "OZ(1)): presentation gives 6, rules give 9"),
+], ids=["R0", "R4", "n=2 gap"])
+def test_hom_refusal_names_the_query(A, B, space, kind, refusal, capsys):
+    """The engine names the pair it refused, which may be one the chase
+    reached; the CLI puts the query and its cone first and keeps the
+    refusal's kind."""
+    argv = ["hom", A, B, "--space", space]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_REFUSED, "")
+    assert err == "engine refusal: %s\n" % refusal
+    args = build_parser().parse_args(argv)
+    with pytest.raises(kind) as info:
+        args.func(args)
+    assert str(info.value) == refusal
 
 
 def test_verify_sod_builtin_pass(capsys):

@@ -386,6 +386,10 @@ def test_contra_needs_kernel_left_and_atoms_right():
 def test_contra_sum_target_additive():
     les = les_hom_contra(X, F, [OX(0), OZ(1)])
     assert les.solved_dims(2) == (27, 0, 0, 0)
+    # an atom, its object and a one-atom list or sum are one run: one row
+    one = les_hom_contra(X, F, AtomObject(OZ(1)))
+    for B in (OZ(1), [OZ(1)], direct_sum(OZ(1))):
+        assert les_hom_contra(X, F, B) is one
 
 
 # ---------------------------------------------------------------------------
@@ -1464,24 +1468,71 @@ def test_the_kernel_chase_builds_no_record(monkeypatch):
         assert len(comp.sequences) == 6 and len(comp.ladders) == 2
 
 
+# the notes of the atom<->atom rows of the built-in reports, by instance
+ATOM_ROW_NOTES = {
+    "P1113": [
+        "Hom(O(0), O(0)) by rule R1",
+        "Hom(O(0), OZ(1)) by rule R2",
+        "Hom(O(0), OZ(2)) by rule R2",
+        "Hom(OZ(1), O(0)) by rule R4",
+        "Hom(OZ(2), O(0)) by rule R4",
+        "Hom(OZ(1), OZ(1)) by rule R3",
+        "Hom(OZ(1), OZ(2)) by rule R3",
+        "Hom(OZ(2), OZ(1)) by rule R3",
+    ],
+    "P112": [
+        "Hom(O(0), O(0)) by rule R1",
+        "Hom(O(0), OZ(1)) by rule R2",
+        "Hom(OZ(1), O(0)) by rule R4",
+        "Hom(O(0), O(-2)) by rule R1",
+    ],
+}
+
+
 def test_atom_kernel_queries_build_no_record_until_read(monkeypatch):
     """With cold caches the atom<->F queries of P(1^2,7), P(1^3,5) and
-    P(1^4,3) build no term or map record: a row renders only its origin,
-    for the note.  Reading the sequences builds the records of every row,
-    with the names and dims DERIVATION_DIGESTS pins."""
+    P(1^4,3) name nothing: no row calls its names builder, renders its
+    origin or builds a term or map record, and no note is written; nor
+    does an atom<->atom row of the P1113 and P112 reports write its
+    note.  Reading the derivations builds the notes and the records of
+    every row, with the texts, names and dims DERIVATION_DIGESTS pins."""
+    import conetilt.objects as objects
+    from conetilt.report import BUILTIN_INSTANCES, get_instance
+
+    named = []
+    for builder in ("_contra_names", "_cov_names"):
+        real = getattr(objects, builder)
+        monkeypatch.setattr(
+            objects, builder, lambda *args, real=real: named.append(real) or real(*args)
+        )
     built, rows = _count_records(monkeypatch)
     _clear_caches()
     for n, m in ATOM_KERNEL_CONES:
         space = make_space(n, m)
         comps = [_computed(space, A, B) for A, B in _atom_kernel_queries(space)]
-        assert built == [] and rows and _with_records(rows) == [], (n, m)
+        answered = [comp for comp in comps if not isinstance(comp, list)]
+        assert named == [] and built == [] and rows, (n, m)
+        assert [row for row in rows if "origin" in vars(row)] == [], (n, m)
+        assert _with_records(rows) == [], (n, m)
+        assert [comp for comp in answered if "notes" in vars(comp)] == [], (n, m)
         records = [_as_data(comp) for comp in comps]
         assert _digest(records) == DERIVATION_DIGESTS["atom<->F on P(1^%d,%d)" % (n, m)]
-        assert _with_records(rows) == rows
+        assert named and _with_records(rows) == rows
         assert built.count("LESTerm") == sum(len(row.dims) for row in rows)
         assert built.count("LESMap") == sum(len(row.dims) - 1 for row in rows)
+        named.clear()
         built.clear()
         rows.clear()
+    for name, (_, report_rows, _) in BUILTIN_INSTANCES.items():
+        cfg = get_instance(name)
+        pairs = [(as_object(cfg.objects[a]), as_object(cfg.objects[b]))
+                 for _, a, b, _ in report_rows]
+        comps = [hom_objects_detailed(cfg.space, A, B) for A, B in pairs
+                 if isinstance(A, AtomObject) and isinstance(B, AtomObject)]
+        assert [comp for comp in comps if "notes" in vars(comp)] == [], name
+        assert [comp.notes for comp in comps] == [[note] for note in ATOM_ROW_NOTES[name]]
+        assert all(comp.sequences == comp.ladders == [] for comp in comps)
+    assert named == built == rows == []
 
 
 def test_kernel_pairs_read_the_count_table(monkeypatch):
