@@ -31,7 +31,7 @@ print()
 print("graded Hom between the generating atoms (degree vector h^0..h^3):")
 for a, b in [(OX(0), OZ(1)), (OZ(1), OX(0)), (OZ(1), OZ(2)), (OZ(2), OZ(1))]:
     gh = hom_atoms(X, a, b)
-    print("  Hom*(%s, %s) = %s   [rule %s]" % (a, b, gh.dims, gh.rules[0]))
+    print("  Hom*(%s, %s) = %s   [rule %s]" % (a, b, gh.dims, gh.rule))
 print()
 
 print("resolving the bundles against the atoms (contravariant chase):")

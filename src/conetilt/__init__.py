@@ -26,7 +26,6 @@ from .linalg import (
     Subquotient,
 )
 from .objects import (
-    AtomObject,
     HomComputation,
     IndeterminateRank,
     KernelBundle,

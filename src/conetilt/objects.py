@@ -55,18 +55,6 @@ class IndeterminateRank(EngineError):
 # sheaf objects
 # ---------------------------------------------------------------------------
 
-class AtomObject(FrozenValue):
-    _fields = ("atom",)
-
-    def __init__(self, atom):
-        attrs = self.__dict__
-        attrs["atom"] = atom
-        attrs["_hash"] = hash((atom,))
-
-    def __str__(self):
-        return str(self.atom)
-
-
 class SumObject(FrozenValue):
     _fields = ("parts",)  # pairs (object, multiplicity)
 
@@ -191,10 +179,9 @@ def kernel_bundle_custom(space, e, columns):
 
 
 def as_object(thing):
-    if isinstance(thing, (AtomObject, SumObject, KernelBundle)):
+    """The sheaf object itself; anything else is a TypeError."""
+    if isinstance(thing, (Atom, SumObject, KernelBundle)):
         return thing
-    if isinstance(thing, Atom):
-        return AtomObject(thing)
     raise TypeError("not a sheaf object: %r" % (thing,))
 
 
@@ -205,8 +192,8 @@ def direct_sum(*objects):
 def rank_of(obj):
     """Generic rank of the sheaf: twists have rank 1, OZ twists rank 0."""
     obj = as_object(obj)
-    if isinstance(obj, AtomObject):
-        return 1 if obj.atom.kind == CONE else 0
+    if isinstance(obj, Atom):
+        return 1 if obj.kind == CONE else 0
     if isinstance(obj, SumObject):
         return sum(k * rank_of(o) for o, k in obj.parts)
     return obj.h
@@ -219,9 +206,8 @@ def _atom_list(B):
         for o in B:
             out.extend(_atom_list(o))
         return out
-    B = as_object(B)
-    if isinstance(B, AtomObject):
-        return [B.atom]
+    if isinstance(B, Atom):
+        return [B]
     if isinstance(B, SumObject):
         out = []
         for o, k in B.parts:
@@ -263,9 +249,10 @@ class LongExactSequence(Record):
     gives (origin, terms, maps, hows): `origin` is a (format, args) pair,
     and the row runs in degrees i of p terms and p maps, p = len(terms),
     term j named by the format terms[j % p] of i, map j by maps[j % p] of
-    i; `hows` holds the how-tag of every map in order.  The origin is
-    rendered on its first read, and the LESTerm and LESMap records are
-    built together on the first read of `terms` or `maps`.
+    i; `hows` holds the how-tag of every map in order.  `names()` is
+    called once, on the first read of a named field, and kept; the
+    origin is rendered on its first read, and the LESTerm and LESMap
+    records are built together on the first read of `terms` or `maps`.
     """
 
     _fields = ("origin", "terms", "maps")
@@ -275,11 +262,13 @@ class LongExactSequence(Record):
 
     def __getattr__(self, name):
         # only reached for a field not yet set, on its first read
-        if name == "origin":
-            text, args = self.names()[0]
+        if name == "_named":
+            self._named = self.names()
+        elif name == "origin":
+            text, args = self._named[0]
             self.origin = text % args
         elif name in ("terms", "maps"):
-            _, terms, maps, hows = self.names()
+            _, terms, maps, hows = self._named
             dims, ranks, p = self.dims, self.ranks, len(terms)
             self.terms = [LESTerm(terms[j % p] % (j // p), d) for j, d in enumerate(dims)]
             self.maps = [
@@ -380,7 +369,6 @@ def les_hom_contra(space, K, B):
     domain.  Every unknown dimension Hom^i(K, B) is pinned by exactness
     from the ranks of the injective known-to-known maps.
     """
-    K = as_object(K)
     if not isinstance(K, KernelBundle):
         raise TypeError("left argument must be a kernel bundle, got %s" % (K,))
     _check_bundle(space, K)
@@ -492,11 +480,8 @@ def les_hom_cov(space, A, Kp):
     A must be an atom with Hom^*(A, O_X) in the validity domain, i.e. an
     invertible twist or a section twist.
     """
-    if isinstance(A, AtomObject):
-        A = A.atom
     if not isinstance(A, Atom):
         raise TypeError("left argument must be an atom, got %r" % (A,))
-    Kp = as_object(Kp)
     if not isinstance(Kp, KernelBundle):
         raise TypeError("right argument must be a kernel bundle, got %s" % (Kp,))
     _check_bundle(space, Kp)
@@ -595,7 +580,7 @@ def _joined(parts):
 
 def _rule_derivation(gh):
     """The note of an atom pair: the rule that gives its dims."""
-    return ["Hom(%s, %s) by rule %s" % (gh.source, gh.target, gh.rules[0])], [], []
+    return ["Hom(%s, %s) by rule %s" % (gh.source, gh.target, gh.rule)], [], []
 
 
 def _row_derivation(resolution, les):
@@ -710,18 +695,18 @@ def hom_objects_detailed(space, A, B):
             parts.append(part)
         return HomComputation(dims, derive=(_joined, (parts,)))
 
-    if isinstance(A, AtomObject) and isinstance(B, AtomObject):
-        gh = hom_atoms(space, A.atom, B.atom)
+    if isinstance(A, Atom) and isinstance(B, Atom):
+        gh = hom_atoms(space, A, B)
         return HomComputation(gh.dims, derive=(_rule_derivation, (gh,)))
 
-    if isinstance(A, KernelBundle) and isinstance(B, AtomObject):
+    if isinstance(B, Atom):
         les = les_hom_contra(space, A, B)
         return HomComputation(
             les.solved_dims(2), derive=(_row_derivation, ("contravariant", les))
         )
 
-    if isinstance(A, AtomObject) and isinstance(B, KernelBundle):
-        les = les_hom_cov(space, A.atom, B)
+    if isinstance(A, Atom):
+        les = les_hom_cov(space, A, B)
         return HomComputation(
             les.solved_dims(0), derive=(_row_derivation, ("covariant", les))
         )

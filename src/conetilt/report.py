@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .cone import Record, make_space
-from .objects import SumObject, as_object, hom_objects, kernel_bundle
+from .objects import SumObject, hom_objects, kernel_bundle
 from .rules import OX, OZ
 from .tilting import check_sod, end_blocks, stack_exceptional_check
 
@@ -62,9 +62,9 @@ def _parse_term(term, expr, space, objects):
     if m:
         kind, arg = m.group(1), int(m.group(2))
         if kind == "O":
-            obj = as_object(OX(arg))
+            obj = OX(arg)
         elif kind == "OZ":
-            obj = as_object(OZ(arg))
+            obj = OZ(arg)
         else:
             try:
                 obj = kernel_bundle(space, arg)

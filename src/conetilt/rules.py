@@ -4,7 +4,7 @@ The atoms are the twists O(d) on the cone and the twists OZ(e) on the
 section Z ~ P^{n-1}.  Each Hom computation is carried out by one of a
 small list of rules, each justified only on an explicit validity
 domain; queries outside the domain raise OutOfValidity instead of
-guessing.  The tags attached to every degree name the rule used:
+guessing.  The `rule` tag of every GradedHom names the rule used:
 
 * R0  Hom(O(a), O(b)) = H^0(X, O(b-a)) in degree 0 only, for arbitrary
       twists (the reflexive Hom rule).  Higher degrees from a
@@ -164,12 +164,12 @@ def hom_counts(space, A, B):
 class GradedHom(Record):
     """Hom^*(A, B) by one rule: its dims and block dims from the count table."""
 
-    _fields = ("source", "target", "dims", "rules")
+    _fields = ("source", "target", "dims", "rule")
 
     def __init__(self, space, source, target):
         self.source = source
         self.target = target
-        self.rules = (RULES[source.kind, target.kind][0],) * (space.n + 1)
+        self.rule = RULES[source.kind, target.kind][0]
         self.dims, self.block_dims = _counts(
             space, source.kind, target.kind, target.twist - source.twist
         )

@@ -4,6 +4,7 @@ no subprocess."""
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -77,3 +78,28 @@ def test_a_failed_run_keeps_its_failure_notes():
 def test_output_without_one_pass_count_line_is_refused(header):
     with pytest.raises(ValueError, match="expected one 'workload"):
         bench_snapshot.parse_run_output(_stdout(header, PLAIN_NOTES, PLAIN))
+
+
+def test_a_failed_rss_pass_writes_nothing_and_exits_with_its_code(
+    monkeypatch, tmp_path, capsys
+):
+    header = "workload sections, seed 5: 224 untraced and 0 traced passes"
+    ran = []
+
+    def fake_run(command, **kwargs):
+        ran.append(next(os.path.basename(a) for a in command if a.endswith(".py")))
+        if ran[-1] == "run.py":
+            return subprocess.CompletedProcess(
+                command, 0, _stdout(header, PLAIN_NOTES, PLAIN), ""
+            )
+        return subprocess.CompletedProcess(command, 3, "", "pass died\n")
+
+    monkeypatch.setattr(bench_snapshot.subprocess, "run", fake_run)
+    argv = ["--label", "x", "--workload", "sections", "--seed", "5",
+            "--seconds", "1", "--out", str(tmp_path)]
+    with pytest.raises(SystemExit) as stop:
+        bench_snapshot.main(argv)
+    assert stop.value.code == 3
+    assert ran == ["run.py", "worker.py"]
+    assert capsys.readouterr().err == "pass died\n"
+    assert list(tmp_path.iterdir()) == []

@@ -35,7 +35,6 @@ from conetilt.linalg import (
     ShapeMismatch,
 )
 from conetilt.objects import (
-    AtomObject,
     IndeterminateRank,
     KernelBundle,
     LESMap,
@@ -69,6 +68,7 @@ from conetilt.rules import (
     ext1_h0_block,
     hom_atoms,
 )
+from conetilt.tilting import check_sod, end_blocks
 
 X = make_space(3, 3)
 S = make_space(2, 2)
@@ -194,17 +194,11 @@ def test_custom_kernel_bundle_hom_dims_shift_with_rank():
         (lambda: ConeSpace(3, 3), ConeSpace(3, 4), "n", "ConeSpace(n=3, m=3)"),
         (lambda: OX(2), OZ(2), "kind", "Atom(kind='cone', twist=2)"),
         (
-            lambda: AtomObject(OZ(-1)),
-            AtomObject(OX(-1)),
-            "atom",
-            "AtomObject(atom=Atom(kind='section', twist=-1))",
-        ),
-        (
             lambda: direct_sum(OX(0), OZ(1)),
             direct_sum(OZ(1), OX(0)),
             "parts",
-            "SumObject(parts=((AtomObject(atom=Atom(kind='cone', twist=0)), 1), "
-            "(AtomObject(atom=Atom(kind='section', twist=1)), 1)))",
+            "SumObject(parts=((Atom(kind='cone', twist=0), 1), "
+            "(Atom(kind='section', twist=1), 1)))",
         ),
         (
             lambda: KernelBundle(1, 2, ((Fraction(1), Fraction(0)), (Fraction(1, 2), 1))),
@@ -234,7 +228,8 @@ def test_value_types_compare_hash_and_print_by_their_fields(make, other, field, 
 def test_value_type_constructors_keep_their_signatures():
     assert ConeSpace(n=2, m=5) == make_space(2, 5)
     assert Atom(kind="section", twist=3) == OZ(3)
-    assert AtomObject(atom=OX(1)) == as_object(OX(1))
+    atom = OX(1)
+    assert as_object(atom) is atom
     assert KernelBundle(e=2, h=6) == KernelBundle(2, 6, None)
     assert KernelBundle(2, 6).columns is None
     with pytest.raises(ValueError, match="need n >= 2"):
@@ -383,12 +378,36 @@ def test_contra_needs_kernel_left_and_atoms_right():
         les_hom_contra(X, F, G)
 
 
+# each entry point given `obj` as a sheaf object argument
+ENTRY_POINTS = {
+    "hom_objects": lambda obj: hom_objects(X, F, obj),
+    "hom_objects_detailed": lambda obj: hom_objects_detailed(X, obj, F),
+    "direct_sum": lambda obj: direct_sum(OX(0), obj),
+    "rank_of": rank_of,
+    "end_blocks": lambda obj: end_blocks(X, [obj]),
+    "check_sod": lambda obj: check_sod(X, [("P", obj)]),
+}
+
+
+@pytest.mark.parametrize("value", [("O", 1), "O(1)", None], ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_refuse_what_is_not_a_sheaf_object(entry, value):
+    call = ENTRY_POINTS[entry]
+    for atom in (OX(0), OZ(1)):
+        try:
+            call(atom)
+        except EngineError:  # refused by its Hom (End(OZ(1)) has Ext^1), not its type
+            pass
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        call(value)
+
+
 def test_contra_sum_target_additive():
     les = les_hom_contra(X, F, [OX(0), OZ(1)])
     assert les.solved_dims(2) == (27, 0, 0, 0)
-    # an atom, its object and a one-atom list or sum are one run: one row
-    one = les_hom_contra(X, F, AtomObject(OZ(1)))
-    for B in (OZ(1), [OZ(1)], direct_sum(OZ(1))):
+    # an atom and a one-atom list or sum are one run: one row
+    one = les_hom_contra(X, F, OZ(1))
+    for B in ([OZ(1)], direct_sum(OZ(1))):
         assert les_hom_contra(X, F, B) is one
 
 
@@ -1494,8 +1513,10 @@ def test_atom_kernel_queries_build_no_record_until_read(monkeypatch):
     P(1^4,3) name nothing: no row calls its names builder, renders its
     origin or builds a term or map record, and no note is written; nor
     does an atom<->atom row of the P1113 and P112 reports write its
-    note.  Reading the derivations builds the notes and the records of
-    every row, with the texts, names and dims DERIVATION_DIGESTS pins."""
+    note.  Reading a row's origin alone builds none of its records.
+    Reading the derivations builds the notes and the records of every
+    row, with the texts, names and dims DERIVATION_DIGESTS pins, and
+    calls each row's names builder once."""
     import conetilt.objects as objects
     from conetilt.report import BUILTIN_INSTANCES, get_instance
 
@@ -1515,9 +1536,11 @@ def test_atom_kernel_queries_build_no_record_until_read(monkeypatch):
         assert [row for row in rows if "origin" in vars(row)] == [], (n, m)
         assert _with_records(rows) == [], (n, m)
         assert [comp for comp in answered if "notes" in vars(comp)] == [], (n, m)
+        assert all(row.origin for row in rows) and _with_records(rows) == [], (n, m)
         records = [_as_data(comp) for comp in comps]
         assert _digest(records) == DERIVATION_DIGESTS["atom<->F on P(1^%d,%d)" % (n, m)]
-        assert named and _with_records(rows) == rows
+        assert _with_records(rows) == rows
+        assert len(named) == len(rows), (n, m)  # one names() call per row
         assert built.count("LESTerm") == sum(len(row.dims) for row in rows)
         assert built.count("LESMap") == sum(len(row.dims) - 1 for row in rows)
         named.clear()
@@ -1525,10 +1548,9 @@ def test_atom_kernel_queries_build_no_record_until_read(monkeypatch):
         rows.clear()
     for name, (_, report_rows, _) in BUILTIN_INSTANCES.items():
         cfg = get_instance(name)
-        pairs = [(as_object(cfg.objects[a]), as_object(cfg.objects[b]))
-                 for _, a, b, _ in report_rows]
+        pairs = [(cfg.objects[a], cfg.objects[b]) for _, a, b, _ in report_rows]
         comps = [hom_objects_detailed(cfg.space, A, B) for A, B in pairs
-                 if isinstance(A, AtomObject) and isinstance(B, AtomObject)]
+                 if isinstance(A, Atom) and isinstance(B, Atom)]
         assert [comp for comp in comps if "notes" in vars(comp)] == [], name
         assert [comp.notes for comp in comps] == [[note] for note in ATOM_ROW_NOTES[name]]
         assert all(comp.sequences == comp.ladders == [] for comp in comps)
@@ -1818,12 +1840,12 @@ def test_hom_objects_matches_hom_atoms_on_atoms():
 
 def test_degree_support_regression():
     """All Homs among the threefold collection live in degree 0 only."""
-    objs = [F, G, as_object(OX(0)), as_object(OX(3))]
+    objs = [F, G, OX(0), OX(3)]
     for a in objs:
         for b in objs:
             dims = hom_objects(X, a, b)
             assert all(d == 0 for d in dims[1:]), (a, b, dims)
-    surf = [FS, as_object(OX(0)), as_object(OX(-2))]
+    surf = [FS, OX(0), OX(-2)]
     for a in surf:
         for b in surf:
             dims = hom_objects(S, a, b)

@@ -66,10 +66,10 @@ def test_atom_pair_table(A, B, expected):
 
 
 def test_rule_tags():
-    assert hom_atoms(X, OX(0), OX(3)).rules[0] == "R1"
-    assert hom_atoms(X, OX(1), OZ(2)).rules[0] == "R2"
-    assert hom_atoms(X, OZ(1), OZ(2)).rules[0] == "R3"
-    assert hom_atoms(X, OZ(1), OX(0)).rules[0] == "R4"
+    assert hom_atoms(X, OX(0), OX(3)).rule == "R1"
+    assert hom_atoms(X, OX(1), OZ(2)).rule == "R2"
+    assert hom_atoms(X, OZ(1), OZ(2)).rule == "R3"
+    assert hom_atoms(X, OZ(1), OX(0)).rule == "R4"
 
 
 def test_out_of_validity_refusals():

@@ -76,10 +76,10 @@ def test_counted_dims_agree_with_the_built_spaces(pair):
         if dim > LISTED_UP_TO:
             continue
         listed = rule_space(space, A, B, i)
-        blocks = listed.blocks if gh.rules[0] == "R3" else (listed,)
+        blocks = listed.blocks if gh.rule == "R3" else (listed,)
         assert listed.dim == dim
         assert gh.block_dims[i] == tuple(block.dim for block in blocks)
-        if gh.rules[0] == "R3":
+        if gh.rule == "R3":
             assert r3_block_dims(space, A.twist, B.twist, i) == gh.block_dims[i]
 
 

@@ -20,7 +20,8 @@ bench/run.py keeps the results of every pass, so its `peak_rss_mb`
 grows with the passes a run fits.  The snapshot process holds little,
 so `pass_rss_mb` is the pass's own peak.
 
-Exits with bench/run.py's code, writing nothing, if the run fails.
+If the run or the extra pass fails, prints its stderr and exits with
+its code, writing nothing.
 """
 
 from __future__ import annotations
@@ -56,16 +57,23 @@ def parse_run_output(text):
     return result
 
 
+def run(command):
+    """The stdout of `command`; if it fails, print its stderr and exit
+    with its code."""
+    proc = subprocess.run(command, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(proc.returncode)
+    return proc.stdout
+
+
 def pass_rss_mb(workload, seed):
     """Peak RSS in MB of one untraced pass launched from this process."""
-    proc = subprocess.run(
-        [
-            sys.executable, "-I", os.path.join("bench", "worker.py"),
-            "--workload", workload, "--seed", str(seed), "--mode", "pass",
-        ],
-        capture_output=True, text=True, check=True,
-    )
-    return json.loads(proc.stdout.strip().splitlines()[-1])["rss_kb"] / 1024.0
+    stdout = run([
+        sys.executable, "-I", os.path.join("bench", "worker.py"),
+        "--workload", workload, "--seed", str(seed), "--mode", "pass",
+    ])
+    return json.loads(stdout.strip().splitlines()[-1])["rss_kb"] / 1024.0
 
 
 def commit():
@@ -91,19 +99,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     started = time.monotonic()
-    proc = subprocess.run(
-        [
-            sys.executable, os.path.join("bench", "run.py"),
-            "--workload", args.workload, "--seed", str(args.seed),
-            "--seconds", str(args.seconds), "--trace", "0",
-        ],
-        capture_output=True, text=True,
-    )
+    stdout = run([
+        sys.executable, os.path.join("bench", "run.py"),
+        "--workload", args.workload, "--seed", str(args.seed),
+        "--seconds", str(args.seconds), "--trace", "0",
+    ])
     took = time.monotonic() - started
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stderr)
-        return proc.returncode
-    snapshot = parse_run_output(proc.stdout)
+    snapshot = parse_run_output(stdout)
     rss = pass_rss_mb(args.workload, args.seed)
     snapshot.update(
         label=args.label,
