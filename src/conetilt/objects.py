@@ -13,16 +13,17 @@ naming the unresolved map; it never guesses.
 
 Every sequence is one `LongExactSequence`: term dims and padded map
 ranks, solved and checked by `_solve` in one walk, with names kept as
-formats until read.  Its origin is rendered on first read, its term and
-map records are built together on the first read of either, and
-`ladder_propagate` reads its integers.  The kernel-kernel chase pays
-only for what it reads: its checks, the n = 2 gap refusal included, run
-before any row is built; its ladder is one sum read off the bottom row
-and the reached block; its outer row takes Hom^i(K, O^h') from the
-one-copy row Hom(-, O).  Every answer builds its derivation on first
-read: a kernel pair its notes, ladder result and scaled top row, an
-atom pair its rule note, an atom-kernel pair its note and its one row,
-whose origin is rendered only then, and a sum the derivations of its
+formats until read.  Its origin is rendered on first read, and its term
+and map records are built together on the first read of either.  A
+kernel pair counts its dims: its checks, the n = 2 gap refusal
+included, run first; its ladder `ladder_propagate` is one sum of two
+integers, rank(B1 -> B2) from the count table and the reached block;
+Hom^0 reads the one-copy row Hom(-, O), the only row it builds, and
+Hom^{n-1} is dim H^{n-1}(Z, e'-e).  Every answer builds its derivation
+on first read: a kernel pair its notes, ladder result and its top,
+bottom and outer rows, checked against the counted dims, an atom pair
+its rule note, an atom-kernel pair its note and its one row, whose
+origin is rendered only then, and a sum the derivations of its
 summands.  A query that reads only the dims renders no name.
 """
 
@@ -513,26 +514,27 @@ class LadderResult(Record):
         self.certificate = certificate
 
 
-def ladder_propagate(bottom, reached):
+def ladder_propagate(kb, reached):
     """Rank of the middle vertical T2 -> B2 of a kernel pair's ladder.
 
     The ladder maps the top row Hom(-, O^h') along K's sequence, terms
     T1, T2, T3 = Hom^0(O^h, O^h'), Hom^0(K, O^h'), Hom^1(OZ(e), O^h'),
     to the bottom row Hom(-, OZ(e')), terms B1, B2, B3.  Both outer
     verticals are onto: the left one onto B1, the right one onto the
-    reached block of B3, `reached` (ext1_h0_block).  Then
+    reached block of B3, `reached` (ext1_h0_block).  With
+    `kb` = rank(B1 -> B2),
 
-        rank = rank(B1 -> B2) + reached.
+        rank = kb + reached.
 
-    The left vertical has rank dim B1 - rank(B0 -> B1) = rank(B1 -> B2)
-    into B1 / ker(B1 -> B2), so through T1 the middle vertical reaches
-    all of im(B1 -> B2).  T4 = Hom^1(O^h, O^h') = H^1(X, O)^{hh'} = 0
-    for n >= 2, so T2 / im(T1) is T3, which the right vertical maps onto
+    The left vertical has rank dim B1 - rank(B0 -> B1) = kb into
+    B1 / ker(B1 -> B2), so through T1 the middle vertical reaches all of
+    im(B1 -> B2).  T4 = Hom^1(O^h, O^h') = H^1(X, O)^{hh'} = 0 for
+    n >= 2, so T2 / im(T1) is T3, which the right vertical maps onto
     the reached block; that adds `reached`.  (Were T1 -> T2 onto T2, T3
     would inject into T4 = 0 and the reached block would be 0: the same
-    sum.)  The answer reads only the bottom row.
+    sum.)  The answer reads two integers and no row.
     """
-    return bottom.ranks[2] + reached
+    return kb + reached
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +604,31 @@ def _outer_names(n, K, Kp):
     )
 
 
-def _kernel_derivation(space, K, Kp, rank, outer):
-    """Notes, ladder and the top, bottom and outer rows of a kernel pair."""
+def _kernel_derivation(space, K, Kp, reached, dims):
+    """Notes, ladder and the top, bottom and outer rows of a kernel pair.
+
+    The ladder reads rank(B1 -> B2) off the solved bottom row, and the
+    outer row is solved and checked on it; an outer row whose solved
+    dims are not the counted `dims` raises EngineError.
+    """
+    n = space.n
     top = _top_row(space, K, Kp.h)
     bottom = _les_hom_contra_cached(space, K, ((OZ(Kp.e), 1),))
-    r_kb = bottom.maps[1].rank  # B1 -> B2
+    r_kb = bottom.ranks[2]  # B1 -> B2
+    rank = ladder_propagate(r_kb, reached)
+    dimsP = _les_hom_contra_cached(space, K, _O_RUNS).solved_dims(2)  # Hom^i(K, O)
+    dimsQ = bottom.solved_dims(2)  # Hom^i(K, OZ(e'))
+    outer_dims, ranks = [], [0]
+    for i in range(n + 1):
+        outer_dims += (None, Kp.h * dimsP[i], dimsQ[i])
+        ranks += (None, rank if i == 0 else 0, None)  # gamma_i, zero-side for i > 0
+    ranks[-1] = 0  # past the last term; no delta_n
+    outer = _solve(LongExactSequence(outer_dims, ranks, partial(_outer_names, n, K, Kp)))
+    if outer.solved_dims(0) != dims:
+        raise EngineError(
+            "Hom(%s, %s) on %s: the outer row solves to %s, the count gives %s"
+            % (K, Kp, space, outer.solved_dims(0), dims)
+        )
     ladder = LadderResult(
         rank,
         "image part saturated (rank %d = rank of %s); quotient part "
@@ -621,30 +643,44 @@ def _kernel_derivation(space, K, Kp, rank, outer):
 
 @lru_cache(maxsize=None)
 def _hom_kernel_kernel(space, K, Kp):
-    """Hom^*(K, K') for two kernel bundles, via the covariant outer chase.
+    """Hom^*(K, K') for two kernel bundles, counted off the covariant outer chase.
 
-    The checks run before any row is built: `_check_bundle` on K' and
-    K, then ext1_h0_block, which refuses a pair whose Ext^1 has the
-    n = 2 block H^1(Z, e'-e) that the right vertical misses.  No row of
-    a pair that passes them can raise before that point, as its atoms
-    are O(0) and OZ(.) and every alpha rank is read off the rules.
+    The checks run first: `_check_bundle` on K' and K, then
+    ext1_h0_block, which refuses a pair whose Ext^1 has the n = 2 block
+    H^1(Z, e'-e) that the right vertical misses and returns the reached
+    block H^0(Z, e'-e+m).  The dims are then read off integers: no row
+    is built but the one-copy row Hom(-, O), cached once per (cone, K)
+    and shared by every K'.  The derivation (notes, the ladder result,
+    and the top, bottom and outer rows) is built on first read, and
+    checks that its solved outer row gives the same dims.
 
-    The chase reads integers only.  The ladder is the one sum of
-    `ladder_propagate`, read off the reached block and the bottom row
-    Hom(-, OZ(e')), the row les_hom_contra caches.  The outer row takes
-    Hom^i(K, O^h') as h' times the solved dims of the cached one-copy
-    row Hom(-, O), so the scaled top row `_top_row` is built only when
-    the derivation is read; the outer row is solved and checked on
-    integers.  The notes, the ladder result and the scaled top row are
-    built on first read, and the term and map records of each row on
-    the first read of its terms or maps.
+    The count.  Write h, e for K and h', e' for K'.  The outer row is
+    Hom(K, -) along 0 -> K' -> O^h' -> OZ(e') -> 0, with gamma_i:
+    Hom^i(K, O^h') -> Hom^i(K, OZ(e')).
+    * The bottom row Hom(-, OZ(e')) along K's sequence has alpha_0
+      injective on R3's block 0, H^0(Z, e'-e) (`_les_hom_contra_cached`),
+      so kb = rank(B1 -> B2) = h dim H^0(Z, e') - dim H^0(Z, e'-e).
+    * gamma_0 has rank r = ladder_propagate(kb, reached).
+    * gamma_i, i >= 1, has a zero source: Hom^i(K, O) = 0 (below).
+    So Hom^0(K, K') = h' Hom^0(K, O) - r, and Hom^1(K, K') =
+    Hom^0(K, OZ(e')) - r.  Along the bottom row alpha_1 lands in
+    H^1(Z, e')^h = 0, so Hom^0(K, OZ(e')) = kb + dim Ext^1(OZ(e), OZ(e'))
+    = kb + reached + dim H^1(Z, e'-e), and Hom^1(K, K') = H^1(Z, e'-e),
+    which is 0 for n >= 3 and, past the gap refusal, for n = 2.  For
+    i >= 2, Hom^i(K, K') = Hom^{i-1}(K, OZ(e')), which is the zero-side
+    kernel of alpha_i: H^{i-1}(Z, e') = 0 for i >= 2 (e' > 0), so it is
+    all of Hom^i(OZ(e), OZ(e')) = H^i(Z, e'-e) + H^{i-1}(Z, e'-e+m),
+    whose second block is 0 (e'-e+m > 0, i - 1 >= 1).  That leaves
+    H^{n-1}(Z, e'-e) in degree n - 1 and 0 in every other degree >= 2.
+    In all: Hom^0 = h' Hom^0(K, O) - r, Hom^{n-1} = dim H^{n-1}(Z, e'-e),
+    and 0 elsewhere.  The chase reads only h and e of K, so custom
+    bundles take the same path.
 
-    Only gamma_0 needs the ladder: Hom^i(K, O) = 0 for i >= 1, so
-    gamma_i has a zero source.  Along K's sequence Hom^i(K, O) sits
-    between Hom^i(O^h, O) = H^i(X, O)^h = 0 and
-    Hom^{i+1}(OZ(e), O) = H^i(Z, m-e) (R4), which is 0 as m - e >= 1.
-    This holds for every kernel bundle, custom ones included.  The left
-    vertical is h copies of the evaluation of K' (H^0(X, O) = k), which
+    Hom^i(K, O) = 0 for i >= 1: along K's sequence it sits between
+    Hom^i(O^h, O) = H^i(X, O)^h = 0 and Hom^{i+1}(OZ(e), O) =
+    H^i(Z, m-e) (R4), which is 0 as m - e >= 1.  This holds for every
+    kernel bundle, custom ones included.  The left vertical of the
+    ladder is h copies of the evaluation of K' (H^0(X, O) = k), which
     `_check_bundle` checked spans H^0(Z, O(e')), so it is onto.
 
     The right vertical Ext^1(OZ(e), O^h') -> Ext^1(OZ(e), OZ(e')) is
@@ -657,24 +693,17 @@ def _hom_kernel_kernel(space, K, Kp):
     and H^0(Z, m-e) H^0(Z, e') is all of H^0(Z, m-e+e') as both degrees
     are at least 1.  The bottom term is ext1_h0_block.
     """
-    n, hp = space.n, Kp.h
+    n = space.n
     _check_bundle(space, Kp)  # ShapeMismatch unless K' lives here and spans
     _check_bundle(space, K)
     reached = ext1_h0_block(space, K.e, Kp.e)  # the reached block; refuses the n = 2 gap
-    bottom = _les_hom_contra_cached(space, K, ((OZ(Kp.e), 1),))
-    rank = ladder_propagate(bottom, reached)
-
-    dimsP = _les_hom_contra_cached(space, K, _O_RUNS).solved_dims(2)  # Hom^i(K, O)
-    dimsQ = bottom.solved_dims(2)  # Hom^i(K, OZ(e'))
-    dims, ranks = [], [0]
-    for i in range(n + 1):
-        dims += (None, hp * dimsP[i], dimsQ[i])
-        ranks += (None, rank if i == 0 else 0, None)  # gamma_i, zero-side for i > 0
-    ranks[-1] = 0  # past the last term; no delta_n
-    outer = _solve(LongExactSequence(dims, ranks, partial(_outer_names, n, K, Kp)))
-    return HomComputation(
-        outer.solved_dims(0), derive=(_kernel_derivation, (space, K, Kp, rank, outer))
-    )
+    kb = K.h * section_cohomology_dim(space, Kp.e, 0) - r3_block_dims(space, K.e, Kp.e, 0)[0]
+    rank = ladder_propagate(kb, reached)
+    dims = [0] * (n + 1)
+    dims[0] = Kp.h * _les_hom_contra_cached(space, K, _O_RUNS).dims[2] - rank
+    dims[n - 1] = r3_block_dims(space, K.e, Kp.e, n - 1)[0]  # H^{n-1}(Z, e'-e)
+    dims = tuple(dims)
+    return HomComputation(dims, derive=(_kernel_derivation, (space, K, Kp, reached, dims)))
 
 
 def hom_objects_detailed(space, A, B):

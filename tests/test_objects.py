@@ -67,6 +67,7 @@ from conetilt.rules import (
     PresentationMismatch,
     ext1_h0_block,
     hom_atoms,
+    r3_block_dims,
 )
 from conetilt.tilting import check_sod, end_blocks
 
@@ -251,8 +252,9 @@ def test_kernel_bundle_copies_are_equal_and_share_the_caches(monkeypatch):
     hits = _les_hom_contra_cached.cache_info().hits
     assert les_hom_contra(X5, B, OZ(4)) is first
     assert _les_hom_contra_cached.cache_info().hits == hits + 1
-    # a cold kernel pair reads its two contravariant rows, Hom(-, OZ(e'))
-    # and Hom(-, O), through the one cache of les_hom_contra
+    # a cold kernel pair read for its dims reads one contravariant row, the
+    # one-copy Hom(-, O), through the one cache of les_hom_contra, and
+    # adds only that entry; its derivation reads the bottom row Hom(-, OZ(e'))
     import conetilt.objects as objects
 
     cached, read = _les_hom_contra_cached, []
@@ -264,12 +266,14 @@ def test_kernel_bundle_copies_are_equal_and_share_the_caches(monkeypatch):
     _clear_caches()
     monkeypatch.setattr(objects, "_les_hom_contra_cached", spy)
     K, Kp = kernel_bundle(X5, 1), kernel_bundle(X5, 3)
-    hom_objects(X5, K, Kp)
+    comp = hom_objects_detailed(X5, K, Kp)
     chase, before = list(read), cached.cache_info()
-    rows = [les_hom_contra(X5, K, OZ(Kp.e)), les_hom_contra(X5, K, OX(0))]
-    after = cached.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 2, before.misses)
-    assert len(chase) == 2 and all(row is seen for row, seen in zip(rows, chase))
+    assert before.currsize == 1
+    assert len(chase) == 1 and les_hom_contra(X5, K, OX(0)) is chase[0]
+    assert cached.cache_info().hits == before.hits + 1
+    _, bottom, _ = comp.sequences
+    assert les_hom_contra(X5, K, OZ(Kp.e)) is bottom
+    assert cached.cache_info().currsize == 2
 
 
 def test_canonical_kernel_bundle_stores_no_evaluation():
@@ -728,7 +732,7 @@ def _ladder_cases(n, m, custom):
         except PresentationMismatch:
             continue
         v3 = ext1_map(space, K.e, component_terms(space, Kp), pres, name="v3")
-        rank = ladder_propagate(bottom, ext1_h0_block(space, K.e, Kp.e))
+        rank = ladder_propagate(bottom.maps[1].rank, ext1_h0_block(space, K.e, Kp.e))
         cases.append((space, K, Kp, top, bottom, v3, rank))
     return cases, len(pairs)
 
@@ -770,6 +774,63 @@ def test_onto_right_vertical_matches_the_explicit_one(n, m, custom):
         expected = _middle_rank(top, bottom, bottom.maps[1].rank, v3.rank())
         assert rank == expected, (K, Kp)
     assert len(cases) >= tried // 2
+
+
+def test_the_derivation_checks_the_counted_dims(monkeypatch):
+    """A kernel pair counts its dims; reading its derivation solves the
+    ladder and the outer row on the rows, which must give the same dims.
+
+    On the P(1^3,7) and P(1,1,9) grids and on custom bundles, the bottom
+    row's rank(B1 -> B2) is the count h dim H^0(Z, e') - dim H^0(Z, e'-e),
+    and the outer row solves to the counted dims; a wrong count raises
+    EngineError when the derivation is read.
+    """
+    import conetilt.objects as objects
+
+    cases = []
+    for n, m in ((3, 7), (2, 9)):
+        space = make_space(n, m)
+        bundles = [kernel_bundle(space, e) for e in range(1, m)]
+        cases += [(space, K, Kp) for K in bundles for Kp in bundles]
+    for n, m in ((3, 4), (2, 7)):
+        space = make_space(n, m)
+        bundles = [kernel_bundle(space, e) for e in range(1, m)]
+        odd = _custom_bundles(space, random.Random(7))
+        cases += [(space, K, Kp) for K in odd for Kp in odd + bundles]
+        cases += [(space, K, Kp) for K in bundles for Kp in odd]
+    answered = 0
+    for space, K, Kp in cases:
+        try:
+            comp = hom_objects_detailed(space, K, Kp)
+        except PresentationMismatch:
+            continue
+        _, bottom, outer = comp.sequences
+        n1 = space.n - 1
+        kb = K.h * comb(Kp.e + n1, n1) - (comb(Kp.e - K.e + n1, n1) if Kp.e >= K.e else 0)
+        r = ladder_propagate(bottom.maps[1].rank, ext1_h0_block(space, K.e, Kp.e))
+        assert bottom.maps[1].rank == kb, (space, K, Kp)
+        assert comp.dims == outer.solved_dims(0) and comp.ladders[0].rank == r, (space, K, Kp)
+        answered += 1
+    assert answered == 359  # 36 + 43 canonical, 72 + 208 custom; the n = 2 gap refuses the rest
+
+    def miscounted(space, e, f, i):
+        gap, reached = r3_block_dims(space, e, f, i)
+        return gap + 1, reached
+
+    X7 = make_space(3, 7)
+    K, Kp = kernel_bundle(X7, 2), kernel_bundle(X7, 5)
+    objects._hom_kernel_kernel.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(objects, "r3_block_dims", miscounted)
+        wrong = hom_objects_detailed(X7, K, Kp)
+    objects._hom_kernel_kernel.cache_clear()
+    assert wrong.dims != hom_objects(X7, K, Kp)
+    with pytest.raises(
+        EngineError,
+        match=r"Hom\(ker\(O\^6->OZ\(2\)\), ker\(O\^21->OZ\(5\)\)\) on .*: the outer "
+        r"row solves to \(\d+, 0, 0, 0\), the count gives \(\d+, 0, 1, 0\)",
+    ):
+        wrong.notes
 
 
 def _count_presented_maps(monkeypatch):
