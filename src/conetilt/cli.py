@@ -215,11 +215,7 @@ def cmd_verify_sod(args):
     name = args.collection or next(iter(cfg.collections), None)
     if name is None:
         raise ConfigError("no collections defined")
-    try:
-        collection = cfg.collection(name)
-    except KeyError as exc:
-        raise ConfigError(exc.args[0])  # str(KeyError) would quote it
-    report = check_sod(cfg.space, collection)
+    report = check_sod(cfg.space, cfg.collection(name))
     payload = _sod_payload(report)
     if args.format == "json":
         print(emit_json(payload))

@@ -25,6 +25,15 @@ bottom and outer rows, checked against the counted dims, an atom pair
 its rule note, an atom-kernel pair its note and its one row, whose
 origin is rendered only then, and a sum the derivations of its
 summands.  A query that reads only the dims renders no name.
+
+Tables are cached, Hom answers are not.  The caches hold what many
+queries share: `_check_bundle` once per cone and bundle,
+`_les_hom_contra_cached` once per row (the one-copy row Hom(-, O) of K
+serves every kernel pair (K, K')), and in `rules` and `cone` the count
+table, the atom records of `hom_atoms` and the basis listers.  A kernel
+pair and a covariant row are worked out again on every query: each
+costs a few reads of those tables, while a kept answer per pair would
+grow with (m - 1)^2 per cone for the life of the process.
 """
 
 from __future__ import annotations
@@ -486,11 +495,6 @@ def les_hom_cov(space, A, Kp):
     if not isinstance(Kp, KernelBundle):
         raise TypeError("right argument must be a kernel bundle, got %s" % (Kp,))
     _check_bundle(space, Kp)
-    return _les_hom_cov_cached(space, A, Kp)
-
-
-@lru_cache(maxsize=None)
-def _les_hom_cov_cached(space, A, Kp):
     fromP = hom_counts(space, A, _O)[0]  # OutOfValidity for non-invertible twists
     fromQ = hom_counts(space, A, OZ(Kp.e))[0]
     dims, ranks = [], [0]
@@ -641,7 +645,6 @@ def _kernel_derivation(space, K, Kp, reached, dims):
     return [note], [ladder], [top, bottom, outer]
 
 
-@lru_cache(maxsize=None)
 def _hom_kernel_kernel(space, K, Kp):
     """Hom^*(K, K') for two kernel bundles, counted off the covariant outer chase.
 

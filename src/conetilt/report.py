@@ -29,7 +29,7 @@ class InstanceConfig(Record):
 
     def collection(self, name):
         if name not in self.collections:
-            raise KeyError("unknown collection %r" % name)
+            raise ConfigError("unknown collection %r" % name)
         return [(n, self.objects[n]) for n in self.collections[name]]
 
 

@@ -9,6 +9,8 @@ are verified computationally.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .cone import Record, cone_cohomology_dim, regime_notes
 from .linalg import EngineError
 from .objects import as_object, hom_objects, rank_of, SumObject
@@ -95,25 +97,14 @@ def check_sod(space, named_objects):
         )
         for i in range(k)
     ]
-    first = None
-    for i in range(k):
-        if not tilting[i].ok and first is None:
-            first = "object %s is not tilting: %s" % (
-                names[i],
-                pairwise[i][i][1:],
-            )
-    if first is None:
-        for i in range(k):
-            for j in range(i):
-                if any(pairwise[i][j]):
-                    first = "Hom*(%s, %s) = %s is nonzero" % (
-                        names[i],
-                        names[j],
-                        pairwise[i][j],
-                    )
-                    break
-            if first is not None:
-                break
+    # tilting failures first, then the first i > j with Hom*(P_i, P_j) != 0
+    violations = chain(
+        ("object %s is not tilting: %s" % (names[i], pairwise[i][i][1:])
+         for i in range(k) if not tilting[i].ok),
+        ("Hom*(%s, %s) = %s is nonzero" % (names[i], names[j], pairwise[i][j])
+         for i in range(k) for j in range(i) if any(pairwise[i][j])),
+    )
+    first = next(violations, None)
     block_detail = []
     for obj in objects:
         if isinstance(obj, SumObject) and all(k == 1 for _, k in obj.parts):

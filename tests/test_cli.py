@@ -20,6 +20,7 @@ from conetilt.cli import (
     parse_config,
 )
 from conetilt.cone import MAX_N
+from conetilt.report import get_instance
 from conetilt.rules import OutOfValidity, PresentationMismatch
 
 CONFIG = """\
@@ -354,6 +355,13 @@ def test_verify_sod_unknown_collection(capsys):
     code = main(["verify-sod", "--instance", "P1113", "nope"])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "config error: unknown collection 'nope'\n"
+
+
+def test_unknown_collection_is_a_config_error():
+    """A Python caller sees the same unquoted text as the command line."""
+    with pytest.raises(ConfigError) as info:
+        get_instance("P1113").collection("nosuch")
+    assert str(info.value) == "unknown collection 'nosuch'"
 
 
 def test_paper_report_instances(capsys):

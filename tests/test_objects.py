@@ -532,6 +532,13 @@ GRID_P1115 = {
 }
 
 
+def _clear_caches():
+    for modname in ("conetilt.cone", "conetilt.rules", "conetilt.objects"):
+        for value in vars(sys.modules[modname]).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
 def test_engine_path_builds_no_dense_matrix(monkeypatch):
     """Every elimination entry point raises, yet the P(1^3, 5) kernel grid answers."""
     import conetilt.linalg as linalg
@@ -547,10 +554,7 @@ def test_engine_path_builds_no_dense_matrix(monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if id(value) in originals:
                     monkeypatch.setattr(mod, attr, refuse)
-    for modname in ("conetilt.cone", "conetilt.rules", "conetilt.objects"):
-        for value in vars(sys.modules[modname]).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+    _clear_caches()
     X5 = make_space(3, 5)
     bundles = {e: kernel_bundle(X5, e) for e in range(1, 5)}
     grid = {
@@ -644,12 +648,11 @@ def test_left_vertical_restricts_nothing(monkeypatch):
     """The chase takes its left vertical as onto and builds no matrix for it.
 
     v1 is h copies of the evaluation of K', which spans H^0(Z, O(e')),
-    so the ladder reads its rank off the bottom row; no label of
-    Hom^0(O^h, O^h') is restricted and multiplied by a section, and
-    with the sequence caches filled the chase multiplies no monomial.
+    so the dims path counts its rank kb, and only the derivation reads
+    it off the bottom row; no label of Hom^0(O^h, O^h') is restricted
+    and multiplied by a section, and with the sequence caches filled the
+    chase multiplies no monomial.
     """
-    import conetilt.objects as objects
-
     X7 = make_space(3, 7)
     K, Kp = kernel_bundle(X7, 3), kernel_bundle(X7, 2)
     expected = hom_objects(X7, K, Kp)  # fills the sequence caches first
@@ -661,7 +664,6 @@ def test_left_vertical_restricts_nothing(monkeypatch):
         return product(mon, other)
 
     monkeypatch.setattr(Monomial, "__mul__", counting)
-    objects._hom_kernel_kernel.cache_clear()
     assert hom_objects(X7, K, Kp) == expected
     assert calls == []
 
@@ -819,11 +821,9 @@ def test_the_derivation_checks_the_counted_dims(monkeypatch):
 
     X7 = make_space(3, 7)
     K, Kp = kernel_bundle(X7, 2), kernel_bundle(X7, 5)
-    objects._hom_kernel_kernel.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(objects, "r3_block_dims", miscounted)
         wrong = hom_objects_detailed(X7, K, Kp)
-    objects._hom_kernel_kernel.cache_clear()
     assert wrong.dims != hom_objects(X7, K, Kp)
     with pytest.raises(
         EngineError,
@@ -851,10 +851,11 @@ def _count_presented_maps(monkeypatch):
 def test_chase_builds_no_ext1_postcomposition(monkeypatch):
     """No chase builds a map, on Ext^1 or anywhere else.
 
-    The kernel-kernel chase reads the rank of v3 off the bottom row, the
-    covariant chase the rank of beta_1 off its target, and the
-    contravariant chase the rank of each alpha_i off its source; all take
-    Ext^1 from R3 and R4.  Even with cold sequence caches, none of them
+    The kernel-kernel chase counts kb and the rank of v3, the reached
+    block, and only its derivation reads the bottom row; the covariant
+    chase reads the rank of beta_1 off its target, and the contravariant
+    chase the rank of each alpha_i off its source; all take Ext^1 from
+    R3 and R4.  Even with cold sequence caches, none of them
     builds any map at all.
     """
     import conetilt.objects as objects
@@ -863,12 +864,10 @@ def test_chase_builds_no_ext1_postcomposition(monkeypatch):
     pairs = [(kernel_bundle(X7, e), kernel_bundle(X7, f)) for e, f in ((3, 2), (1, 6), (6, 1))]
     expected = [hom_objects(X7, K, Kp) for K, Kp in pairs]
     built = _count_presented_maps(monkeypatch)
-    objects._hom_kernel_kernel.cache_clear()
     objects._les_hom_contra_cached.cache_clear()
     assert [hom_objects(X7, K, Kp) for K, Kp in pairs] == expected
     assert built == []
     # the covariant chase from a section twist builds no Ext^1 map either
-    objects._les_hom_cov_cached.cache_clear()
     beta_1 = les_hom_cov(X7, OZ(2), pairs[0][1]).maps[4]
     assert built == []
     assert (beta_1.name, beta_1.how) == ("beta_1", "onto")
@@ -1079,9 +1078,6 @@ def test_sums_of_copies_are_indexed_by_offset(monkeypatch):
     builder finds a row as block offset plus base index; building the
     labels of such a sum is the per-query waste this guards against.
     """
-    import conetilt.objects as objects
-    import conetilt.rules as rules
-
     built = []
     labels = vars(DirectSum)["labels"]
 
@@ -1091,10 +1087,7 @@ def test_sums_of_copies_are_indexed_by_offset(monkeypatch):
         return labels.func(self)
 
     monkeypatch.setattr(DirectSum, "labels", property(spy))
-    for mod in (rules, objects):
-        for value in vars(mod).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+    _clear_caches()
     X5 = make_space(3, 5)
     bundles = {e: kernel_bundle(X5, e) for e in range(1, 5)}
     grid = {(e, f): hom_objects(X5, bundles[e], bundles[f]) for e, f in GRID_P1115}
@@ -1451,10 +1444,7 @@ def test_the_chase_builds_no_space(monkeypatch):
 
     for cls in (linalg.DirectSpace, linalg.DirectSum):
         monkeypatch.setattr(cls, "__init__", counting(cls))
-    for modname in ("conetilt.cone", "conetilt.rules", "conetilt.objects"):
-        for value in vars(sys.modules[modname]).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
+    _clear_caches()
     answered = 0
     for n, m in ((2, 7), (3, 5), (4, 3)):
         space = make_space(n, m)
@@ -1471,13 +1461,6 @@ def test_the_chase_builds_no_space(monkeypatch):
             answered += 1
     assert answered > 300  # 399 with the rule domain of this engine
     assert built == []
-
-
-def _clear_caches():
-    for modname in ("conetilt.cone", "conetilt.rules", "conetilt.objects"):
-        for value in vars(sys.modules[modname]).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
 
 
 def _count_records(monkeypatch):
@@ -1645,6 +1628,67 @@ def test_kernel_pairs_read_the_count_table(monkeypatch):
                     pass
         assert built == [], (n, m)
         assert rules._counts.cache_info().currsize <= 4 * m, (n, m)
+
+
+# every lru_cache of the engine, by module: tables and rows that many queries share
+ENGINE_CACHES = {
+    "conetilt.cone": [
+        "laurent_top_basis", "section_laurent_basis", "section_monomials", "weighted_monomials",
+    ],
+    "conetilt.rules": ["_counts", "hom_atoms"],
+    "conetilt.objects": ["_check_bundle", "_les_hom_contra_cached"],
+}
+
+
+def _engine_caches():
+    """Every lru_cache defined in a conetilt module, by module name."""
+    import conetilt.cli  # noqa: F401  imports every engine module
+
+    found = {}
+    for modname, mod in sorted(sys.modules.items()):
+        if modname.startswith("conetilt."):
+            names = sorted(
+                name for name, value in vars(mod).items()
+                if callable(getattr(value, "cache_clear", None))
+                and getattr(value, "__module__", None) == modname
+            )
+            if names:
+                found[modname] = names
+    return found
+
+
+def test_the_engine_caches_tables_not_answers():
+    """The engine keeps exactly eight caches, none of them of kernel-pair
+    answers or covariant rows, which are worked out on every query."""
+    assert _engine_caches() == ENGINE_CACHES
+
+
+def test_kernel_pairs_leave_no_entry_per_pair():
+    """On P(1^3, 7) with cold caches, every kernel pair and End(F) leave
+    entries per bundle or twist difference, none per pair: at most m - 1
+    contravariant rows (the one-copy rows Hom(-, O)) and bundle checks,
+    at most 4m count-table entries, and no cache with (m - 1)^2 entries."""
+    import conetilt.objects as objects
+    import conetilt.rules as rules
+
+    m = 7
+    _clear_caches()
+    X7 = make_space(3, m)
+    bundles = [kernel_bundle(X7, e) for e in range(1, m)]
+    for K in bundles:
+        for Kp in bundles:
+            hom_objects(X7, K, Kp)
+    F = direct_sum(*bundles)
+    assert hom_objects(X7, F, F)[0] == sum(GRID_P1117.values())
+    assert objects._les_hom_contra_cached.cache_info().currsize <= m - 1
+    assert objects._check_bundle.cache_info().currsize <= m - 1
+    assert rules._counts.cache_info().currsize <= 4 * m
+    sizes = {
+        (modname, name): getattr(sys.modules[modname], name).cache_info().currsize
+        for modname, names in _engine_caches().items()
+        for name in names
+    }
+    assert max(sizes.values()) < (m - 1) ** 2, sizes
 
 
 def _solve_records(les):

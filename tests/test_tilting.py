@@ -86,6 +86,24 @@ def test_check_sod_not_tilting_is_first_violation():
     assert not rep.ok and "not tilting" in rep.first_violation
 
 
+def test_check_sod_first_violation_texts():
+    """A non-tilting object is reported before any backward Hom, even one
+    that comes earlier in the collection; backward Homs are searched by
+    i, then j < i."""
+    cases = [
+        ([("O3", OX(3)), ("O", OX(0)), ("OZ1", OZ(1))], "object OZ1 is not tilting: (10, 0, 0)"),
+        ([("O3", OX(3)), ("O", OX(0))], "Hom*(O, O3) = (11, 0, 0, 0) is nonzero"),
+        (
+            [("O6", OX(6)), ("O3", OX(3)), ("O", OX(0))],
+            "Hom*(O3, O6) = (11, 0, 0, 0) is nonzero",
+        ),
+    ]
+    for collection, text in cases:
+        rep = check_sod(X, collection)
+        assert (rep.ok, rep.first_violation) == (False, text)
+        assert "FAIL (%s)" % text in rep.summary()
+
+
 def test_sod_invariant_under_self_sums():
     """Replacing a slot by a direct sum of copies of itself keeps the verdict."""
     base = [("FG", direct_sum(F, G)), ("O", OX(0)), ("O3", OX(3))]

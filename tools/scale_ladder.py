@@ -32,7 +32,7 @@ sys.path[:0] = [HERE, os.path.join(ROOT, "tests")]
 from bench_snapshot import commit, run  # noqa: E402
 from closed_form import kernel_pair_dims  # noqa: E402
 
-CELLS = ("3,100", "3,200", "20,20", "40,40", "60,60")
+CELLS = ("3,100", "3,200", "3,500", "20,20", "40,40", "60,60", "100,100")
 
 CHILD = """
 import json, sys, time
