@@ -19,12 +19,14 @@ kernel pair counts its dims: its checks, the n = 2 gap refusal
 included, run first; its ladder `ladder_propagate` is one sum of two
 integers, rank(B1 -> B2) from the count table and the reached block;
 Hom^0 reads the one-copy row Hom(-, O), the only row it builds, and
-Hom^{n-1} is dim H^{n-1}(Z, e'-e).  Every answer builds its derivation
-on first read: a kernel pair its notes, ladder result and its top,
-bottom and outer rows, checked against the counted dims, an atom pair
-its rule note, an atom-kernel pair its note and its one row, whose
-origin is rendered only then, and a sum the derivations of its
-summands.  A query that reads only the dims renders no name.
+Hom^{n-1} is dim H^{n-1}(Z, e'-e).  An atom-kernel pair counts its
+dims off the per-degree terms of its one row (`_contra_terms`,
+`_cov_terms`), after the checks that row makes, and builds no row.
+Every answer builds its derivation on first read: a kernel pair its
+notes, ladder result and its top, bottom and outer rows, an
+atom-kernel pair its note and its one row, both checked against the
+counted dims, an atom pair its rule note, and a sum the derivations of
+its summands.  A query that reads only the dims renders no name.
 
 Tables are cached, Hom answers are not.  The caches hold what many
 queries share: `_check_bundle` once per cone and bundle,
@@ -377,7 +379,10 @@ def les_hom_contra(space, K, B):
 
     B must be an atom or a finite sum of atoms inside the rule validity
     domain.  Every unknown dimension Hom^i(K, B) is pinned by exactness
-    from the ranks of the injective known-to-known maps.
+    from the ranks of the injective known-to-known maps.  A query
+    Hom(K, B) for an atom B counts its dims off the same terms
+    (`_contra_terms`) and builds this row only when its derivation is
+    read.
     """
     if not isinstance(K, KernelBundle):
         raise TypeError("left argument must be a kernel bundle, got %s" % (K,))
@@ -388,9 +393,21 @@ def les_hom_contra(space, K, B):
 
 @lru_cache(maxsize=None)
 def _les_hom_contra_cached(space, K, runs):
-    """The solved and checked row Hom(-, B) along K's sequence.
+    """The solved and checked row Hom(-, B) along K's sequence, on the
+    terms of `_contra_terms`; B is given by its runs (atom, copies),
+    named A^k for k > 1."""
+    dims, ranks = [], [0]
+    for qdim, pdim, alpha in _contra_terms(space, K, runs):
+        dims += (qdim, pdim, None)
+        ranks += (alpha, None, None)
+    ranks[-1] = 0  # past the last term; no delta_n
+    return _solve(LongExactSequence(dims, ranks, partial(_contra_names, space.n, K, runs)))
 
-    B is given by its runs (atom, copies), named A^k for k > 1.
+
+def _contra_terms(space, K, runs):
+    """[(dim Q_i, dim P_i, rank alpha_i) for i = 0..n] of the row Hom(-, B)
+    along K's sequence: Q_i = Hom^i(OZ(e), B), P_i = Hom^i(O_X^h, B), B
+    given by its runs (atom, copies).
 
     The known-to-known map
     alpha_i: Hom^i(OZ(e), B) -> Hom^i(O_X^h, B) multiplies by the
@@ -411,21 +428,17 @@ def _les_hom_contra_cached(space, K, runs):
     So rank alpha_i is block 0 of Hom^i(OZ(e), B) wherever Hom^i(O, B)
     is nonzero, and 0 elsewhere.
     """
-    # OutOfValidity for a non-invertible O(b), before any other rule is read
-    fromQ = [hom_counts(space, OZ(K.e), a) for a, _ in runs]
-    fromP = [hom_counts(space, _O, a)[0] for a, _ in runs]
-    dims, ranks = [], [0]
-    for i in range(space.n + 1):
-        qdim = pdim = alpha = 0
-        for (_, k), (qdims, qblocks), pdims in zip(runs, fromQ, fromP):
-            qdim += k * qdims[i]
+    Q, degrees = OZ(K.e), range(space.n + 1)
+    qdim, pdim, alpha = [0] * len(degrees), [0] * len(degrees), [0] * len(degrees)
+    for a, k in runs:
+        qdims, qblocks = hom_counts(space, Q, a)  # OutOfValidity for a non-invertible O(b)
+        pdims = hom_counts(space, _O, a)[0]
+        for i in degrees:
+            qdim[i] += k * qdims[i]
             if pdims[i]:
-                pdim += k * pdims[i]
-                alpha += k * qblocks[i][0]
-        dims += (qdim, K.h * pdim, None)
-        ranks += (alpha, None, None)
-    ranks[-1] = 0  # past the last term; no delta_n
-    return _solve(LongExactSequence(dims, ranks, partial(_contra_names, space.n, K, runs)))
+                pdim[i] += k * pdims[i]
+                alpha[i] += k * qblocks[i][0]
+    return [(q, K.h * p, r) for q, p, r in zip(qdim, pdim, alpha)]
 
 
 def _top_row(space, K, hp):
@@ -488,22 +501,34 @@ def les_hom_cov(space, A, Kp):
     """Apply Hom(A, -) to 0 -> K' -> O_X^h' -> OZ(e') -> 0 and solve.
 
     A must be an atom with Hom^*(A, O_X) in the validity domain, i.e. an
-    invertible twist or a section twist.
+    invertible twist or a section twist.  The row is built on the terms
+    of `_cov_terms`; a query Hom(A, K') counts its dims off the same
+    terms and builds this row only when its derivation is read.
     """
     if not isinstance(A, Atom):
         raise TypeError("left argument must be an atom, got %r" % (A,))
     if not isinstance(Kp, KernelBundle):
         raise TypeError("right argument must be a kernel bundle, got %s" % (Kp,))
     _check_bundle(space, Kp)
-    fromP = hom_counts(space, A, _O)[0]  # OutOfValidity for non-invertible twists
-    fromQ = hom_counts(space, A, OZ(Kp.e))[0]
     dims, ranks = [], [0]
-    for i in range(space.n + 1):
-        pdim, qdim = Kp.h * fromP[i], fromQ[i]
+    for qdim, pdim, beta in _cov_terms(space, A, Kp):
         dims += (None, pdim, qdim)
-        ranks += (None, _cov_beta(space, A, Kp, i, pdim, qdim), None)
+        ranks += (None, beta, None)
     ranks[-1] = 0  # past the last term; no delta_n
     return _solve(LongExactSequence(dims, ranks, partial(_cov_names, space.n, A, Kp)))
+
+
+def _cov_terms(space, A, Kp):
+    """[(dim Q_i, dim P_i, rank beta_i) for i = 0..n] of the row Hom(A, -)
+    along the sequence of K': Q_i = Hom^i(A, OZ(e')), P_i = Hom^i(A, O_X^h'),
+    and beta_i: P_i -> Q_i by `_cov_beta`."""
+    fromP = hom_counts(space, A, _O)[0]  # OutOfValidity for non-invertible twists
+    fromQ = hom_counts(space, A, OZ(Kp.e))[0]
+    terms = []
+    for i in range(space.n + 1):
+        pdim, qdim = Kp.h * fromP[i], fromQ[i]
+        terms.append((qdim, pdim, _cov_beta(space, A, Kp, i, pdim, qdim)))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +614,81 @@ def _rule_derivation(gh):
     return ["Hom(%s, %s) by rule %s" % (gh.source, gh.target, gh.rule)], [], []
 
 
-def _row_derivation(resolution, les):
-    """The note and the one row of an atom-kernel pair."""
+def _atom_kernel_row(space, A, B):
+    """(resolution, row, solved dims) of an atom-kernel pair: the row
+    Hom(-, B) along the sequence of A, or Hom(A, -) along that of B."""
+    if isinstance(B, Atom):
+        les = les_hom_contra(space, A, B)
+        return "contravariant", les, les.solved_dims(2)
+    les = les_hom_cov(space, A, B)
+    return "covariant", les, les.solved_dims(0)
+
+
+def _row_derivation(space, A, B, dims):
+    """The note and the one row of an atom-kernel pair, solved on read; a
+    row whose solved dims are not the counted `dims` raises EngineError."""
+    resolution, les, solved = _atom_kernel_row(space, A, B)
+    if solved != dims:
+        raise EngineError(
+            "Hom(%s, %s) on %s: the %s row solves to %s, the count gives %s"
+            % (A, B, space, resolution, solved, dims)
+        )
     return ["%s resolution: %s" % (resolution, les.origin)], [], [les]
+
+
+def _hom_atom_kernel(space, A, B):
+    """Hom^*(K, B) or Hom^*(A, K') for a kernel bundle and an atom,
+    counted off the terms of its one row.
+
+    The checks run in the row's order: `_check_bundle` on the kernel,
+    then the rule counts of the terms (OutOfValidity from hom_counts,
+    the n = 2 PresentationMismatch from `_cov_beta`), then the bounds
+    `_solve` checks.  Terms that fail a bound are solved as the row,
+    whose check raises the failure `check_exactness` names; otherwise no
+    row is built.  The derivation (note and row) is built on first read
+    and checks that the solved row gives the counted dims.
+
+    The count.  Contravariantly the row is, in each degree i,
+    Q_i -> P_i -> Hom^i(K, B) -> Q_{i+1} with Q_i = Hom^i(OZ(e), B),
+    P_i = Hom^i(O^h, B) and the known rank alpha_i of Q_i -> P_i
+    (`_contra_terms`).  Exactness at P_i gives the rank dim P_i - alpha_i
+    of P_i -> Hom^i(K, B), at Q_{i+1} the rank dim Q_{i+1} - alpha_{i+1}
+    of Hom^i(K, B) -> Q_{i+1} (Q_{n+1} = 0), and at Hom^i(K, B) their sum:
+
+        Hom^i(K, B) = (dim P_i - alpha_i) + (dim Q_{i+1} - alpha_{i+1}).
+
+    Nothing maps into Q_0, so exactness there needs alpha_0 = dim Q_0.
+    Covariantly the row is Hom^i(A, K') -> P_i -> Q_i -> Hom^{i+1}(A, K')
+    with P_i = Hom^i(A, O^h'), Q_i = Hom^i(A, OZ(e')) and the known rank
+    beta_i of P_i -> Q_i (`_cov_terms`), so in the same way
+
+        Hom^i(A, K') = (dim P_i - beta_i) + (dim Q_{i-1} - beta_{i-1}),
+
+    with Q_{-1} = 0, and nothing leaves Q_n, so beta_n = dim Q_n.  Every
+    other rank of the row is a term dim less a known rank, so the row
+    is exact with every rank in [0, both its term dims] exactly when
+    that end condition holds and each known rank lies in [0, both its
+    term dims]: the checks `_solve` makes, and so those made here.
+    """
+    if isinstance(B, Atom):
+        _check_bundle(space, A)
+        terms, step, end = _contra_terms(space, A, ((B, 1),)), 1, 0
+    else:
+        _check_bundle(space, B)
+        terms, step, end = _cov_terms(space, A, B), -1, space.n
+    qdim, _, rank = terms[end]
+    sound = rank == qdim
+    pad = terms + [(0, 0, 0)]  # Q_{n+1} and Q_{-1}: pad[n + 1] is pad[-1]
+    dims = []
+    for i, (q, p, r) in enumerate(terms):
+        sound = sound and 0 <= r <= q and r <= p
+        q_next, _, r_next = pad[i + step]
+        dims.append(p - r + q_next - r_next)
+    if sound:
+        dims = tuple(dims)
+    else:  # the solved row raises the failure check_exactness names
+        dims = _atom_kernel_row(space, A, B)[2]
+    return HomComputation(dims, derive=(_row_derivation, (space, A, B, dims)))
 
 
 def _outer_names(n, K, Kp):
@@ -661,7 +758,7 @@ def _hom_kernel_kernel(space, K, Kp):
     Hom(K, -) along 0 -> K' -> O^h' -> OZ(e') -> 0, with gamma_i:
     Hom^i(K, O^h') -> Hom^i(K, OZ(e')).
     * The bottom row Hom(-, OZ(e')) along K's sequence has alpha_0
-      injective on R3's block 0, H^0(Z, e'-e) (`_les_hom_contra_cached`),
+      injective on R3's block 0, H^0(Z, e'-e) (`_contra_terms`),
       so kb = rank(B1 -> B2) = h dim H^0(Z, e') - dim H^0(Z, e'-e).
     * gamma_0 has rank r = ladder_propagate(kb, reached).
     * gamma_i, i >= 1, has a zero source: Hom^i(K, O) = 0 (below).
@@ -731,17 +828,8 @@ def hom_objects_detailed(space, A, B):
         gh = hom_atoms(space, A, B)
         return HomComputation(gh.dims, derive=(_rule_derivation, (gh,)))
 
-    if isinstance(B, Atom):
-        les = les_hom_contra(space, A, B)
-        return HomComputation(
-            les.solved_dims(2), derive=(_row_derivation, ("contravariant", les))
-        )
-
-    if isinstance(A, Atom):
-        les = les_hom_cov(space, A, B)
-        return HomComputation(
-            les.solved_dims(0), derive=(_row_derivation, ("covariant", les))
-        )
+    if isinstance(A, Atom) or isinstance(B, Atom):
+        return _hom_atom_kernel(space, A, B)
 
     return _hom_kernel_kernel(space, A, B)
 

@@ -36,7 +36,7 @@ their lengths against these counts.
 
 The chases use composition with the evaluation sections of a kernel
 bundle only through its rank, never as a matrix: out of OZ(e) it is
-injective on R3's block 0 and on R4 (objects._les_hom_contra_cached),
+injective on R3's block 0 and on R4 (objects._contra_terms),
 and into OZ(e') it is onto R3's block 1 (objects._cov_beta).  They read
 integers only, from the count table and never through a GradedHom:
 hom_counts, and r3_block_dims and ext1_h0_block keyed by f - e.

@@ -152,22 +152,22 @@ def stack_exceptional_check(space, lo, hi):
     """Numeric exceptionality of the twist window O(lo), ..., O(hi) on the stack.
 
     Each twist must have End = k and no higher self-extensions, and all
-    backwards Homs must vanish.
+    backwards Homs must vanish.  Stack Hom depends only on the twist
+    difference, so End(O(lo)) stands for every twist of the window and
+    Hom*(O(lo+d), O(lo)) for every backward pair at distance d: each is
+    read once, and the first violation is the one a search over every
+    twist and then every pair (b, a), b increasing and a from lo up,
+    meets first, at the smallest bad d.
     """
     first = None
-    for a in range(lo, hi + 1):
-        dims = stack_hom_dims(space, a, a)
-        if dims[0] != 1 or any(dims[1:]):
-            first = "O(%d) is not exceptional: %s" % (a, dims)
+    for d in range(hi - lo + 1):
+        dims = stack_hom_dims(space, lo + d, lo)
+        if d == 0:
+            if dims[0] != 1 or any(dims[1:]):
+                first = "O(%d) is not exceptional: %s" % (lo, dims)
+        elif any(dims):
+            first = "Hom*(O(%d), O(%d)) = %s is nonzero" % (lo + d, lo, dims)
+        if first is not None:
             break
-    if first is None:
-        for b in range(lo, hi + 1):
-            for a in range(lo, b):
-                dims = stack_hom_dims(space, b, a)
-                if any(dims):
-                    first = "Hom*(O(%d), O(%d)) = %s is nonzero" % (b, a, dims)
-                    break
-            if first is not None:
-                break
     return StackWindowReport((lo, hi), first is None, first)
 

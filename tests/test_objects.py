@@ -833,6 +833,88 @@ def test_the_derivation_checks_the_counted_dims(monkeypatch):
         wrong.notes
 
 
+def _atom_kernel_bundles(space):
+    """The canonical bundles of a cone, and the Fraction bundles of
+    `_custom_bundles` where H^0(Z, O(m-1)) has at most 35 sections: the
+    spanning check of a larger one costs seconds."""
+    n, m = space.n, space.m
+    bundles = [kernel_bundle(space, e) for e in range(1, m)]
+    if comb(m + n - 3, n - 1) <= 35:
+        bundles += _custom_bundles(space, random.Random(5))
+    return bundles
+
+
+def test_atom_kernel_counts_equal_the_solved_rows():
+    """On every cone with n = 2..5 and m <= 7, for F_e <-> O(d) and
+    F_e <-> OZ(d), -2m-n <= d <= 2m, both ways, on canonical and Fraction
+    bundles: the counted dims of hom_objects equal the solved row of
+    les_hom_contra or les_hom_cov, and a refused query raises the class
+    and text of the row."""
+    outcomes = {}
+    for n in range(2, 6):
+        for m in range(2, 8):
+            space = make_space(n, m)
+            for K in _atom_kernel_bundles(space):
+                for d in range(-2 * m - n, 2 * m + 1):
+                    for a in (OX(d), OZ(d)):
+                        for A, B, row in (
+                            (K, a, lambda: les_hom_contra(space, K, a).solved_dims(2)),
+                            (a, K, lambda: les_hom_cov(space, a, K).solved_dims(0)),
+                        ):
+                            refusal = _refusal(row)
+                            assert _refusal(lambda: hom_objects(space, A, B)) == refusal
+                            if refusal is None:
+                                assert hom_objects(space, A, B) == row(), (space, A, B)
+                            outcome = "answered" if refusal is None else refusal[0].__name__
+                            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert outcomes == {"answered": 12683, "OutOfValidity": 8500, "PresentationMismatch": 441}
+
+
+def test_the_atom_kernel_derivation_checks_the_counted_dims(monkeypatch):
+    """An atom-kernel query counts its dims off the terms of its row, and
+    reading its derivation solves the row, which must give the same dims:
+    a miscounted term raises EngineError on that read.  A term that fails
+    a bound of the row raises the row's own check text at once."""
+    import conetilt.objects as objects
+
+    X7 = make_space(3, 7)
+    K = kernel_bundle(X7, 2)
+    for helper, A, B, resolution, failure in (
+        ("_contra_terms", K, OX(0), "contravariant",
+         "exactness fails at Hom^0(OZ(2), O(0)): 0 + -1 != 0"),
+        ("_cov_terms", OX(0), K, "covariant", "rank of inc_0 exceeds its term dimensions"),
+    ):
+        real = getattr(objects, helper)
+
+        def one_more_p0(*args, real=real):
+            (qdim, pdim, rank), *terms = real(*args)
+            return [(qdim, pdim + 1, rank)] + terms
+
+        def negative_rank0(*args, real=real):
+            (qdim, pdim, _), *terms = real(*args)
+            return [(qdim, pdim, -1)] + terms
+
+        _clear_caches()
+        with monkeypatch.context() as patch:
+            patch.setattr(objects, helper, one_more_p0)
+            wrong = hom_objects_detailed(X7, A, B)
+        right = hom_objects(X7, A, B)
+        assert wrong.dims == (right[0] + 1,) + right[1:]
+        with pytest.raises(EngineError) as excinfo:
+            wrong.notes
+        assert str(excinfo.value) == (
+            "Hom(%s, %s) on %s: the %s row solves to %s, the count gives %s"
+            % (A, B, X7, resolution, right, wrong.dims)
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(objects, helper, negative_rank0)
+            _clear_caches()
+            expected = _refusal(lambda: objects._atom_kernel_row(X7, A, B))
+            _clear_caches()
+            assert _refusal(lambda: hom_objects(X7, A, B)) == expected
+        assert expected[0] is EngineError and expected[1].endswith(": " + failure), expected
+
+
 def _count_presented_maps(monkeypatch):
     """Record the name of every PresentedMap built from now on."""
     import conetilt.linalg as linalg
@@ -1554,13 +1636,13 @@ ATOM_ROW_NOTES = {
 
 def test_atom_kernel_queries_build_no_record_until_read(monkeypatch):
     """With cold caches the atom<->F queries of P(1^2,7), P(1^3,5) and
-    P(1^4,3) name nothing: no row calls its names builder, renders its
-    origin or builds a term or map record, and no note is written; nor
-    does an atom<->atom row of the P1113 and P112 reports write its
-    note.  Reading a row's origin alone builds none of its records.
-    Reading the derivations builds the notes and the records of every
-    row, with the texts, names and dims DERIVATION_DIGESTS pins, and
-    calls each row's names builder once."""
+    P(1^4,3) build no row, name nothing and write no note; nor does an
+    atom<->atom row of the P1113 and P112 reports write its note.
+    Reading a query's notes builds its one row and renders the row's
+    origin, but none of its term or map records.  Reading the
+    derivations builds the records of every row, with the texts, names
+    and dims DERIVATION_DIGESTS pins, and calls each row's names
+    builder once."""
     import conetilt.objects as objects
     from conetilt.report import BUILTIN_INSTANCES, get_instance
 
@@ -1576,11 +1658,11 @@ def test_atom_kernel_queries_build_no_record_until_read(monkeypatch):
         space = make_space(n, m)
         comps = [_computed(space, A, B) for A, B in _atom_kernel_queries(space)]
         answered = [comp for comp in comps if not isinstance(comp, list)]
-        assert named == [] and built == [] and rows, (n, m)
-        assert [row for row in rows if "origin" in vars(row)] == [], (n, m)
-        assert _with_records(rows) == [], (n, m)
+        assert named == [] and built == [] and rows == [], (n, m)
         assert [comp for comp in answered if "notes" in vars(comp)] == [], (n, m)
-        assert all(row.origin for row in rows) and _with_records(rows) == [], (n, m)
+        assert all(comp.notes for comp in answered) and len(rows) == len(answered), (n, m)
+        assert all("origin" in vars(row) for row in rows), (n, m)
+        assert _with_records(rows) == [], (n, m)
         records = [_as_data(comp) for comp in comps]
         assert _digest(records) == DERIVATION_DIGESTS["atom<->F on P(1^%d,%d)" % (n, m)]
         assert _with_records(rows) == rows

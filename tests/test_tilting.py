@@ -1,7 +1,11 @@
 """Tilting verdicts, block matrices, decomposition and window checks."""
 
+import hashlib
+import json
+
 import pytest
 
+from conetilt import tilting
 from conetilt.cone import make_space
 from conetilt.linalg import EngineError
 from conetilt.objects import HomComputation, SumObject, direct_sum, kernel_bundle
@@ -150,6 +154,68 @@ def test_stack_hom_dims_rule():
 def test_stack_window_surface():
     assert stack_exceptional_check(S, 0, 3).ok
     assert not stack_exceptional_check(S, 0, 4).ok
+
+
+def _pairwise_window_check(space, lo, hi):
+    """(ok, first violation) of the twist window lo..hi by the search over
+    every twist and every backward pair, in the order of the verdict."""
+    for a in range(lo, hi + 1):
+        dims = tilting.stack_hom_dims(space, a, a)
+        if dims[0] != 1 or any(dims[1:]):
+            return False, "O(%d) is not exceptional: %s" % (a, dims)
+    for b in range(lo, hi + 1):
+        for a in range(lo, b):
+            dims = tilting.stack_hom_dims(space, b, a)
+            if any(dims):
+                return False, "Hom*(O(%d), O(%d)) = %s is nonzero" % (b, a, dims)
+    return True, None
+
+
+# sha256 of the compact JSON of [n, m, lo, hi, ok, first violation] over the
+# grid below, with the number of windows and of exceptional ones
+STACK_WINDOWS_DIGEST = (
+    10240, 5440, "0ef285706dbf3ecad3d8d4ba3569708f9ec10f38e0421abb13411acb03b7a6d6"
+)
+
+
+def test_stack_windows_match_the_pairwise_search():
+    """On every window lo..hi, -12 <= lo <= 3, lo <= hi < lo + 16, of every
+    P(1^n, m), n = 2..6, m = 1..8, the verdict and its first violation are
+    those of the search over every pair, and pinned."""
+    records = []
+    for n in range(2, 7):
+        for m in range(1, 9):
+            space = make_space(n, m)
+            for lo in range(-12, 4):
+                for hi in range(lo, lo + 16):
+                    report = stack_exceptional_check(space, lo, hi)
+                    assert report.window == (lo, hi)
+                    found = (report.ok, report.first_violation)
+                    assert found == _pairwise_window_check(space, lo, hi), (n, m, lo, hi)
+                    records.append([n, m, lo, hi, *found])
+    text = json.dumps(records, separators=(",", ":"))
+    assert (
+        len(records), sum(r[4] for r in records), hashlib.sha256(text.encode()).hexdigest()
+    ) == STACK_WINDOWS_DIGEST
+
+
+def test_stack_window_names_a_twist_that_is_not_exceptional(monkeypatch):
+    """No twist on the grid above fails End = k; one made to fail it is
+    named as the pairwise search names it, before any backward pair."""
+    real = tilting.stack_hom_dims
+
+    def twice_end(space, a, b):
+        dims = real(space, a, b)
+        return (2,) + dims[1:] if a == b else dims
+
+    monkeypatch.setattr(tilting, "stack_hom_dims", twice_end)
+    for lo, hi in ((0, 0), (0, 6), (-3, 2), (1, 0)):
+        report = stack_exceptional_check(X, lo, hi)
+        assert (report.ok, report.first_violation) == _pairwise_window_check(X, lo, hi)
+    assert stack_exceptional_check(X, 0, 6).first_violation == (
+        "O(0) is not exceptional: (2, 0, 0, 0)"
+    )
+    assert stack_exceptional_check(X, 1, 0).ok
 
 
 def test_rank_square_identity():
